@@ -13,7 +13,9 @@ bound by more than the tolerance).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -83,6 +85,38 @@ def build_parser() -> argparse.ArgumentParser:
                        help="efficiencies for the clone strategy (p/q,p/q,p/q)")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs about as much
+    as a one-point feasibility verdict, and parsing leaves it unchanged."""
+    return build_parser()
+
+
+#: options whose value may start with "-" ("-1/2", "-0.5,0.25")
+_SIGNED_OPTIONS = frozenset({"--p12", "--p13", "--p23"})
+_SIGNED_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--p12 -1/2`` as ``--p12=-1/2``.
+
+    argparse reads a separate token that starts with "-" as an option
+    unless it is a plain negative number, so a negative rational or a
+    re,im pair would otherwise be a usage error.
+    """
+    out = []
+    i = 0
+    while i < len(argv):
+        if (argv[i] in _SIGNED_OPTIONS and i + 1 < len(argv)
+                and _SIGNED_VALUE.match(argv[i + 1])):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +210,7 @@ def cmd_optimize(args) -> tuple[dict, int]:
             numeric = optimize.numeric_search(
                 args.case, args.objective, resolution=args.resolution,
                 iterations=args.iterations, seed=args.seed, tol=args.tol,
-                complex_flags=args.complex_flags, threads=args.threads)
+                complex_flags=args.complex_flags)
             reports.append(numeric)
     payload["reports"] = [r.to_json(args.tol) for r in reports]
     code = 0
@@ -258,8 +292,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parser().parse_args(_attach_signed_values(list(argv)))
     try:
         if args.trials < 1:
             raise ValueError("--trials must be at least 1")

@@ -323,7 +323,13 @@ def hermitian3_eigvals(m) -> tuple[float, float, float]:
     """Eigenvalues of a 3x3 Hermitian matrix via the characteristic cubic.
 
     Uses the trigonometric closed form; deterministic and dependency-free,
-    accurate to ~1e-14 at this fixed size.
+    accurate to ~1e-14 at this fixed size except near a double root, where
+    acos turns the rounding of its argument into a square-root-sized error
+    (see ``EIG_ERR``). Callers: ``FeasibilityPoint.min_eigenvalue`` (the
+    float route of ``is_psd`` and the JSON certificates) and
+    ``ArrowKernel`` for the points inside its determinant band and, with
+    complex flags, for refine candidates; ``_arrow_min_eig`` reproduces it
+    bit for bit for real arrow matrices.
     """
     a11, a22, a33 = m[0][0].real, m[1][1].real, m[2][2].real
     p1 = abs(m[0][1]) ** 2 + abs(m[0][2]) ** 2 + abs(m[1][2]) ** 2
@@ -359,6 +365,184 @@ def is_psd(point: FeasibilityPoint, tol: float = DEFAULT_TOL) -> bool:
 def is_psd_minors(point: FeasibilityPoint, tol: float = DEFAULT_TOL) -> bool:
     """Float/principal-minor variant of the PSD test (cross-check route)."""
     return all(float(x) >= -tol for x in point.principal_minors())
+
+
+# ---------------------------------------------------------------------------
+# float kernel for the numeric search
+# ---------------------------------------------------------------------------
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+#: bound on |hermitian3_eigvals(M)[0] - lambda_min(M)| over the search box
+#: of the case Grams. The closed form takes acos of r = det(B)/2, where
+#: B = (M - qI)/p has Frobenius norm sqrt(6), q <= 1 and 1/8 <= p <= 1
+#: (|M_1j| >= |G_1j| - G_1j^2 >= 3/16), so r carries a rounding error
+#: below 2**-40. acos is 1/2-Hoelder with constant pi/sqrt(2) < 2.25, so
+#: e_lo and e_hi move by at most 2p * (2.25/3) * 2**-20 = 1.5 * 2**-20 at
+#: a double root (far less elsewhere), e_mid = 3q - e_hi - e_lo by at
+#: most twice that, and the remaining O(u) roundings fit in the margin.
+EIG_ERR = 2.0 ** -18
+
+
+def _arrow_min_eig(a11: float, a22: float, a33: float, u: float, w: float) -> float:
+    """``hermitian3_eigvals(M)[0]`` for real M with M_12 = u, M_13 = w, M_23 = 0.
+
+    The general closed form's operations in the same order, minus the
+    products with the zero entries and imaginary parts (adding or
+    subtracting an exact zero changes no bit), so the result is
+    bit-identical to the complex computation.
+    """
+    p1 = abs(u) ** 2 + abs(w) ** 2
+    q = (a11 + a22 + a33) / 3.0
+    p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
+    if p2 <= 0.0:
+        return q
+    p = math.sqrt(p2 / 6.0)
+    b11, b22, b33 = (a11 - q) / p, (a22 - q) / p, (a33 - q) / p
+    b12, b13 = u / p, w / p
+    detb = b11 * (b22 * b33) - b12 * (b12 * b33) - b13 * (b22 * b13)
+    r = max(-1.0, min(1.0, detb / 2.0))
+    phi = math.acos(r) / 3.0
+    e_hi = q + 2.0 * p * math.cos(phi)
+    e_lo = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
+    e_mid = 3.0 * q - e_hi - e_lo
+    return min(e_lo, e_mid, e_hi)
+
+
+class ArrowKernel:
+    """Float PSD verdicts of M at the numeric search's points.
+
+    A search point is (gamma1, gamma2, gamma3, a, c) with P12 = a,
+    P13 = c, or (gamma1, gamma2, gamma3, a, b, c, d) with complex flags
+    P12 = a + bi, P13 = c + di; P23 multiplies the structural zero.
+    Every verdict equals the one of ``hermitian3_eigvals(M)[0] >= -tol``
+    on M assembled in complex arithmetic like ``build_matrix``'s float
+    route (``matrix``).
+
+    Both case Grams are real with unit diagonal and G_23 = 0, so M is an
+    arrow matrix. Let A = M + tol*I, d_i = A_ii = 1 - gamma_i + tol and
+    s = max(d2, d3). Because d2, d3 > 0, Cauchy interlacing puts
+    lambda_2(A) in [min(d2, d3), s], so
+
+        det A = d1*d2*d3 - |M_12|^2 * d3 - |M_13|^2 * d2
+
+    has the sign of lambda_1(A) = lambda_min(M) + tol: one Schur-complement
+    test replaces the eigenvalues. With lambda_3(A) <= ||A||_F <= lam,
+    |lambda_1(A)| >= |det A| / (s * lam). The computed determinant is
+    within 16u * lam^2 * s of det A, so outside the band
+    |det| <= s * band, band = lam * (EIG_ERR + 16u * lam), lambda_1(A)
+    is further than EIG_ERR from 0 and the closed form's verdict agrees.
+    Points inside the band go to ``hermitian3_eigvals``.
+    """
+
+    def __init__(self, gram: GramMatrix, tol: float = DEFAULT_TOL,
+                 complex_flags: bool = False):
+        gf = tuple(tuple(complex(gram.entry(i, j)) for j in range(3)) for i in range(3))
+        if (any(gf[i][i] != 1 for i in range(3)) or gf[1][2] != 0
+                or not all(gf[0][j].imag == 0 and 0.25 <= abs(gf[0][j]) <= 0.5
+                           for j in (1, 2))):
+            raise ValueError("the arrow kernel needs unit diagonal, G_23 = 0 "
+                             "and real 1/4 <= |G_1j| <= 1/2")
+        self.tol = tol
+        self.complex_flags = complex_flags
+        self._gf = gf
+        self._g12, self._g13 = gf[0][1].real, gf[0][2].real
+        self._s12, self._s13 = (gf[0][1] ** 2).real, (gf[0][2] ** 2).real
+        # |M_1j| <= |G_1j| + G_1j^2 over gamma <= 1, |P| <= 1
+        lam = math.sqrt(3.0 * (1.0 + tol) ** 2
+                        + 2.0 * (abs(self._g12) + self._s12) ** 2
+                        + 2.0 * (abs(self._g13) + self._s13) ** 2)
+        self.band = lam * (EIG_ERR + 16.0 * _UNIT_ROUNDOFF * lam)
+
+    def _unpack(self, point):
+        if self.complex_flags:
+            return point
+        g1, g2, g3, a, c = point
+        return g1, g2, g3, a, 0.0, c, 0.0
+
+    def matrix(self, point):
+        """M at a search point in complex arithmetic, with the entry values
+        of ``build_matrix``'s float route."""
+        g1, g2, g3, a, b, c, d = self._unpack(point)
+        gf = self._gf
+        x12 = math.sqrt(g1 * g2)
+        x13 = math.sqrt(g1 * g3)
+        m12 = gf[0][1] - x12 * gf[0][1] ** 2 * complex(a, b)
+        m13 = gf[0][2] - x13 * gf[0][2] ** 2 * complex(c, d)
+        m23 = complex(gf[1][2])
+        return ((complex(gf[0][0] - g1), m12, m13),
+                (m12.conjugate(), complex(gf[1][1] - g2), m23),
+                (m13.conjugate(), m23.conjugate(), complex(gf[2][2] - g3)))
+
+    def _closed_form_ok(self, point) -> bool:
+        return hermitian3_eigvals(self.matrix(point))[0] >= -self.tol
+
+    def slack(self, point) -> float | None:
+        """lambda_min(M) at a point where M + tol*I is PSD, else None.
+
+        The value is bit-identical to ``hermitian3_eigvals(M)[0]``. A
+        determinant below the band rejects the point without it; flags
+        with modulus above 1 are rejected outright.
+        """
+        g1, g2, g3, a, b, c, d = self._unpack(point)
+        if a * a + b * b > 1.0 or c * c + d * d > 1.0:
+            return None
+        tol = self.tol
+        t12 = math.sqrt(g1 * g2) * self._s12
+        t13 = math.sqrt(g1 * g3) * self._s13
+        u, w = self._g12 - t12 * a, self._g13 - t13 * c
+        a11, a22, a33 = 1.0 - g1, 1.0 - g2, 1.0 - g3
+        d2, d3 = a22 + tol, a33 + tol
+        det = ((a11 + tol) * d2 * d3 - (u * u + (t12 * b) ** 2) * d3
+               - (w * w + (t13 * d) ** 2) * d2)
+        if det < -self.band * max(d2, d3):
+            return None
+        if self.complex_flags:
+            eig = hermitian3_eigvals(self.matrix(point))[0]
+        else:
+            eig = _arrow_min_eig(a11, a22, a33, u, w)
+        return eig if eig >= -tol else None
+
+    def scan(self, g1: float, gamma_axis, flag_axis):
+        """Verdicts at every grid point with this gamma1.
+
+        Yields ``((g1, g2, g3), flags)`` for each (g2, g3) on the gamma
+        axis, ``flags`` listing the feasible flag tuples in ascending grid
+        order. Each determinant term is computed in the outermost loop
+        where it is fixed; flags with modulus above 1 are never feasible.
+        """
+        tol, band = self.tol, self.band
+        if self.complex_flags:
+            parts = [((a, b), a, b) for a in flag_axis for b in flag_axis
+                     if a * a + b * b <= 1.0]
+        else:
+            parts = [((a,), a, 0.0) for a in flag_axis]
+
+        def moduli2(g, g1j, s1j):
+            # |M_1j|^2 for every flag part
+            t = math.sqrt(g1 * g) * s1j
+            return [(g1j - t * re) ** 2 + (t * im) ** 2 for _, re, im in parts]
+
+        d1 = 1.0 - g1 + tol
+        cols = [(g3, 1.0 - g3 + tol, moduli2(g3, self._g13, self._s13))
+                for g3 in gamma_axis]
+        for g2 in gamma_axis:
+            d2 = 1.0 - g2 + tol
+            rows = [(p, m2) for (p, _, _), m2 in
+                    zip(parts, moduli2(g2, self._g12, self._s12))]
+            for g3, d3, col in cols:
+                thr = band * (d2 if d2 > d3 else d3)
+                d123 = d1 * d2 * d3
+                w_d2 = [(p, m2 * d2) for (p, _, _), m2 in zip(parts, col)]
+                feasible = []
+                for p12, u2 in rows:
+                    k = d123 - u2 * d3
+                    for p13, wd in w_d2:
+                        det = k - wd
+                        if det > thr or (det >= -thr and self._closed_form_ok(
+                                (g1, g2, g3) + p12 + p13)):
+                            feasible.append(p12 + p13)
+                yield (g1, g2, g3), feasible
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ optimal, the unrestricted search supplies evidence.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -129,42 +128,24 @@ def _clamp(x, lo, hi):
     return lo if x < lo else hi if x > hi else x
 
 
-def _min_eig_fast(gf, point, complex_flags: bool) -> float | None:
-    """Smallest eigenvalue of M for a float search point, or None if the
-    flag moduli are out of range. Inlined for the search hot loop; agrees
-    with FeasibilityPoint.min_eigenvalue (cross-checked in tests)."""
-    if complex_flags:
-        g1, g2, g3, a, b, c, d = point
-        if a * a + b * b > 1.0 or c * c + d * d > 1.0:
-            return None
-    else:
-        g1, g2, g3, a, c = point
-        b = d = 0.0
-    x12 = math.sqrt(g1 * g2)
-    x13 = math.sqrt(g1 * g3)
-    m = [[0j] * 3 for _ in range(3)]
-    m[0][0] = complex(gf[0][0] - g1)
-    m[1][1] = complex(gf[1][1] - g2)
-    m[2][2] = complex(gf[2][2] - g3)
-    m[0][1] = gf[0][1] - x12 * gf[0][1] ** 2 * complex(a, b)
-    m[1][0] = m[0][1].conjugate()
-    m[0][2] = gf[0][2] - x13 * gf[0][2] ** 2 * complex(c, d)
-    m[2][0] = m[0][2].conjugate()
-    # P23's coefficient is the structural zero at (2, 3) in both case grams
-    m[1][2] = complex(gf[1][2])
-    m[2][1] = m[1][2].conjugate()
-    return fz.hermitian3_eigvals(m)[0]
-
-
 def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
                    iterations: int = 40, seed: int = 0, tol: float = fz.DEFAULT_TOL,
-                   complex_flags: bool = False, threads: int = 1) -> OptimumReport:
+                   complex_flags: bool = False) -> OptimumReport:
     """Grid-plus-pattern-search maximisation over (Gamma, P).
 
     Deterministic for fixed arguments: ties are broken by lexicographic
-    argmax and the reduction over grid chunks is order-independent. The
-    imaginary flag components are pinned to zero unless ``complex_flags``
-    is set; coarse grids never see them improve the objective.
+    argmax over (objective, point). The imaginary flag components are
+    pinned to zero unless ``complex_flags`` is set; coarse grids never see
+    them improve the objective.
+
+    Feasibility comes from ``feasibility.ArrowKernel``: M is an arrow
+    matrix (G_23 = 0), so the PSD verdict is the sign of one determinant,
+    with every term hoisted to the outermost grid loop where it is fixed.
+    Inside a band |det| <= max(d2, d3) * kernel.band derived from the
+    rounding bounds of both routes, the point goes to the closed-form
+    eigenvalues, so every verdict matches ``hermitian3_eigvals(M)[0] >=
+    -tol``. Every grid point and refine candidate counts as one
+    evaluation.
 
     The objective is flat in every coordinate except gamma2/gamma3 (or
     gamma1), so the pattern search ranks moves by (objective, PSD slack)
@@ -176,44 +157,22 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
         raise ValueError("resolution must be at least 8")
     obj = _objective_fn(objective)
     g = case_gram(case)
-    gf = tuple(tuple(complex(g.entry(i, j)) for j in range(3)) for i in range(3))
+    kernel = fz.ArrowKernel(g, tol, complex_flags)
 
     gamma_axis = [i / (resolution - 1) for i in range(resolution)]
     flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]
     n_flag_axes = 4 if complex_flags else 2
-    axes = [gamma_axis] * 3 + [flag_axis] * n_flag_axes
-
-    evaluations = 0
-
-    def scan_chunk(g1):
-        # best feasible point in this gamma1 slab, by (objective, point)
-        best = None
-        stack = [(g1,)]
-        count = 0
-        while stack:
-            prefix = stack.pop()
-            depth = len(prefix)
-            if depth == len(axes):
-                count += 1
-                eig = _min_eig_fast(gf, prefix, complex_flags)
-                if eig is not None and eig >= -tol:
-                    key = (obj(prefix), prefix)
-                    if best is None or key > best:
-                        best = key
-                continue
-            for v in axes[depth]:
-                stack.append(prefix + (v,))
-        return best, count
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan_chunk, gamma_axis))
-    else:
-        results = [scan_chunk(g1) for g1 in gamma_axis]
+    evaluations = resolution ** (3 + n_flag_axes)
 
     slab_best = []
-    for best, n_evals in results:
-        evaluations += n_evals
+    for g1 in gamma_axis:
+        # best feasible point in this gamma1 slab, by (objective, point)
+        best = None
+        for gammas, flags in kernel.scan(g1, gamma_axis, flag_axis):
+            if flags:
+                key = (obj(gammas), gammas + max(flags))
+                if best is None or key > best:
+                    best = key
         if best is not None:
             slab_best.append(best)
     if not slab_best:
@@ -225,8 +184,7 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
 
     best_val, best_point = max(slab_best)
     for _, start in sorted(slab_best, reverse=True):
-        val, point, n_ev = _compass_refine(start, obj, gf, tol, complex_flags,
-                                           lo, hi, cell, iterations)
+        val, point, n_ev = _compass_refine(start, obj, kernel, lo, hi, cell, iterations)
         evaluations += n_ev
         if val > best_val or (val == best_val and point > best_point):
             best_val, best_point = val, point
@@ -247,7 +205,7 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     )
 
 
-def _compass_refine(start, obj, gf, tol, complex_flags, lo, hi, cell, iterations):
+def _compass_refine(start, obj, kernel, lo, hi, cell, iterations):
     """Coordinate-wise pattern search, step halving on stall.
 
     A move is accepted when it improves the objective, or keeps it equal
@@ -256,7 +214,7 @@ def _compass_refine(start, obj, gf, tol, complex_flags, lo, hi, cell, iterations
     """
     point = tuple(start)
     value = obj(point)
-    slack = _min_eig_fast(gf, point, complex_flags)
+    slack = kernel.slack(point)
     steps = list(cell)
     moves = [((d, sgn),) for d in range(len(point)) for sgn in (1.0, -1.0)]
     # paired gamma2/gamma3 moves walk the symmetric ridge directly
@@ -275,8 +233,8 @@ def _compass_refine(start, obj, gf, tol, complex_flags, lo, hi, cell, iterations
             if cand == point:
                 continue
             evals += 1
-            eig = _min_eig_fast(gf, cand, complex_flags)
-            if eig is None or eig < -tol:
+            eig = kernel.slack(cand)
+            if eig is None:
                 continue
             key = (obj(cand), eig, cand)
             if best_move is None or key > best_move:

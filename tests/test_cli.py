@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +84,20 @@ def test_feasibility_requires_gammas(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--p12", "-1/2"), ("--p12", "-1/2,1/3"), ("--p13", "-1/2"),
+    ("--p13", "-0.5,0.25"), ("--p23", "-1/3"), ("--p23", "-.5,-1/4"),
+])
+def test_negative_flag_values_without_equals(capsys, option, value):
+    base = ("feasibility", "--case", "2bit", "--gammas", "1/4,1/9,1/16")
+    code, spaced, err = run_cli(capsys, *base, option, value)
+    assert code == 0, err
+    _, joined, _ = run_cli(capsys, *base, f"{option}={value}")
+    assert spaced == joined
+    pair = [float(Fraction(x)) for x in value.split(",")] + [0.0]
+    assert json.loads(spaced)[option[2:].upper()] == pair[:2]
+
+
 def test_feasibility_curve(capsys):
     data = run_json(capsys, "feasibility", "--case", "2bit", "--curve", "vw",
                     "--points", "5")
@@ -113,6 +129,24 @@ def test_optimize_both_modes_no_regression(capsys):
     assert modes == ["analytic", "numeric"]
     numeric = data["reports"][1]
     assert numeric["value"] >= 2 * 0.57122
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    (f"optimize_{case}_{objective}_r9",
+     ("--case", case, "--objective", objective, "--resolution", "9"))
+    for case in ("3bit", "2bit") for objective in ("gamma23", "gamma1")
+] + [("optimize_2bit_complex_r8",
+      ("--case", "2bit", "--complex-flags", "--resolution", "8"))])
+def test_optimize_stdout_matches_golden(capsys, name, argv):
+    # captured before the arrow kernel replaced the per-point eigensolver
+    # (CPython 3.11, x86-64 Linux, glibc libm); the digits of the float
+    # fields depend on the platform's libm
+    code, out, err = run_cli(capsys, "optimize", "--mode", "both", *argv)
+    assert code == 0, err
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_optimize_equal_objective(capsys):
