@@ -38,8 +38,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--format", choices=("json", "csv", "table"), default="json",
                         help="output format (default: json)")
     parser.add_argument("--out", default=None, help="write output to this path")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for parallel sections (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,13 +226,13 @@ def cmd_optimize(args) -> tuple[dict, int]:
 def cmd_simulate(args) -> tuple[dict, int]:
     if args.strategy == "noclone":
         report = gamesim.simulate_no_clone(args.case, trials=args.trials,
-                                           seed=args.seed, threads=args.threads)
+                                           seed=args.seed)
     else:
         if args.gammas is None:
             raise ValueError("--gammas is required for the clone strategy")
         eff = _parse_gammas(args.gammas)
         report = gamesim.simulate_clone(eff, args.case, trials=args.trials,
-                                        seed=args.seed, threads=args.threads)
+                                        seed=args.seed)
     return report.to_json(), 0
 
 
@@ -300,8 +298,6 @@ def main(argv=None) -> int:
             raise ValueError("--trials must be at least 1")
         if args.tol <= 0:
             raise ValueError("--tol must be positive")
-        if args.threads < 1:
-            raise ValueError("--threads must be at least 1")
         payload, code = _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

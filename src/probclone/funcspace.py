@@ -217,6 +217,15 @@ class TaskFamily:
         if set(self.s2_f0_by_query) != {0, 1}:
             raise AssertionError("query input 0 does not distinguish the S2 secrets")
 
+        # every task instance, nested f0 -> f1 -> f2 in set order, so that
+        # sampling is three uniform picks and returns a shared object
+        grid = []
+        for f0 in self.s_f0:
+            cand = self._candidates[f0.table].members
+            grid.append(tuple(tuple(TaskInstance(f0, f1, f2) for f2 in cand)
+                              for f1 in cand))
+        self._grid = tuple(grid)
+
     # -- set lookups -------------------------------------------------
 
     def pair_set_of(self, f: BooleanFunction) -> str | None:
@@ -240,12 +249,14 @@ class TaskFamily:
     # -- sampling ----------------------------------------------------
 
     def sample_instance(self, rng: random.Random) -> TaskInstance:
-        """Draw f0 uniformly from S_f0 and f1, f2 iid uniform from candidates(f0)."""
-        f0 = self.s_f0.members[rng.randrange(len(self.s_f0))]
-        cand = self.candidates(f0).members
-        f1 = cand[rng.randrange(len(cand))]
-        f2 = cand[rng.randrange(len(cand))]
-        return TaskInstance(f0, f1, f2)
+        """Draw f0 uniformly from S_f0 and f1, f2 iid uniform from candidates(f0).
+
+        The three draws are made in that order, each ``rng.choice`` over the
+        set in its listed order; the same instance comes back as a shared
+        (frozen) object every time it is drawn.
+        """
+        c = rng.choice
+        return c(c(c(self._grid)))
 
     def validate_instance(self, inst: TaskInstance) -> bool:
         """Check the task constraint: f0 in S_f0, f1/f2 in S_f12, xors in S_f."""

@@ -16,20 +16,22 @@ not hard-code that term: they run the actual measurement distributions.
 ``score_*_enumerated`` gives the exact expectation of what the simulator
 does (by exhaustive enumeration), so claim and measurement can be
 compared; reports flag simulations that land more than three binomial
-standard deviations from the claimed score.
+standard deviations from the claimed score. Both read one per-case slot
+table: the enumeration sums its exact outcome rows, the simulator samples
+their float CDFs.
 """
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
+from typing import NamedTuple
 
 from .feasibility import EfficiencyVector
-from .funcspace import TaskFamily, family
+from .funcspace import BooleanFunction, family
 from .phasestate import gram, overlap2, phase_state
 
 #: published chance that both wrong-branch guesses are right anyway
@@ -46,24 +48,56 @@ _BLOCK = 10_000
 # measurement model
 # ---------------------------------------------------------------------------
 
-class _Tables:
-    """Exact outcome distributions for measuring phase states in S1/S2 bases."""
+#: the measured branches: no-cloning, clone succeeded, clone failed
+BRANCHES = ("noclone", "cloned", "failed")
+
+
+class Slot(NamedTuple):
+    """One measured slot of a trial: a phase state measured in a basis."""
+
+    row: tuple[Fraction, ...]   # exact outcome distribution over the basis
+    cdf: tuple[float, ...]      # float CDF of ``row``, last entry 1.0
+    hits: tuple[bool, ...]      # outcome k gives the right pair-set guess
+
+    @property
+    def p_hit(self) -> Fraction:
+        """Exact probability that the slot's guess is right."""
+        return sum((p for p, hit in zip(self.row, self.hits) if hit), Fraction(0))
+
+
+class _SlotTable:
+    """The measurement model of both strategies, keyed by truth table.
+
+    ``slots[branch][f0.table][f.table]`` is the slot measured for secret
+    f0 and candidate f in one branch:
+
+    * ``noclone``: f's state in the S2 basis, the secret guessed from
+      one classical query at input 0;
+    * ``cloned``: the clone of f0 passed through the second oracle, i.e.
+      the state of f0 xor f, in the S2 (pair-representative) basis;
+    * ``failed``: f's state in the S1 basis, the S1-side secret assumed.
+
+    ``hit[branch][f0.table]`` is the exact probability that one slot's
+    guess is right, averaged over the candidates of f0.
+    """
 
     def __init__(self, case: str):
         fam = family(case)
-        self.fam = fam
-        self.basis_sets = {"s1": fam.s1, "s2": fam.s2}
-        interesting = {f.table: f for f in fam.s_f12.members + fam.s_f.members}
-        states = {t: phase_state(f) for t, f in interesting.items()}
-
-        self.probs: dict[tuple[str, int], tuple[Fraction, ...]] = {}
-        self.cdfs: dict[tuple[str, int], list[float]] = {}
-        for label, bset in self.basis_sets.items():
-            basis_states = [phase_state(f) for f in bset]
-            if not gram(basis_states).is_identity():
+        bases = {"s1": fam.s1, "s2": fam.s2}
+        basis_states = {}
+        for label, bset in bases.items():
+            states = [phase_state(f) for f in bset]
+            if not gram(states).is_identity():
                 raise AssertionError(f"{label} basis is not exactly orthonormal")
-            for t, st in states.items():
-                row = tuple(overlap2(b, st) for b in basis_states)
+            basis_states[label] = states
+        labels = fam.pair_label_by_table
+        outcomes: dict[tuple[str, int], tuple] = {}
+
+        def slot(basis: str, measured: int, guess: int, truth: str) -> Slot:
+            """``measured`` in ``basis``; outcome m guesses the pair set of guess ^ m."""
+            if (basis, measured) not in outcomes:
+                st = phase_state(BooleanFunction(fam.arity, measured))
+                row = tuple(overlap2(b, st) for b in basis_states[basis])
                 if sum(row) != 1:
                     raise AssertionError("measurement distribution does not sum to 1")
                 cum, acc = [], Fraction(0)
@@ -71,19 +105,31 @@ class _Tables:
                     acc += p
                     cum.append(float(acc))
                 cum[-1] = 1.0
-                self.probs[(label, t)] = row
-                self.cdfs[(label, t)] = cum
+                outcomes[(basis, measured)] = row, tuple(cum)
+            row, cdf = outcomes[(basis, measured)]
+            hits = tuple(labels.get(guess ^ m.table) == truth for m in bases[basis])
+            return Slot(row, cdf, hits)
 
-    def measure(self, basis: str, table: int, rng: random.Random):
-        """One projective measurement outcome, as the observed basis member."""
-        row = self.cdfs[(basis, table)]
-        k = bisect_right(row, rng.random())
-        return self.basis_sets[basis].members[min(k, len(row) - 1)]
+        self.slots: dict[str, dict[int, dict[int, Slot]]] = {b: {} for b in BRANCHES}
+        self.hit: dict[str, dict[int, Fraction]] = {b: {} for b in BRANCHES}
+        for f0 in fam.s_f0:
+            cand = fam.candidates(f0).members
+            # (branch, basis, measured state's xor offset from f, guess offset)
+            plan = (("noclone", "s2", 0, fam.s2_f0_by_query[f0.evaluate(0)].table),
+                    ("cloned", "s2", f0.table, 0),
+                    ("failed", "s1", 0, fam.s1_f0.table))
+            for branch, basis, offset, guess in plan:
+                by_f = {f.table: slot(basis, offset ^ f.table, guess,
+                                      labels[f0.table ^ f.table])
+                        for f in cand}
+                self.slots[branch][f0.table] = by_f
+                self.hit[branch][f0.table] = (
+                    sum((s.p_hit for s in by_f.values()), Fraction(0)) / len(cand))
 
 
 @lru_cache(maxsize=None)
-def _tables(case: str) -> _Tables:
-    return _Tables(case)
+def _slot_table(case: str) -> _SlotTable:
+    return _SlotTable(case)
 
 
 # ---------------------------------------------------------------------------
@@ -137,46 +183,58 @@ def _as_eff(eff) -> EfficiencyVector:
 # exact expectations of the simulated strategies
 # ---------------------------------------------------------------------------
 
-def _slot_success(fam: TaskFamily, tables: _Tables, basis: str,
-                  f0_hat, f0, f) -> Fraction:
-    """P(pair-set guess from one measurement is right), exact."""
-    labels = fam.pair_label_by_table
-    truth = labels[f0.table ^ f.table]
-    row = tables.probs[(basis, f.table)]
-    members = tables.basis_sets[basis].members
-    return sum((p for p, m in zip(row, members)
-                if labels.get(f0_hat.table ^ m.table) == truth), Fraction(0))
-
-
 def score_no_clone_enumerated(case: str) -> Fraction:
     """Exact mean of the simulated no-cloning strategy (enumeration)."""
-    fam, tables = family(_case_key(case)), _tables(case)
-    total = Fraction(0)
-    for f0 in fam.s_f0:
-        f0_hat = fam.s2_f0_by_query[f0.evaluate(0)]
-        cand = fam.candidates(f0)
-        slot = sum((_slot_success(fam, tables, "s2", f0_hat, f0, f) for f in cand),
-                   Fraction(0)) / len(cand)
-        total += slot * slot
-    return total / len(fam.s_f0)
+    hit = _slot_table(_case_key(case)).hit["noclone"]
+    return sum((s * s for s in hit.values()), Fraction(0)) / len(hit)
 
 
 def score_clone_enumerated(eff, case: str):
     """Exact mean of the simulated cloning strategy for efficiencies ``eff``."""
-    fam, tables = family(_case_key(case)), _tables(case)
+    fam, table = family(_case_key(case)), _slot_table(case)
     eff = _as_eff(eff)
     total = 0
     for i, f0 in enumerate(fam.s_f0):
-        cand = fam.candidates(f0)
-        slot = sum((_slot_success(fam, tables, "s1", fam.s1_f0, f0, f) for f in cand),
-                   Fraction(0)) / len(cand)
-        total += eff[i] + (1 - eff[i]) * slot * slot
+        cloned, failed = table.hit["cloned"][f0.table], table.hit["failed"][f0.table]
+        total += eff[i] * cloned * cloned + (1 - eff[i]) * failed * failed
     return total / len(fam.s_f0)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
+
+def _within_3sigma(simulated: float, exact, n: int) -> bool:
+    p = float(exact)
+    return abs(simulated - p) <= 3.0 * sqrt(p * (1.0 - p) / n)
+
+
+def _exact_text(value) -> str | None:
+    return str(value) if isinstance(value, Fraction) else None
+
+
+@dataclass(frozen=True)
+class SimulatedRate:
+    """A frequency the simulation observed, beside its exact value."""
+
+    exact: object               # Fraction (or float for float efficiencies)
+    count: int
+    n: int                      # trials the event could occur in
+
+    @property
+    def simulated(self) -> float | None:
+        return self.count / self.n if self.n else None
+
+    def to_json(self) -> dict:
+        sim = self.simulated
+        return {
+            "exact": _exact_text(self.exact),
+            "exact_decimal": float(self.exact),
+            "simulated": sim,
+            "n": self.n,
+            "within_3sigma": None if sim is None else _within_3sigma(sim, self.exact, self.n),
+        }
+
 
 @dataclass(frozen=True)
 class ScoreReport:
@@ -189,16 +247,18 @@ class ScoreReport:
     stderr: float
     seed: int
     within_3sigma: bool
+    #: clone strategy only: the clone success rate, and the share of
+    #: failures whose secret was the S1-side one (None: cloning never fails)
+    p_success: SimulatedRate | None = None
+    posterior: SimulatedRate | None = None
 
     def to_json(self) -> dict:
-        p = float(self.exact)
-        return {
+        data = {
             "strategy": self.strategy,
             "case": self.case,
-            "exact": str(self.exact) if isinstance(self.exact, Fraction) else None,
-            "exact_decimal": p,
-            "enumerated": (str(self.enumerated)
-                           if isinstance(self.enumerated, Fraction) else None),
+            "exact": _exact_text(self.exact),
+            "exact_decimal": float(self.exact),
+            "enumerated": _exact_text(self.enumerated),
             "enumerated_decimal": float(self.enumerated),
             "simulated": self.simulated,
             "trials": self.trials,
@@ -206,110 +266,92 @@ class ScoreReport:
             "seed": self.seed,
             "within_3sigma": self.within_3sigma,
         }
+        if self.strategy == "clone":
+            data["p_success"] = self.p_success.to_json()
+            data["posterior"] = (None if self.posterior is None
+                                 else self.posterior.to_json())
+        return data
 
 
-def _noclone_trial(fam: TaskFamily, tables: _Tables, inst, rng) -> bool:
-    labels = fam.pair_label_by_table
-    f0_hat = fam.s2_f0_by_query[inst.f0.evaluate(0)]
-    for f in (inst.f1, inst.f2):
-        observed = tables.measure("s2", f.table, rng)
-        if labels.get(f0_hat.table ^ observed.table) != labels[inst.f0.table ^ f.table]:
-            return False
-    return True
+def _trial(slots: dict[int, Slot], inst, rng: random.Random) -> bool:
+    """Measure both slots of ``inst`` (``slots`` keyed by candidate table).
+
+    True when both pair-set guesses are right. Draws one uniform per slot
+    measured and stops at the first wrong guess.
+    """
+    _, cdf, hits = slots[inst.f1.table]
+    if not hits[bisect_right(cdf, rng.random())]:
+        return False
+    _, cdf, hits = slots[inst.f2.table]
+    return hits[bisect_right(cdf, rng.random())]
 
 
-def _clone_trial(fam: TaskFamily, tables: _Tables, eff_floats, inst, rng):
-    """Returns (scored, clone_succeeded)."""
-    labels = fam.pair_label_by_table
-    i0 = fam.s_f0.index(inst.f0)
-    if rng.random() < eff_floats[i0]:
-        # both clones pass through the second oracle and are measured in
-        # the pair-representative basis; the outcome identifies the ray
-        for f in (inst.f1, inst.f2):
-            observed = tables.measure("s2", inst.f0.table ^ f.table, rng)
-            if labels.get(observed.table) != labels[inst.f0.table ^ f.table]:
-                return False, True
-        return True, True
-    f0_hat = fam.s1_f0
-    for f in (inst.f1, inst.f2):
-        observed = tables.measure("s1", f.table, rng)
-        if labels.get(f0_hat.table ^ observed.table) != labels[inst.f0.table ^ f.table]:
-            return False, False
-    return True, False
+def _run(case: str, gammas: dict[int, float] | None, trials: int,
+         seed: int) -> tuple[int, int, int]:
+    """(wins, clone successes, failure-branch trials with the S1-side secret).
 
-
-def _run_blocks(block_fn, trials: int, seed: int, threads: int) -> int:
-    blocks = []
-    start = 0
-    bi = 0
-    while start < trials:
-        n = min(_BLOCK, trials - start)
-        blocks.append((bi, n))
-        start += n
-        bi += 1
-
-    def run(args):
-        i, n = args
-        rng = random.Random((seed + i * _SEED_STRIDE) & _SEED_MASK)
-        return block_fn(n, rng)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(run, blocks))
-    return sum(run(b) for b in blocks)
-
-
-def _finish_report(strategy, case, exact, enumerated, wins, trials, seed) -> ScoreReport:
-    simulated = wins / trials
-    stderr = sqrt(max(simulated * (1.0 - simulated), 0.0) / trials)
-    p = float(exact)
-    band = 3.0 * sqrt(p * (1.0 - p) / trials)
-    return ScoreReport(strategy=strategy, case=case, exact=exact,
-                       enumerated=enumerated, simulated=simulated, trials=trials,
-                       stderr=stderr, seed=seed,
-                       within_3sigma=abs(simulated - p) <= band)
-
-
-def simulate_no_clone(case: str, trials: int = 100_000, seed: int = 0,
-                      threads: int = 1) -> ScoreReport:
-    """Monte Carlo of the no-cloning strategy.
-
-    Trials run in fixed-size blocks with per-block derived seeds, so the
-    result depends only on (seed, trials), not on the worker count.
+    ``gammas`` maps each secret's truth table to its cloning efficiency;
+    None runs the no-cloning strategy, which draws no cloning coin.
+    Trials run in fixed-size blocks, block i seeded from
+    seed + i * _SEED_STRIDE, so the result depends only on (seed, trials).
+    Each trial draws its instance, then the cloning coin, then measures.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    fam, tables = family(_case_key(case)), _tables(case)
+    fam, table = family(case), _slot_table(case)
+    sample = fam.sample_instance
+    s1_f0 = fam.s1_f0.table
+    cloned = table.slots["cloned"]
+    fallback = table.slots["noclone" if gammas is None else "failed"]
+    wins = clones = s1_failures = 0
+    for i, start in enumerate(range(0, trials, _BLOCK)):
+        rng = random.Random((seed + i * _SEED_STRIDE) & _SEED_MASK)
+        for _ in range(min(_BLOCK, trials - start)):
+            inst = sample(rng)
+            f0 = inst.f0.table
+            if gammas is not None and rng.random() < gammas[f0]:
+                slots = cloned[f0]
+                clones += 1
+            else:
+                slots = fallback[f0]
+                s1_failures += f0 == s1_f0
+            wins += _trial(slots, inst, rng)
+    return wins, clones, s1_failures
 
-    def block(n, rng):
-        wins = 0
-        for _ in range(n):
-            inst = fam.sample_instance(rng)
-            wins += _noclone_trial(fam, tables, inst, rng)
-        return wins
 
-    wins = _run_blocks(block, trials, seed, threads)
+def _finish_report(strategy, case, exact, enumerated, wins, trials, seed,
+                   **rates) -> ScoreReport:
+    simulated = wins / trials
+    stderr = sqrt(max(simulated * (1.0 - simulated), 0.0) / trials)
+    return ScoreReport(strategy=strategy, case=case, exact=exact,
+                       enumerated=enumerated, simulated=simulated, trials=trials,
+                       stderr=stderr, seed=seed,
+                       within_3sigma=_within_3sigma(simulated, exact, trials),
+                       **rates)
+
+
+def simulate_no_clone(case: str, trials: int = 100_000, seed: int = 0) -> ScoreReport:
+    """Monte Carlo of the no-cloning strategy; depends only on (seed, trials)."""
+    wins, _, _ = _run(_case_key(case), None, trials, seed)
     return _finish_report("noclone", case, score_no_clone_exact(case),
                           score_no_clone_enumerated(case), wins, trials, seed)
 
 
-def simulate_clone(eff, case: str, trials: int = 100_000, seed: int = 0,
-                   threads: int = 1) -> ScoreReport:
-    """Monte Carlo of the cloning strategy at efficiencies ``eff``."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
+def simulate_clone(eff, case: str, trials: int = 100_000, seed: int = 0) -> ScoreReport:
+    """Monte Carlo of the cloning strategy at efficiencies ``eff``.
+
+    Besides the score, the report carries the simulated clone success
+    rate and failure posterior next to ``clone_intermediates``.
+    """
     eff = _as_eff(eff)
-    fam, tables = family(_case_key(case)), _tables(case)
-    eff_floats = eff.as_floats()
-
-    def block(n, rng):
-        wins = 0
-        for _ in range(n):
-            inst = fam.sample_instance(rng)
-            ok, _cloned = _clone_trial(fam, tables, eff_floats, inst, rng)
-            wins += ok
-        return wins
-
-    wins = _run_blocks(block, trials, seed, threads)
-    return _finish_report("clone", case, score_clone_exact(eff, case),
-                          score_clone_enumerated(eff, case), wins, trials, seed)
+    fam = family(_case_key(case))
+    gammas = {f0.table: g for f0, g in zip(fam.s_f0, eff.as_floats())}
+    wins, clones, s1_failures = _run(case, gammas, trials, seed)
+    inter = clone_intermediates(eff)
+    posterior = inter["posterior"]
+    return _finish_report(
+        "clone", case, score_clone_exact(eff, case),
+        score_clone_enumerated(eff, case), wins, trials, seed,
+        p_success=SimulatedRate(inter["p_success"], clones, trials),
+        posterior=(None if posterior is None
+                   else SimulatedRate(posterior, s1_failures, trials - clones)))

@@ -195,6 +195,21 @@ def test_sample_instance_deterministic():
     assert a == b
 
 
+def test_sample_instance_matches_randrange_formula():
+    """The instance grid draws the same instances, consuming the same
+    stream, as indexing each set with rng.randrange(len(set))."""
+    for case in ("2bit", "3bit"):
+        fam = family(case)
+        rng, ref = random.Random(17), random.Random(17)
+        for _ in range(3000):
+            f0 = fam.s_f0.members[ref.randrange(len(fam.s_f0))]
+            cand = fam.candidates(f0).members
+            f1 = cand[ref.randrange(len(cand))]
+            f2 = cand[ref.randrange(len(cand))]
+            assert fam.sample_instance(rng) == TaskInstance(f0, f1, f2)
+        assert rng.getstate() == ref.getstate()
+
+
 def test_sample_f0_uniform():
     fam = family("3bit")
     rng = random.Random(0)

@@ -1,17 +1,21 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
+from functools import lru_cache
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probclone.feasibility import EfficiencyVector
-from probclone.funcspace import family
-from probclone.gamesim import (CLAIMED_GUESS_CHANCE, _clone_trial, _noclone_trial,
-                               _tables, clone_intermediates,
-                               score_clone_enumerated, score_clone_exact,
-                               score_no_clone_enumerated, score_no_clone_exact,
-                               simulate_clone, simulate_no_clone)
-from probclone.funcspace import TaskInstance
+from probclone.funcspace import TaskInstance, family
+from probclone.gamesim import (BRANCHES, CLAIMED_GUESS_CHANCE, _slot_table, _trial,
+                               clone_intermediates, score_clone_enumerated,
+                               score_clone_exact, score_no_clone_enumerated,
+                               score_no_clone_exact, simulate_clone,
+                               simulate_no_clone)
+from probclone.phasestate import overlap2, phase_state
 
 OPT3 = EfficiencyVector((F(7, 127), F(112, 127), F(112, 127)))
 OPT2 = EfficiencyVector((F(1, 7), F(4, 7), F(4, 7)))
@@ -85,14 +89,14 @@ def test_wrong_branch_chance_measured_not_claimed():
     """Direct exact computation of the wrong-branch both-right probability:
     equals the claim for 2-bit, is 1/256 (not 1/64) for 3-bit."""
     for case, expected in (("2bit", F(1, 16)), ("3bit", F(1, 256))):
-        fam, tables = family(case), _tables(case)
+        fam, slots = family(case), _slot_table(case).slots["noclone"]
         f0 = fam.s1_f0
         f0_hat = fam.s2_f0_by_query[f0.evaluate(0)]
         labels = fam.pair_label_by_table
         cand = fam.candidates(f0)
         slot = F(0)
         for f in cand:
-            row = tables.probs[("s2", f.table)]
+            row = slots[f0.table][f.table].row
             truth = labels[f0.table ^ f.table]
             slot += sum((p for p, m in zip(row, fam.s2.members)
                          if labels.get(f0_hat.table ^ m.table) == truth), F(0))
@@ -145,13 +149,46 @@ def test_simulate_clone_perfect_cloning_scores_one():
     assert r.simulated == 1.0
 
 
-def test_simulation_reproducible_and_thread_invariant():
+def test_simulation_reproducible():
     a = simulate_no_clone("3bit", trials=30_000, seed=11)
     b = simulate_no_clone("3bit", trials=30_000, seed=11)
-    c = simulate_no_clone("3bit", trials=30_000, seed=11, threads=3)
-    assert a.simulated == b.simulated == c.simulated
+    assert a.simulated == b.simulated
     d = simulate_no_clone("3bit", trials=30_000, seed=12)
     assert d.simulated != a.simulated
+
+
+def test_clone_report_intermediates():
+    """The clone report carries the simulated success rate and failure
+    posterior next to their exact values (77/127 and 4/5 at the 3-bit
+    optimum); the posterior's band counts failures, not trials."""
+    r = simulate_clone(OPT3, "3bit", trials=50_000, seed=5)
+    assert r.p_success.exact == F(77, 127) and r.p_success.n == r.trials
+    assert r.posterior.exact == F(4, 5)
+    assert r.posterior.n == r.trials - r.p_success.count > 0
+    for rate in (r.p_success, r.posterior):
+        data = rate.to_json()
+        assert data["simulated"] == rate.count / rate.n
+        assert data["within_3sigma"] == (
+            abs(data["simulated"] - data["exact_decimal"])
+            <= binom_band(rate.exact, rate.n))
+        assert data["within_3sigma"]
+    data = r.to_json()
+    assert data["p_success"]["exact"] == "77/127"
+    assert data["posterior"]["exact"] == "4/5"
+    assert "p_success" not in simulate_no_clone("3bit", trials=10).to_json()
+
+
+def test_clone_report_posterior_undefined():
+    # cloning never fails: no posterior at all
+    data = simulate_clone(EfficiencyVector((1, 1, 1)), "2bit", trials=100).to_json()
+    assert data["posterior"] is None
+    assert data["p_success"]["simulated"] == 1.0
+    # defined, but no failure drawn: the single trial at seed 0 clones
+    r = simulate_clone(OPT3, "3bit", trials=1, seed=0)
+    assert r.p_success.count == 1
+    data = r.to_json()["posterior"]
+    assert data["n"] == 0 and data["exact"] == "4/5"
+    assert data["simulated"] is None and data["within_3sigma"] is None
 
 
 def test_within_3sigma_flag_is_self_consistent():
@@ -177,69 +214,153 @@ def test_score_report_json():
     assert 0 < data["simulated"] < 1
 
 
+def test_slot_table_rows_and_cdfs():
+    """Every slot row is an exact distribution and its CDF is the running
+    Fraction sum rounded to float, ending at exactly 1.0; the cloned
+    branch's guesses are certain."""
+    for case in ("2bit", "3bit"):
+        table = _slot_table(case)
+        for branch in BRANCHES:
+            for by_f in table.slots[branch].values():
+                for slot in by_f.values():
+                    assert sum(slot.row) == 1
+                    running = [float(sum(slot.row[:k + 1])) for k in range(len(slot.row))]
+                    assert list(slot.cdf) == running[:-1] + [1.0]
+                    if branch == "cloned":
+                        assert slot.p_hit == 1
+
+
+# ---------------------------------------------------------------------------
+# reference: the object-level sampler and trial the slot tables replaced
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _ref_cdfs(case):
+    fam, cdfs = family(case), {}
+    for basis, bset in (("s1", fam.s1), ("s2", fam.s2)):
+        for f in fam.s_f12.members + fam.s_f.members:
+            cum, acc = [], F(0)
+            for b in bset:
+                acc += overlap2(phase_state(b), phase_state(f))
+                cum.append(float(acc))
+            cum[-1] = 1.0
+            cdfs[(basis, f.table)] = (cum, bset.members)
+    return cdfs
+
+
+def _ref_wins(case, eff_floats, trials, seed):
+    """Wins of the strategy (no cloning when ``eff_floats`` is None)."""
+    fam, cdfs = family(case), _ref_cdfs(case)
+    labels = fam.pair_label_by_table
+
+    def guess(basis, table, offset, rng):
+        cum, members = cdfs[(basis, table)]
+        k = min(bisect_right(cum, rng.random()), len(cum) - 1)
+        return labels.get(offset ^ members[k].table)
+
+    wins = 0
+    for i, start in enumerate(range(0, trials, 10_000)):
+        rng = random.Random((seed + i * 0x9E3779B97F4A7C15) & ((1 << 64) - 1))
+        for _ in range(min(10_000, trials - start)):
+            f0 = fam.s_f0.members[rng.randrange(len(fam.s_f0))]
+            cand = fam.candidates(f0).members
+            f1, f2 = (cand[rng.randrange(len(cand))] for _ in range(2))
+            if eff_floats is None:
+                plan = ("s2", 0, fam.s2_f0_by_query[f0.evaluate(0)].table)
+            elif rng.random() < eff_floats[fam.s_f0.index(f0)]:
+                plan = ("s2", f0.table, 0)
+            else:
+                plan = ("s1", 0, fam.s1_f0.table)
+            basis, shift, offset = plan
+            wins += all(guess(basis, shift ^ f.table, offset, rng)
+                        == labels[f0.table ^ f.table] for f in (f1, f2))
+    return wins
+
+
+_gamma = st.fractions(min_value=0, max_value=1, max_denominator=200)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(("2bit", "3bit")),
+       gammas=st.none() | st.tuples(_gamma, _gamma, _gamma),
+       seed=st.integers(-2 ** 63, 2 ** 64), trials=st.integers(1, 20_000))
+def test_simulation_matches_object_level_reference(case, gammas, seed, trials):
+    if gammas is None:
+        r = simulate_no_clone(case, trials=trials, seed=seed)
+        eff_floats = None
+    else:
+        eff = EfficiencyVector(gammas)
+        r = simulate_clone(eff, case, trials=trials, seed=seed)
+        eff_floats = eff.as_floats()
+    assert r.simulated == _ref_wins(case, eff_floats, trials, seed) / trials
+
+
 # ---------------------------------------------------------------------------
 # conditioned branches (trial-level checks)
 # ---------------------------------------------------------------------------
 
 def test_noclone_success_deterministic_when_assumption_holds():
-    fam, tables = family("3bit"), _tables("3bit")
+    fam, slots = family("3bit"), _slot_table("3bit").slots["noclone"]
     rng = random.Random(21)
     for f0 in fam.s2_f0_by_query.values():
         cand = fam.candidates(f0).members
         for _ in range(2000):
             inst = TaskInstance(f0, cand[rng.randrange(len(cand))],
                                 cand[rng.randrange(len(cand))])
-            assert _noclone_trial(fam, tables, inst, rng)
+            assert _trial(slots[f0.table], inst, rng)
 
 
 def test_noclone_wrong_branch_rate():
     """Conditioned on the S1-side secret the empirical both-right rate sits
     at the measured 1/256, strictly outside 3 sigma of the claimed 1/64."""
-    fam, tables = family("3bit"), _tables("3bit")
+    fam = family("3bit")
     rng, n = random.Random(29), 100_000
     f0 = fam.s1_f0
+    slots = _slot_table("3bit").slots["noclone"][f0.table]
     cand = fam.candidates(f0).members
     wins = 0
     for _ in range(n):
         inst = TaskInstance(f0, cand[rng.randrange(len(cand))],
                             cand[rng.randrange(len(cand))])
-        wins += _noclone_trial(fam, tables, inst, rng)
+        wins += _trial(slots, inst, rng)
     rate = wins / n
     assert abs(rate - 1 / 256) <= binom_band(F(1, 256), n)
     assert abs(rate - 1 / 64) > binom_band(F(1, 64), n)
 
 
 def test_noclone_wrong_branch_rate_two_bit_matches_claim():
-    fam, tables = family("2bit"), _tables("2bit")
+    fam = family("2bit")
     rng, n = random.Random(31), 100_000
     f0 = fam.s1_f0
+    slots = _slot_table("2bit").slots["noclone"][f0.table]
     cand = fam.candidates(f0).members
-    wins = sum(_noclone_trial(fam, tables,
-                              TaskInstance(f0, cand[rng.randrange(len(cand))],
-                                           cand[rng.randrange(len(cand))]), rng)
+    wins = sum(_trial(slots, TaskInstance(f0, cand[rng.randrange(len(cand))],
+                                          cand[rng.randrange(len(cand))]), rng)
                for _ in range(n))
     assert abs(wins / n - 1 / 16) <= binom_band(F(1, 16), n)
 
 
 def test_clone_success_branch_never_errs():
-    fam, tables = family("3bit"), _tables("3bit")
+    fam, slots = family("3bit"), _slot_table("3bit").slots["cloned"]
     rng = random.Random(37)
     for _ in range(5000):
         inst = fam.sample_instance(rng)
-        ok, cloned = _clone_trial(fam, tables, (1.0, 1.0, 1.0), inst, rng)
-        assert cloned and ok
+        assert rng.random() < 1.0          # the cloning coin at gamma = 1
+        assert _trial(slots[inst.f0.table], inst, rng)
 
 
 def test_clone_failure_posterior():
     """Among cloning failures the S1-side secret shows up with frequency
     (1 - gamma1) / (3 - sum gamma), 4/5 at the 3-bit optimum."""
-    fam, tables = family("3bit"), _tables("3bit")
+    fam, table = family("3bit"), _slot_table("3bit")
     eff = OPT3.as_floats()
     rng, n = random.Random(41), 200_000
     fails = s1_fails = 0
     for _ in range(n):
         inst = fam.sample_instance(rng)
-        _, cloned = _clone_trial(fam, tables, eff, inst, rng)
+        cloned = rng.random() < eff[fam.s_f0.index(inst.f0)]
+        _ = _trial(table.slots["cloned" if cloned else "failed"][inst.f0.table],
+                   inst, rng)
         if not cloned:
             fails += 1
             s1_fails += inst.f0 == fam.s1_f0
