@@ -1,7 +1,7 @@
 """Oracle phase states, probabilistic-cloning feasibility, and task scores."""
 
 from .funcspace import (BooleanFunction, FunctionSet, TaskFamily, TaskInstance,
-                        family, xor)
+                        family)
 from .phasestate import (OUTSIDE_BASIS, GramMatrix, StateVector,
                          apply_phase_oracle, canonicalized, discriminate,
                          equivalent, gram, inner, phase_state)
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BooleanFunction", "FunctionSet", "TaskFamily", "TaskInstance", "family",
-    "xor", "OUTSIDE_BASIS", "GramMatrix", "StateVector", "apply_phase_oracle",
+    "OUTSIDE_BASIS", "GramMatrix", "StateVector", "apply_phase_oracle",
     "canonicalized", "discriminate", "equivalent", "gram", "inner",
     "phase_state",
     "EfficiencyVector", "FeasibilityPoint", "FlagOverlaps", "ReducedCoordinates",

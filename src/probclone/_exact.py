@@ -7,7 +7,7 @@ out here rather than pulling in a symbolic-algebra dependency.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 RationalLike = (int, Fraction)
 
@@ -39,6 +39,23 @@ def exact_sqrt(x: Fraction) -> Fraction | None:
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
+
+
+def surd_text(p: Fraction, disc: Fraction, r: Fraction) -> str:
+    """(p - sqrt(disc)) / r for rationals, as exact text.
+
+    A fraction when disc is a perfect square, else "(A-B*sqrt(d))/C" with
+    integers A, B, C and d squarefree: disc = n/m in lowest terms gives
+    sqrt(disc) = k*sqrt(d)/m, where n*m = k^2 * d.
+    """
+    root = exact_sqrt(disc)
+    if root is not None:
+        return str((p - root) / r)
+    nm = disc.numerator * disc.denominator
+    k = next(k for k in range(isqrt(nm), 0, -1) if nm % (k * k) == 0)
+    a, b = p / r, Fraction(k, disc.denominator) / r
+    den = lcm(a.denominator, b.denominator)
+    return f"({a * den}-{b * den}*sqrt({nm // (k * k)}))/{den}"
 
 
 # --- complex rationals as (re, im) Fraction pairs ---

@@ -8,10 +8,12 @@ overlaps P (inner products of the heralding-flag failure states,
     M_ij = G_ij - sqrt(gamma_i gamma_j) * G_ij^2 * P_ij      (P_ii = 1)
 
 is positive semidefinite, where G is the candidates' Gram matrix. This
-module builds M, tests positive semidefiniteness (exact rational minors
-whenever the inputs allow it, closed-form eigenvalues otherwise), and
-implements the reduced coordinates that collapse the criterion on the
-gamma2 = gamma3 slice to
+module builds M on one of two routes: exact rational entries whenever
+the inputs allow it (the certificate route, tested by its principal
+minors), else complex floats from ``_float_matrix``, the one float
+assembly, shared with the numeric search's ``ArrowKernel`` and tested by
+the closed-form eigenvalues. It also implements the reduced coordinates
+that collapse the criterion on the gamma2 = gamma3 slice to
 
     c0 - q*x + s*x^2  >=  y  >=  2*x  >=  0
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._exact import (as_fraction, exact_sqrt, is_rational, qc, qc_abs2, qc_conj,
-                     qc_mul, qc_to_complex)
+                     qc_mul, qc_to_complex, surd_text)
 from .phasestate import GramMatrix
 
 DEFAULT_TOL = 1e-9
@@ -178,32 +180,27 @@ class FeasibilityPoint:
 
     def leading_minors(self) -> list:
         """The three leading principal minors (exact when possible)."""
-        if self.is_exact:
-            m = self.exact_matrix
-            m1 = m[0][0][0]
-            m2 = m[0][0][0] * m[1][1][0] - qc_abs2(m[0][1])
-            return [m1, m2, self.det()]
-        m = self.matrix
-        m1 = m[0][0].real
-        m2 = (m[0][0] * m[1][1]).real - abs(m[0][1]) ** 2
-        return [m1, m2, self.det()]
+        minors = self.principal_minors()
+        return [minors[0], minors[3], minors[6]]
 
     def principal_minors(self) -> list:
         """All seven principal minors, ordered by size then index set."""
         if self.is_exact:
-            m = self.exact_matrix
+            m, abs2 = self.exact_matrix, qc_abs2
             diag = [m[i][i][0] for i in range(3)]
-            pairs = [diag[i] * diag[j] - qc_abs2(m[i][j])
-                     for i, j in ((0, 1), (0, 2), (1, 2))]
-            return diag + pairs + [self.det()]
-        m = self.matrix
-        diag = [m[i][i].real for i in range(3)]
-        pairs = [diag[i] * diag[j] - abs(m[i][j]) ** 2
-                 for i, j in ((0, 1), (0, 2), (1, 2))]
+        else:
+            m, abs2 = self.matrix, lambda z: abs(z) ** 2
+            diag = [m[i][i].real for i in range(3)]
+        pairs = [diag[i] * diag[j] - abs2(m[i][j]) for i, j in ((0, 1), (0, 2), (1, 2))]
         return diag + pairs + [self.det()]
 
     def det(self):
-        """Determinant of M (real; exact Fraction in rational mode)."""
+        """Determinant of M (real; exact Fraction in rational mode).
+
+        The float route keeps the complex cofactor expansion rather than
+        the exact route's Hermitian form: its digits are in every
+        float-route report.
+        """
         if self.is_exact:
             m = self.exact_matrix
             triple = qc_mul(qc_mul(m[0][1], m[1][2]), qc_conj(m[0][2]))
@@ -219,7 +216,7 @@ class FeasibilityPoint:
         return det.real
 
     def to_json(self, tol: float = DEFAULT_TOL) -> dict:
-        minors = self.leading_minors()
+        minors = self.leading_minors()    # the last one is det M
         out = {
             "gram": self.gram.to_lists(),
             "gammas": [float(g) for g in self.eff],
@@ -230,12 +227,12 @@ class FeasibilityPoint:
             "minors": [float(x) for x in minors],
             "min_eigenvalue": self.min_eigenvalue(),
             "M": [[[z.real, z.imag] for z in row] for row in self.matrix],
-            "det": float(self.det()),
+            "det": float(minors[2]),
             "exact": self.is_exact,
         }
         if self.is_exact:
             out["minors_exact"] = [str(Fraction(x)) for x in minors]
-            out["det_exact"] = str(Fraction(self.det()))
+            out["det_exact"] = str(Fraction(minors[2]))
         return out
 
 
@@ -249,12 +246,37 @@ def _flag_pair(flags: FlagOverlaps, i: int, j: int):
     return pair if i < j else (pair[0], -pair[1])
 
 
+def _exact_matrix(g: GramMatrix, eff: EfficiencyVector, flags: FlagOverlaps):
+    """M as (re, im) Fraction pairs from exact inputs, or None when a
+    required sqrt(gamma_i*gamma_j) is irrational."""
+    rows = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            gij = as_fraction(g.entry(i, j))
+            if i == j:
+                row.append(qc(gij - eff[i]))
+                continue
+            p = _flag_pair(flags, i, j)
+            coeff = qc_mul(qc(gij * gij), (as_fraction(p[0]), as_fraction(p[1])))
+            if coeff == (0, 0):
+                row.append(qc(gij))
+                continue
+            root = exact_sqrt(as_fraction(eff[i]) * as_fraction(eff[j]))
+            if root is None:
+                return None
+            row.append((gij - root * coeff[0], -root * coeff[1]))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def build_matrix(gram_in, eff: EfficiencyVector, flags: FlagOverlaps) -> FeasibilityPoint:
     """Assemble M_ij = G_ij - sqrt(gamma_i gamma_j) G_ij^2 P_ij.
 
     Inputs whose components are all rational produce an exact-matrix
     point whenever every required sqrt(gamma_i*gamma_j) is rational
-    (coefficients multiplied by a structural zero are exempt).
+    (coefficients multiplied by a structural zero are exempt); all other
+    points get complex float entries from ``_float_matrix``.
     """
     if isinstance(gram_in, GramMatrix):
         g = gram_in
@@ -267,56 +289,35 @@ def build_matrix(gram_in, eff: EfficiencyVector, flags: FlagOverlaps) -> Feasibi
     if not isinstance(flags, FlagOverlaps):
         flags = FlagOverlaps(*flags)
 
-    exact_inputs = g.is_exact and eff.is_exact and flags.is_exact
-
-    # exact route first
     exact_m = None
-    if exact_inputs:
-        ok = True
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                gij = as_fraction(g.entry(i, j))
-                if i == j:
-                    row.append(qc(gij - eff[i]))
-                    continue
-                p = _flag_pair(flags, i, j)
-                coeff = qc_mul(qc(gij * gij), (as_fraction(p[0]), as_fraction(p[1])))
-                if coeff == (0, 0):
-                    row.append(qc(gij))
-                    continue
-                root = exact_sqrt(as_fraction(eff[i]) * as_fraction(eff[j]))
-                if root is None:
-                    ok = False
-                    break
-                row.append((gij - root * coeff[0], -root * coeff[1]))
-            if not ok:
-                break
-            rows.append(tuple(row))
-        if ok:
-            exact_m = tuple(rows)
-
+    if g.is_exact and eff.is_exact and flags.is_exact:
+        exact_m = _exact_matrix(g, eff, flags)
     if exact_m is not None:
         matrix = tuple(tuple(qc_to_complex(e) for e in row) for row in exact_m)
     else:
-        gf = [[complex(g.entry(i, j)) for j in range(3)] for i in range(3)]
-        ge = eff.as_floats()
-        matrix_rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                if i == j:
-                    row.append(gf[i][i] - ge[i])
-                    continue
-                p = _flag_pair(flags, i, j)
-                pij = complex(float(p[0]), float(p[1]))
-                root = math.sqrt(ge[i] * ge[j])
-                row.append(gf[i][j] - root * gf[i][j] ** 2 * pij)
-            matrix_rows.append(tuple(row))
-        matrix = tuple(matrix_rows)
-
+        gf = tuple(tuple(complex(g.entry(i, j)) for j in range(3)) for i in range(3))
+        matrix = _float_matrix(gf, eff.as_floats(),
+                               *(complex(float(re), float(im))
+                                 for re, im in (flags.p12, flags.p13, flags.p23)))
     return FeasibilityPoint(g, eff, flags, matrix, exact_m)
+
+
+def _float_matrix(gf, gammas, p12: complex, p13: complex, p23: complex) -> tuple:
+    """M in complex arithmetic from the Hermitian Gram ``gf`` (complex entries).
+
+    The one float assembly of M: ``build_matrix``'s float route and
+    ``ArrowKernel.matrix`` both call it. Each lower entry is the upper
+    one's conjugate written as ``complex(re, 0.0 - im)``, so a zero
+    imaginary part stays +0.0 (``.conjugate()`` would print -0.0).
+    """
+    g1, g2, g3 = gammas
+    m12 = gf[0][1] - math.sqrt(g1 * g2) * gf[0][1] ** 2 * p12
+    m13 = gf[0][2] - math.sqrt(g1 * g3) * gf[0][2] ** 2 * p13
+    m23 = gf[1][2] - math.sqrt(g2 * g3) * gf[1][2] ** 2 * p23
+    return ((gf[0][0] - g1, m12, m13),
+            (complex(m12.real, 0.0 - m12.imag), gf[1][1] - g2, m23),
+            (complex(m13.real, 0.0 - m13.imag), complex(m23.real, 0.0 - m23.imag),
+             gf[2][2] - g3))
 
 
 def hermitian3_eigvals(m) -> tuple[float, float, float]:
@@ -328,8 +329,9 @@ def hermitian3_eigvals(m) -> tuple[float, float, float]:
     (see ``EIG_ERR``). Callers: ``FeasibilityPoint.min_eigenvalue`` (the
     float route of ``is_psd`` and the JSON certificates) and
     ``ArrowKernel`` for the points inside its determinant band and, with
-    complex flags, for refine candidates; ``_arrow_min_eig`` reproduces it
-    bit for bit for real arrow matrices.
+    complex flags, for refine candidates; both pass M from
+    ``_float_matrix`` (or the exact route's entries as floats).
+    ``_arrow_min_eig`` reproduces it bit for bit for real arrow matrices.
     """
     a11, a22, a33 = m[0][0].real, m[1][1].real, m[2][2].real
     p1 = abs(m[0][1]) ** 2 + abs(m[0][2]) ** 2 + abs(m[1][2]) ** 2
@@ -360,11 +362,6 @@ def is_psd(point: FeasibilityPoint, tol: float = DEFAULT_TOL) -> bool:
     if point.is_exact:
         return all(x >= 0 for x in point.principal_minors())
     return point.min_eigenvalue() >= -tol
-
-
-def is_psd_minors(point: FeasibilityPoint, tol: float = DEFAULT_TOL) -> bool:
-    """Float/principal-minor variant of the PSD test (cross-check route)."""
-    return all(float(x) >= -tol for x in point.principal_minors())
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +413,8 @@ class ArrowKernel:
     P13 = c, or (gamma1, gamma2, gamma3, a, b, c, d) with complex flags
     P12 = a + bi, P13 = c + di; P23 multiplies the structural zero.
     Every verdict equals the one of ``hermitian3_eigvals(M)[0] >= -tol``
-    on M assembled in complex arithmetic like ``build_matrix``'s float
-    route (``matrix``).
+    on M from ``_float_matrix``, the assembly ``build_matrix``'s float
+    route uses (``matrix``).
 
     Both case Grams are real with unit diagonal and G_23 = 0, so M is an
     arrow matrix. Let A = M + tol*I, d_i = A_ii = 1 - gamma_i + tol and
@@ -461,18 +458,9 @@ class ArrowKernel:
         return g1, g2, g3, a, 0.0, c, 0.0
 
     def matrix(self, point):
-        """M at a search point in complex arithmetic, with the entry values
-        of ``build_matrix``'s float route."""
+        """M at a search point, bit for bit ``build_matrix``'s float route."""
         g1, g2, g3, a, b, c, d = self._unpack(point)
-        gf = self._gf
-        x12 = math.sqrt(g1 * g2)
-        x13 = math.sqrt(g1 * g3)
-        m12 = gf[0][1] - x12 * gf[0][1] ** 2 * complex(a, b)
-        m13 = gf[0][2] - x13 * gf[0][2] ** 2 * complex(c, d)
-        m23 = complex(gf[1][2])
-        return ((complex(gf[0][0] - g1), m12, m13),
-                (m12.conjugate(), complex(gf[1][1] - g2), m23),
-                (m13.conjugate(), m23.conjugate(), complex(gf[2][2] - g3)))
+        return _float_matrix(self._gf, (g1, g2, g3), complex(a, b), complex(c, d), 0j)
 
     def _closed_form_ok(self, point) -> bool:
         return hermitian3_eigvals(self.matrix(point))[0] >= -self.tol
@@ -578,21 +566,31 @@ def _sqrt_any(x):
     return math.sqrt(x)
 
 
-def intersection_x0(q, s, case: str):
-    """Smaller root of c0 - q*x + s*x^2 = 2*x (the larger root exceeds 1)."""
+def _x0_terms(q, s, case: str):
+    """(2 + q, disc, 2*s) with x0 = ((2 + q) - sqrt(disc)) / (2*s)."""
     _check_qs(q, s, case)
-    cp = case_params(case)
-    disc = (2 + q) ** 2 - 4 * cp.c0 * s
+    disc = (2 + q) ** 2 - 4 * case_params(case).c0 * s
     if disc < 0:
         raise ValueError("no intersection: negative discriminant")
-    return ((2 + q) - _sqrt_any(disc)) / (2 * s)
+    return 2 + q, disc, 2 * s
+
+
+def intersection_x0(q, s, case: str):
+    """Smaller root of c0 - q*x + s*x^2 = 2*x (the larger root exceeds 1)."""
+    p, disc, r = _x0_terms(q, s, case)
+    return (p - _sqrt_any(disc)) / r
+
+
+def intersection_x0_text(q, s, case: str) -> str:
+    """``intersection_x0`` at rational (q, s) as exact text (see ``surd_text``)."""
+    return surd_text(*_x0_terms(q, s, case))
 
 
 def stationary_x1(q, s, case: str):
     """The x where gamma2 is stationary along y = c0 - q*x + s*x^2.
 
     Singular at q = 0 (the stationary point escapes to x = 0); callers
-    fall back to a direct one-dimensional search there.
+    use the x = 0 endpoint there.
     """
     if q == 0:
         raise ValueError("stationary-point formula is singular at q = 0")
@@ -613,59 +611,34 @@ def gammas_from_xy(x, y):
     return g1, g2
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12, iters: int = 200):
-    """Golden-section maximisation on [lo, hi]; returns (argmax, max)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a < tol:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    xm = (a + b) / 2.0
-    return xm, f(xm)
+def _stationary_point(q, s, case: str):
+    """(x1, y1): the stationary point of gamma2 on y = c0 - q*x + s*x^2 (q < 0)."""
+    x1 = stationary_x1(q, s, case)
+    return x1, case_params(case).c0 - q * x1 + s * x1 * x1
 
 
 def gamma2_on_slice(q, s, case: str):
     """Slice maximum of gamma2 on gamma2 = gamma3 for fixed (q, s).
 
-    Evaluates y1 = c0 - q*x1 + s*x1^2 at the stationary point and inverts
-    to (gamma1, gamma2); exact rationals propagate all the way through
-    when the discriminants are perfect squares. For q >= 0 the maximum
-    sits on the x = 0 boundary and is located by golden-section search.
+    For q < 0 it sits at the stationary point (x1, y1), inverted to
+    (gamma1, gamma2); exact rationals propagate all the way through when
+    the discriminants are perfect squares.
+
+    For q >= 0 it is the x = 0 endpoint (gamma1, gamma2) = (0, c0), as
+    Fractions when q and s are Fractions and as floats otherwise. Along
+    the parabola, g2(x) = (y + sqrt(y^2 - 4x^2))/2 has g2'(0) = -q <= 0.
+    With a = 4*c0*s + q^2 - 4 < 0 (c0 <= 7/8, s <= 1, q^2 <= 1/4), both
+    stationary roots (a +- sqrt(a^2 - 16*c0*s*q^2)) / (4*s*q) are <= 0
+    for q > 0, so g2 falls on all of [0, x0]. At q = 0,
+    g2 ~ c0 + x^2 * (s - 1/c0) with s <= 1 < 1/c0.
     """
     _check_qs(q, s, case)
-    cp = case_params(case)
     if q < 0:
-        x1 = stationary_x1(q, s, case)
-        y1 = cp.c0 - q * x1 + s * x1 * x1
-        return gammas_from_xy(x1, y1)
-
-    # q >= 0: compare the interior search against the x = 0 endpoint
-    x0 = float(intersection_x0(q, s, case))
-    qf, sf, c0f = float(q), float(s), float(cp.c0)
-
-    def g2_at(x):
-        y = c0f - qf * x + sf * x * x
-        r2 = y * y - 4.0 * x * x
-        return (y + math.sqrt(max(r2, 0.0))) / 2.0
-
-    xm, val = _golden_max(g2_at, 0.0, x0)
-    if g2_at(0.0) >= val:
-        if isinstance(q, Fraction) and isinstance(s, Fraction):
-            return Fraction(0), cp.c0
-        return 0.0, c0f
-    y1 = c0f - qf * xm + sf * xm * xm
-    return gammas_from_xy(xm, y1)
+        return gammas_from_xy(*_stationary_point(q, s, case))
+    c0 = case_params(case).c0
+    if isinstance(q, Fraction) and isinstance(s, Fraction):
+        return Fraction(0), c0
+    return 0.0, float(c0)
 
 
 @dataclass(frozen=True)
@@ -689,14 +662,9 @@ class ReducedCoordinates:
     def from_inputs(cls, flags: FlagOverlaps, eff: EfficiencyVector,
                     case: str) -> "ReducedCoordinates":
         q, s = reduce(flags, case)
-        prod = eff[0] * eff[1]
-        x = _sqrt_any(as_fraction(prod)) if isinstance(prod, Fraction) else math.sqrt(prod)
+        x = _sqrt_any(eff[0] * eff[1])
         y = eff[0] + eff[1]
-        v = w = None
-        if q < 0:
-            cp = case_params(case)
-            v = stationary_x1(q, s, case)
-            w = cp.c0 - q * v + s * v * v
+        v, w = _stationary_point(q, s, case) if q < 0 else (None, None)
         return cls(case, q, s, x, y, v, w)
 
     def to_json(self) -> dict:
@@ -742,7 +710,5 @@ def vw_boundary(case: str, branch: str, parameter):
             raise ValueError(f"q = {float(qv)} outside [{float(Q_CORNER[case])}, 0]")
         if qv == 0:
             return Fraction(0), cp.c0
-        v = stationary_x1(qv, cp.s_floor, case)
-        w = cp.c0 - qv * v + cp.s_floor * v * v
-        return v, w
+        return _stationary_point(qv, cp.s_floor, case)
     raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")

@@ -87,6 +87,7 @@ class BooleanFunction:
         return (self.table >> x) & 1
 
     def __xor__(self, other: "BooleanFunction") -> "BooleanFunction":
+        """Pointwise addition modulo 2 of two truth tables."""
         if not isinstance(other, BooleanFunction):
             return NotImplemented
         if other.arity != self.arity:
@@ -102,11 +103,6 @@ class BooleanFunction:
 
     def __str__(self) -> str:
         return self.name
-
-
-def xor(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
-    """Pointwise addition modulo 2 of two truth tables."""
-    return f ^ g
 
 
 @dataclass(frozen=True)

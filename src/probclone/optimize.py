@@ -1,24 +1,26 @@
 """Optimal cloning efficiencies: closed-form corner points and numeric search.
 
-The closed-form route evaluates the slice maximum of gamma2 at the corner
-of the (q, s) region realised by extremal real flags, in exact rational
-arithmetic, and certifies the result with a feasibility matrix whose
-determinant is exactly zero. The numeric route is an independent check:
-a coarse grid over (gamma1, gamma2, gamma3, Re P12, Re P13) filtered by
-the PSD test, refined by coordinate-wise pattern search with shrinking
-steps. Both are reported side by side; only the slice value is proven
-optimal, the unrestricted search supplies evidence.
+Every optimum that is reported as analytic is a closed form at the corner
+q = -q_bound, s = s_cap(q) of the (q, s) region, realised by extremal
+real flags. The slice maximum of gamma2 there is exact rational and is
+certified by a feasibility matrix whose determinant is exactly zero. The
+equal-efficiency optimum is the parabola-line intersection x0 at the same
+corner, a quadratic surd reported as exact text and certified in floats.
+The numeric route is an independent check: a coarse grid over
+(gamma1, gamma2, gamma3, Re P12, Re P13) filtered by the PSD test,
+refined by coordinate-wise pattern search with shrinking steps. Both are
+reported side by side; only the slice value is proven optimal, the
+unrestricted search supplies evidence.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import feasibility as fz
 from .feasibility import (EfficiencyVector, FeasibilityPoint, FlagOverlaps,
-                          build_matrix, case_params, gamma2_on_slice, is_psd,
-                          intersection_x0, reduce, s_cap, _golden_max)
+                          build_matrix, gamma2_on_slice, intersection_x0,
+                          intersection_x0_text, is_psd, reduce)
 from .funcspace import family
 from .phasestate import GramMatrix, gram, phase_state
 
@@ -258,49 +260,24 @@ def _compass_refine(start, obj, kernel, lo, hi, cell, iterations):
 def equal_gamma_optimum(case: str) -> OptimumReport:
     """Maximum common gamma with gamma1 = gamma2 = gamma3 over all flags.
 
-    Equal efficiencies sit on the y = 2x line, so the common gamma equals
-    the parabola-line intersection x0(q, s); x0 grows with s and shrinks
-    with q, which pushes the optimum onto the s = s_cap(q) curve. The
-    one-dimensional profile is maximised numerically; for the 2-bit case
-    the result is the algebraic corner value (6 - 2*sqrt(2))/7.
+    Equal efficiencies sit on the y = 2x line, so the common gamma is the
+    smaller root x0 of f(x) = s*x^2 - (2 + q)*x + c0, where f'(x0) < 0.
+    Implicit differentiation gives dx0/ds = -x0^2 / f'(x0) > 0, so the
+    optimum lies on the cap s = s_cap(q) = 1 - k*q^2, along which
+    dx0/dq = x0 * (1 + 2*k*q*x0) / f'(x0) < 0 because 2*k*q_bound < 1
+    (1/4 for 3-bit, 1/2 for 2-bit) and x0 <= 1. The maximum is therefore
+    the corner q = -q_bound, s = s_cap(q) that ``CORNER_FLAGS`` realise:
+    (6 - 2*sqrt(2))/7 for 2-bit and (124 - 24*sqrt(2))/127 for 3-bit.
     """
-    cp = case_params(case)
-    qb = float(cp.q_bound)
-
-    def profile(qv):
-        return float(intersection_x0(qv, s_cap(qv, case), case))
-
-    qm, _ = _golden_max(profile, -qb, qb, tol=1e-14)
-    candidates = [(-qb, profile(-qb)), (qb, profile(qb)), (qm, profile(qm))]
-    q_best, g_best = max(candidates, key=lambda t: t[1])
-
-    meta = {"q": q_best, "s": float(s_cap(q_best, case))}
-    value_exact = None
-    if case == "2bit":
-        # corner lands exactly at q = -1/2, s = 7/8
-        g_best = (6.0 - 2.0 * math.sqrt(2.0)) / 7.0
-        q_best = -0.5
-        value_exact = "(6-2*sqrt(2))/7"
-        meta = {"q": -0.5, "s": 0.875}
-
-    flags = FlagOverlaps(**CORNER_FLAGS[case]) if abs(q_best - float(fz.Q_CORNER[case])) < 1e-9 \
-        else _flags_for_q(q_best, case)
-    eff = EfficiencyVector((g_best, g_best, g_best))
-    cert = build_matrix(case_gram(case), eff, flags)
+    flags = FlagOverlaps(**CORNER_FLAGS[case])
+    q, s = reduce(flags, case)
+    x0 = float(intersection_x0(q, s, case))
+    cert = build_matrix(case_gram(case), EfficiencyVector((x0, x0, x0)), flags)
     if not is_psd(cert):
         raise AssertionError("equal-efficiency optimum failed its feasibility certificate")
     return OptimumReport(
-        case=case, objective="equal", mode="analytic" if value_exact else "numeric",
-        value=g_best, value_exact=value_exact,
-        gammas=(g_best, g_best, g_best), flags=flags, certificate=cert,
-        meta=meta,
+        case=case, objective="equal", mode="analytic",
+        value=x0, value_exact=intersection_x0_text(q, s, case),
+        gammas=(x0, x0, x0), flags=flags, certificate=cert,
+        meta={"q": float(q), "s": float(s)},
     )
-
-
-def _flags_for_q(qv: float, case: str) -> FlagOverlaps:
-    """Real balanced flags realising (q, s_cap(q))."""
-    cp = case_params(case)
-    half = qv * cp.q_den / 2.0
-    if cp.q_sign < 0:
-        return FlagOverlaps(p12=half, p13=-half)
-    return FlagOverlaps(p12=half, p13=half)

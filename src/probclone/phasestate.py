@@ -178,10 +178,6 @@ class GramMatrix:
                     return False
         return True
 
-    def max_identity_deviation(self) -> float:
-        return max(abs(complex(e) - (1 if i == j else 0))
-                   for i, row in enumerate(self.entries) for j, e in enumerate(row))
-
     def to_lists(self) -> list[list[float]]:
         out = []
         for row in self.entries:

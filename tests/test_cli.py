@@ -149,6 +149,37 @@ def test_optimize_stdout_matches_golden(capsys, name, argv):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
+FEASIBILITY_GOLDEN = json.loads((GOLDEN / "feasibility.json").read_text())
+#: keys of the 3-bit equal report that changed when its golden-section
+#: search became the closed form at the corner
+EQUAL_3BIT_RELABEL = {"mode": "analytic", "value_exact": "(124-24*sqrt(2))/127"}
+
+
+@pytest.mark.parametrize("argv, code, parent",
+                         [(g["argv"], g["code"], g["stdout"]) for g in FEASIBILITY_GOLDEN],
+                         ids=[f"{g['argv'][0]}-{i}" for i, g in enumerate(FEASIBILITY_GOLDEN)])
+def test_feasibility_stdout_matches_golden(capsys, argv, code, parent):
+    # captured before M got one float assembly and the equal-efficiency
+    # optimum its closed form (CPython 3.11, x86-64 Linux, glibc libm):
+    # exact and float routes, complex flags, nonzero P23, negative flags
+    # with and without "=", curves, csv/table, and the equal optima
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code, err
+    if argv[:5] != ["optimize", "--case", "3bit", "--objective", "equal"]:
+        assert out == parent
+        return
+    # the 3-bit equal report is now analytic, so it has an exact value and
+    # no longer carries the numeric-only seed and evaluations
+    old, new = json.loads(parent), json.loads(out)
+    old_report, new_report = old["reports"][0], new["reports"][0]
+    assert {k: v for k, v in old.items() if k != "reports"} == \
+        {k: v for k, v in new.items() if k != "reports"}
+    assert (old_report["mode"], old_report["value_exact"]) == ("numeric", None)
+    want = {k: v for k, v in old_report.items() if k not in ("seed", "evaluations")}
+    want.update(EQUAL_3BIT_RELABEL)
+    assert list(new_report) == list(want) and new_report == want
+
+
 def test_optimize_equal_objective(capsys):
     data = run_json(capsys, "optimize", "--case", "2bit", "--objective", "equal")
     rep = data["reports"][0]

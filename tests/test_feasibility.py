@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probclone.feasibility import (EfficiencyVector, FlagOverlaps,
                                    ReducedCoordinates, build_matrix,
                                    case_params, gamma2_on_slice, gammas_from_xy,
                                    hermitian3_eigvals, intersection_x0, is_psd,
-                                   is_psd_minors, reduce, s_cap, stationary_x1,
+                                   reduce, s_cap, stationary_x1,
                                    vw_boundary, V_CORNER, Q_CORNER)
 from probclone.optimize import case_gram
 
@@ -168,7 +170,9 @@ def test_minor_and_eigenvalue_verdicts_agree():
             # skip knife-edge points where tol placement decides the verdict
             if abs(point.min_eigenvalue()) < 10 * tol:
                 continue
-            assert is_psd(point, tol) == is_psd_minors(point, tol)
+            # float principal-minor verdict as the cross-check route
+            minors_psd = all(float(x) >= -tol for x in point.principal_minors())
+            assert is_psd(point, tol) == minors_psd
             checked += 1
     assert checked > 9000
 
@@ -343,6 +347,31 @@ def test_gamma2_slice_corner_is_the_region_maximum():
                 s = float(cp.s_floor) + (cap - float(cp.s_floor)) * j / 20
                 best = max(best, float(gamma2_on_slice(q, s, case)[1]))
         assert best <= float(corner) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(("2bit", "3bit")), exact=st.booleans(),
+       u=st.fractions(0, 1, max_denominator=10_000),
+       t=st.fractions(0, 1, max_denominator=10_000))
+def test_gamma2_on_slice_is_the_endpoint_for_nonnegative_q(case, exact, u, t):
+    cp = case_params(case)
+    q = cp.q_bound * u
+    s = cp.s_floor + (s_cap(q, case) - cp.s_floor) * t
+    if not exact:
+        q, s = float(q), float(s)
+    g1, g2 = gamma2_on_slice(q, s, case)
+    kind = F if exact else float
+    assert type(g1) is kind and type(g2) is kind
+    assert (g1, g2) == (0, cp.c0)
+    # exact check: no grid x in [0, x0] gives g2 = (y + sqrt(y^2 - 4x^2))/2
+    # above c0 (y^2 - 4x^2 clamped at 0 where x0's rounding overshoots)
+    qf, sf = F(q), F(s)
+    x0 = F(intersection_x0(q, s, case))
+    for i in range(200):
+        x = x0 * i / 199
+        y = cp.c0 - qf * x + sf * x * x
+        gap = 2 * cp.c0 - y
+        assert gap >= 0 and max(y * y - 4 * x * x, 0) <= gap * gap
 
 
 def test_gamma2_on_slice_continuous_at_q_zero():

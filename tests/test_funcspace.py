@@ -4,7 +4,7 @@ from math import sqrt
 
 import pytest
 
-from probclone.funcspace import BooleanFunction, TaskInstance, family, xor
+from probclone.funcspace import BooleanFunction, TaskInstance, family
 
 H = BooleanFunction.from_name
 
@@ -61,15 +61,15 @@ def test_bad_names():
 # ---------------------------------------------------------------------------
 
 def test_xor_examples():
-    assert xor(H("h_{01000000}"), H("h_{10110000}")) == H("h_{11110000}")
+    assert H("h_{01000000}") ^ H("h_{10110000}") == H("h_{11110000}")
     f = H("h_{00101001}")
-    assert xor(f, f) == H("h_{00000000}")
-    assert xor(H("h_{00110011}"), H("h_{00000000}")) == H("h_{00110011}")
+    assert f ^ f == H("h_{00000000}")
+    assert H("h_{00110011}") ^ H("h_{00000000}") == H("h_{00110011}")
 
 
 def test_xor_arity_mismatch():
     with pytest.raises(ValueError):
-        xor(H("h_{0010}"), H("h_{00110011}"))
+        H("h_{0010}") ^ H("h_{00110011}")
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_pair_sets_are_complement_pairs():
         ones = BooleanFunction(fam.arity, (1 << (1 << fam.arity)) - 1)
         for pair in fam.pair_sets.values():
             a, b = pair.members
-            assert xor(a, b) == ones
+            assert a ^ b == ones
 
 
 def test_pair_set_of_examples():
@@ -141,7 +141,7 @@ def test_constraint_invariant():
         fam = family(case)
         for f0 in fam.s_f0:
             for g in fam.candidates(f0):
-                assert fam.pair_set_of(xor(f0, g)) is not None
+                assert fam.pair_set_of(f0 ^ g) is not None
 
 
 def test_candidate_states_pairwise_orthogonal():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from probclone.feasibility import (DEFAULT_TOL, EIG_ERR, ArrowKernel,
+                                   EfficiencyVector, FlagOverlaps, build_matrix,
                                    hermitian3_eigvals)
 from probclone.optimize import CORNER_FLAGS, case_gram
 from probclone.phasestate import GramMatrix
@@ -191,3 +192,30 @@ def test_closed_form_error_within_eig_err(case):
         want = np.linalg.eigvalsh(np.array(m))[0]
         worst = max(worst, abs(hermitian3_eigvals(m)[0] - want))
     assert worst < EIG_ERR / 1000
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("complex_flags", [False, True])
+def test_kernel_matrix_is_build_matrix(case, complex_flags):
+    # entry by entry, zero signs included: both come from _float_matrix
+    g = case_gram(case)
+    kernel = ArrowKernel(g, complex_flags=complex_flags)
+    rng = random.Random(f"kernel-matrix:{case}:{complex_flags}")
+    edges = (0.0, -0.0, 1.0, -1.0)
+    for _ in range(2000):
+        gammas = [rng.choice((0.0, 1.0, rng.random(), rng.random())) for _ in range(3)]
+        while True:
+            flags = [rng.choice(edges + (rng.uniform(-1, 1),) * 4)
+                     for _ in range(4 if complex_flags else 2)]
+            pairs = ((flags[0], flags[1]), (flags[2], flags[3])) if complex_flags \
+                else ((flags[0], 0.0), (flags[1], 0.0))
+            if all(re * re + im * im <= 1.0 for re, im in pairs):
+                break
+        point = build_matrix(g, EfficiencyVector(gammas),
+                             FlagOverlaps(p12=pairs[0], p13=pairs[1]))
+        got = kernel.matrix(tuple(gammas + flags))
+        for got_row, want_row in zip(got, point.matrix):
+            for z, want in zip(got_row, want_row):
+                assert z == want
+                assert math.copysign(1.0, z.real) == math.copysign(1.0, want.real)
+                assert math.copysign(1.0, z.imag) == math.copysign(1.0, want.imag)

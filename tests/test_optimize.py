@@ -1,5 +1,7 @@
 import math
+import re
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from probclone.feasibility import (ArrowKernel, EfficiencyVector, FlagOverlaps,
                                    _arrow_min_eig, build_matrix, case_params,
                                    intersection_x0, is_psd, s_cap)
+from probclone._exact import surd_text
 from probclone.optimize import (CORNER_FLAGS, analytic_optimum, case_gram,
                                 equal_gamma_optimum, numeric_search)
 
@@ -177,6 +180,34 @@ def test_equal_gamma_three_bit():
     assert r.value == pytest.approx((124 - 24 * math.sqrt(2)) / 127, abs=1e-6)
     assert is_psd(r.certificate)
     assert r.gammas[0] == r.gammas[1] == r.gammas[2]
+
+
+@pytest.mark.parametrize("case, value, text", [
+    ("2bit", 0.4530818393219728, "(6-2*sqrt(2))/7"),
+    ("3bit", 0.7091249960869742, "(124-24*sqrt(2))/127"),
+])
+def test_equal_gamma_closed_form_pinned(case, value, text):
+    # the bits the earlier golden-section search and 2-bit override gave
+    r = equal_gamma_optimum(case)
+    assert r.value == value and r.gammas == (value, value, value)
+    assert r.mode == "analytic" and r.value_exact == text
+    assert r.meta == {"q": -float(case_params(case).q_bound),
+                      "s": float(s_cap(-case_params(case).q_bound, case))}
+    # the exact text, evaluated to 40 digits, lands within 1 ulp of value
+    a, b, d, c = map(int, re.fullmatch(r"\((\d+)-(\d+)\*sqrt\((\d+)\)\)/(\d+)",
+                                       text).groups())
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = (a - b * Decimal(d).sqrt()) / c
+        assert abs(Decimal(value) - exact) <= Decimal(math.ulp(value))
+
+
+def test_surd_text_forms():
+    assert surd_text(F(3, 2), F(1, 2), F(7, 4)) == "(6-2*sqrt(2))/7"
+    assert surd_text(F(31, 16), F(9, 32), F(127, 64)) == "(124-24*sqrt(2))/127"
+    # 288 = 12^2 * 2 and a perfect-square discriminant
+    assert surd_text(F(1), F(288), F(1)) == "(1-12*sqrt(2))/1"
+    assert surd_text(F(3), F(4), F(2)) == "1/2"
 
 
 def test_equal_gamma_corner_is_the_max():
