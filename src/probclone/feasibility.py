@@ -216,16 +216,20 @@ class FeasibilityPoint:
         return det.real
 
     def to_json(self, tol: float = DEFAULT_TOL) -> dict:
-        minors = self.leading_minors()    # the last one is det M
+        principal = self.principal_minors()
+        minors = [principal[0], principal[3], principal[6]]    # the last is det M
+        min_eig = self.min_eigenvalue()
+        # is_psd's verdict, from the values above
+        psd = all(x >= 0 for x in principal) if self.is_exact else min_eig >= -tol
         out = {
             "gram": self.gram.to_lists(),
             "gammas": [float(g) for g in self.eff],
             "P12": [float(self.flags.p12[0]), float(self.flags.p12[1])],
             "P13": [float(self.flags.p13[0]), float(self.flags.p13[1])],
             "P23": [float(self.flags.p23[0]), float(self.flags.p23[1])],
-            "psd": is_psd(self, tol),
+            "psd": psd,
             "minors": [float(x) for x in minors],
-            "min_eigenvalue": self.min_eigenvalue(),
+            "min_eigenvalue": min_eig,
             "M": [[[z.real, z.imag] for z in row] for row in self.matrix],
             "det": float(minors[2]),
             "exact": self.is_exact,
@@ -492,45 +496,62 @@ class ArrowKernel:
         return eig if eig >= -tol else None
 
     def scan(self, g1: float, gamma_axis, flag_axis):
-        """Verdicts at every grid point with this gamma1.
+        """Lazy verdicts at every grid point with this gamma1.
 
         Yields ``((g1, g2, g3), flags)`` for each (g2, g3) on the gamma
-        axis, ``flags`` listing the feasible flag tuples in ascending grid
-        order. Each determinant term is computed in the outermost loop
-        where it is fixed; flags with modulus above 1 are never feasible.
+        axis, g2 outer and g3 inner, both ascending. ``flags`` is an
+        iterator over the block's feasible flag tuples in descending
+        lexicographic order (so its first item is the block's largest);
+        it decides a verdict only when asked for the next flag, and a
+        caller may consume the blocks' iterators in any order. Each
+        determinant term is computed in the outermost loop where it is
+        fixed. The computed determinant falls monotonically in |M_12|^2 and
+        |M_13|^2 (rounding is monotone), so a block whose determinant at
+        the smallest |M_12|^2 and |M_13|^2 is below the band has no
+        feasible flag, and a P12 part whose determinant at the smallest
+        |M_13|^2 is below it is skipped whole; both skip only verdicts
+        that would read infeasible. Flags with modulus above 1 are never
+        feasible.
         """
         tol, band = self.tol, self.band
         if self.complex_flags:
-            parts = [((a, b), a, b) for a in flag_axis for b in flag_axis
-                     if a * a + b * b <= 1.0]
+            parts = [((a, b), a, b) for a in reversed(flag_axis)
+                     for b in reversed(flag_axis) if a * a + b * b <= 1.0]
         else:
-            parts = [((a,), a, 0.0) for a in flag_axis]
+            parts = [((a,), a, 0.0) for a in reversed(flag_axis)]
 
         def moduli2(g, g1j, s1j):
-            # |M_1j|^2 for every flag part
+            # (flag part, |M_1j|^2) for every flag part, and the smallest |M_1j|^2
             t = math.sqrt(g1 * g) * s1j
-            return [(g1j - t * re) ** 2 + (t * im) ** 2 for _, re, im in parts]
+            out = [(p, (g1j - t * re) ** 2 + (t * im) ** 2) for p, re, im in parts]
+            return out, min(m2 for _, m2 in out)
+
+        def feasible(gammas, d2, d3, rows, u_min, col, m_min):
+            thr = band * (d2 if d2 > d3 else d3)
+            d123 = d1 * d2 * d3
+            w_min = m_min * d2
+            if d123 - u_min * d3 - w_min < -thr:
+                return
+            w_d2 = [(p13, m2 * d2) for p13, m2 in col]
+            for p12, u2 in rows:
+                k = d123 - u2 * d3
+                if k - w_min < -thr:
+                    continue
+                for p13, wd in w_d2:
+                    det = k - wd
+                    if det > thr or (det >= -thr and self._closed_form_ok(
+                            gammas + p12 + p13)):
+                        yield p12 + p13
 
         d1 = 1.0 - g1 + tol
-        cols = [(g3, 1.0 - g3 + tol, moduli2(g3, self._g13, self._s13))
+        cols = [(g3, 1.0 - g3 + tol, *moduli2(g3, self._g13, self._s13))
                 for g3 in gamma_axis]
         for g2 in gamma_axis:
             d2 = 1.0 - g2 + tol
-            rows = [(p, m2) for (p, _, _), m2 in
-                    zip(parts, moduli2(g2, self._g12, self._s12))]
-            for g3, d3, col in cols:
-                thr = band * (d2 if d2 > d3 else d3)
-                d123 = d1 * d2 * d3
-                w_d2 = [(p, m2 * d2) for (p, _, _), m2 in zip(parts, col)]
-                feasible = []
-                for p12, u2 in rows:
-                    k = d123 - u2 * d3
-                    for p13, wd in w_d2:
-                        det = k - wd
-                        if det > thr or (det >= -thr and self._closed_form_ok(
-                                (g1, g2, g3) + p12 + p13)):
-                            feasible.append(p12 + p13)
-                yield (g1, g2, g3), feasible
+            rows, u_min = moduli2(g2, self._g12, self._s12)
+            for g3, d3, col, m_min in cols:
+                gammas = (g1, g2, g3)
+                yield gammas, feasible(gammas, d2, d3, rows, u_min, col, m_min)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,11 @@ unrestricted search supplies evidence.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from . import feasibility as fz
 from .feasibility import (EfficiencyVector, FeasibilityPoint, FlagOverlaps,
@@ -146,8 +149,22 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     Inside a band |det| <= max(d2, d3) * kernel.band derived from the
     rounding bounds of both routes, the point goes to the closed-form
     eigenvalues, so every verdict matches ``hermitian3_eigvals(M)[0] >=
-    -tol``. Every grid point and refine candidate counts as one
-    evaluation.
+    -tol``.
+
+    Only the verdicts that can change the result are computed. This rests
+    on one fact: the objective depends only on the point, and on the grid
+    only on the gammas. So the best point of a gamma1 slab lies in the
+    first (g2, g3) block, in descending (objective, gammas) order, that
+    has a feasible flag, paired with that block's largest feasible flag
+    (the first that ``ArrowKernel.scan`` yields); later blocks and flags
+    get no verdict. Refine candidates whose objective is below the
+    current point's are never accepted and get no verdict either (see
+    ``_compass_refine``). Refine verdicts are memoised by point for the
+    length of one call, because refines started in different slabs join
+    the same trajectories; nothing is kept between calls.
+    ``evaluations`` counts the points the search considers, each grid
+    point and each refine candidate that differs from its current point,
+    not the kernel calls.
 
     The objective is flat in every coordinate except gamma2/gamma3 (or
     gamma1), so the pattern search ranks moves by (objective, PSD slack)
@@ -168,15 +185,16 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
 
     slab_best = []
     for g1 in gamma_axis:
-        # best feasible point in this gamma1 slab, by (objective, point)
-        best = None
-        for gammas, flags in kernel.scan(g1, gamma_axis, flag_axis):
-            if flags:
-                key = (obj(gammas), gammas + max(flags))
-                if best is None or key > best:
-                    best = key
-        if best is not None:
-            slab_best.append(best)
+        # best feasible point in this gamma1 slab, by (objective, point):
+        # the first block in descending (obj(gammas), gammas) order with a
+        # feasible flag holds it, paired with that block's largest flag
+        blocks = sorted(kernel.scan(g1, gamma_axis, flag_axis),
+                        key=lambda block: (obj(block[0]), block[0]), reverse=True)
+        for gammas, flags in blocks:
+            top = next(flags, None)
+            if top is not None:
+                slab_best.append((obj(gammas), gammas + top))
+                break
     if not slab_best:
         raise AssertionError("grid found no feasible point (gamma = 0 is always feasible)")
 
@@ -184,9 +202,11 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     hi = [1.0] * 3 + [1.0] * n_flag_axes
     cell = [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * n_flag_axes
 
+    # one memo per call: refines from different slabs join the same paths
+    slack = functools.cache(kernel.slack)
     best_val, best_point = max(slab_best)
     for _, start in sorted(slab_best, reverse=True):
-        val, point, n_ev = _compass_refine(start, obj, kernel, lo, hi, cell, iterations)
+        val, point, n_ev = _compass_refine(start, obj, slack, lo, hi, cell, iterations)
         evaluations += n_ev
         if val > best_val or (val == best_val and point > best_point):
             best_val, best_point = val, point
@@ -207,26 +227,33 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     )
 
 
-def _compass_refine(start, obj, kernel, lo, hi, cell, iterations):
+def _compass_refine(start, obj, slack, lo, hi, cell, iterations):
     """Coordinate-wise pattern search, step halving on stall.
 
-    A move is accepted when it improves the objective, or keeps it equal
-    while strictly improving the PSD slack (flat coordinates would be
-    frozen otherwise). Both orders strictly increase, so no cycling.
+    ``slack(point)`` gives ``ArrowKernel.slack``: lambda_min(M) at a
+    feasible point, else None. A move is accepted when it improves the objective,
+    or keeps it equal while strictly improving the PSD slack (flat
+    coordinates would be frozen otherwise). Both orders strictly
+    increase, so no cycling. The chosen move is the feasible candidate
+    with the largest (objective, slack, point); candidates with a lower
+    objective than the current point can never be accepted, so they get
+    no verdict, and the objective levels above it are visited from the
+    top, asking for slack only until one level has a feasible member.
     """
     point = tuple(start)
     value = obj(point)
-    slack = kernel.slack(point)
+    point_slack = slack(point)
     steps = list(cell)
     moves = [((d, sgn),) for d in range(len(point)) for sgn in (1.0, -1.0)]
     # paired gamma2/gamma3 moves walk the symmetric ridge directly
     moves += [((1, s2), (2, s3)) for s2 in (1.0, -1.0) for s3 in (1.0, -1.0)]
+    level = itemgetter(0)
     shrinks = 0
     evals = 0
     sweeps = 0
     while shrinks < iterations and sweeps < 20000:
         sweeps += 1
-        best_move = None   # (value, slack, cand)
+        ranked = []     # (objective, cand) for candidates not below value
         for move in moves:
             cand = list(point)
             for d, sgn in move:
@@ -235,18 +262,19 @@ def _compass_refine(start, obj, kernel, lo, hi, cell, iterations):
             if cand == point:
                 continue
             evals += 1
-            eig = kernel.slack(cand)
-            if eig is None:
-                continue
-            key = (obj(cand), eig, cand)
-            if best_move is None or key > best_move:
-                best_move = key
+            v = obj(cand)
+            if v >= value:
+                ranked.append((v, cand))
+        ranked.sort(key=level, reverse=True)
         accepted = False
-        if best_move is not None:
-            v, e, cand = best_move
-            if v > value or (v == value and e > slack + 1e-15):
-                point, value, slack = cand, v, e
-                accepted = True
+        for v, group in groupby(ranked, key=level):
+            feasible = [(e, cand) for _, cand in group if (e := slack(cand)) is not None]
+            if feasible:
+                e, cand = max(feasible)
+                if v > value or e > point_slack + 1e-15:
+                    point, value, point_slack = cand, v, e
+                    accepted = True
+                break
         if not accepted:
             steps = [s_ / 2.0 for s_ in steps]
             shrinks += 1

@@ -152,9 +152,25 @@ def overlap2(u: StateVector, v: StateVector):
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Hermitian matrix of pairwise inner products."""
+    """Hermitian matrix of pairwise inner products.
+
+    Entries are compared exactly, with no tolerance: a square matrix
+    with ``G[j][i] != conj(G[i][j])`` for some i, j is rejected, so every
+    route that reads M off one triangle sees the same matrix. ``gram``
+    of exact or float states is Hermitian bit for bit.
+    """
 
     entries: tuple[tuple[object, ...], ...]
+
+    def __post_init__(self):
+        n = len(self.entries)
+        if any(len(row) != n for row in self.entries):
+            raise ValueError("gram must be square")
+        for i in range(n):
+            for j in range(i, n):
+                if self.entries[j][i] != self.entries[i][j].conjugate():
+                    raise ValueError(f"gram is not Hermitian at ({i + 1}, {j + 1}): "
+                                     f"{self.entries[i][j]!r} and {self.entries[j][i]!r}")
 
     @property
     def dim(self) -> int:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import probclone
 from probclone.cli import main
 
 
@@ -34,6 +38,18 @@ def test_states_two_bit_gram(capsys):
     data = run_json(capsys, "states", "--case", "2bit")
     g = data["candidate_gram"]
     assert g[0][1] == -0.5 and g[0][2] == -0.5 and g[1][2] == 0.0
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # the package this suite imports, not whatever else is installed
+    src = str(Path(probclone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "probclone", "states", "--case", "2bit"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, out, _ = run_cli(capsys, "states", "--case", "2bit")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out != ""
 
 
 def test_states_sf_basis_identity(capsys):
@@ -136,15 +152,25 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("name, argv", [
     (f"optimize_{case}_{objective}_r9",
-     ("--case", case, "--objective", objective, "--resolution", "9"))
+     ("--mode", "both", "--case", case, "--objective", objective, "--resolution", "9"))
     for case in ("3bit", "2bit") for objective in ("gamma23", "gamma1")
 ] + [("optimize_2bit_complex_r8",
-      ("--case", "2bit", "--complex-flags", "--resolution", "8"))])
+      ("--mode", "both", "--case", "2bit", "--complex-flags", "--resolution", "8"))
+] + [
+    (f"optimize_numeric_{case}_{objective}_r{resolution}",
+     ("--mode", "numeric", "--case", case, "--objective", objective,
+      "--resolution", str(resolution)))
+    for resolution in (8, 10, 11) for case in ("3bit", "2bit")
+    for objective in ("gamma23", "gamma1")
+] + [("optimize_numeric_3bit_complex_r8",
+      ("--mode", "numeric", "--case", "3bit", "--complex-flags", "--resolution", "8"))])
 def test_optimize_stdout_matches_golden(capsys, name, argv):
-    # captured before the arrow kernel replaced the per-point eigensolver
-    # (CPython 3.11, x86-64 Linux, glibc libm); the digits of the float
-    # fields depend on the platform's libm
-    code, out, err = run_cli(capsys, "optimize", "--mode", "both", *argv)
+    # the "both" runs were captured before the arrow kernel replaced the
+    # per-point eigensolver, the "numeric" runs before the search pruned
+    # its grid scan and memoised its refine verdicts (CPython 3.11, x86-64
+    # Linux, glibc libm); the digits of the float fields depend on the
+    # platform's libm
+    code, out, err = run_cli(capsys, "optimize", *argv)
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.json").read_text()
 

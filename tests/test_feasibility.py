@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probclone import feasibility
 from probclone.feasibility import (EfficiencyVector, FlagOverlaps,
                                    ReducedCoordinates, build_matrix,
                                    case_params, gamma2_on_slice, gammas_from_xy,
@@ -481,3 +482,36 @@ def test_feasibility_point_json():
     assert data["minors_exact"] == ["120/127", "900/16129", "0"]
     assert data["P12"] == [-1.0, 0.0]
     assert data["min_eigenvalue"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_to_json_computes_each_verdict_once(monkeypatch):
+    calls = {"principal": 0, "det": 0, "eig": 0}
+    point_cls = feasibility.FeasibilityPoint
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(point_cls, "principal_minors",
+                        counted("principal", point_cls.principal_minors))
+    monkeypatch.setattr(point_cls, "det", counted("det", point_cls.det))
+    monkeypatch.setattr(feasibility, "hermitian3_eigvals",
+                        counted("eig", feasibility.hermitian3_eigvals))
+    exact = build_matrix(case_gram("3bit"), OPT3, FLAGS3)
+    approx = build_matrix(case_gram("3bit"), EfficiencyVector((0.1, 0.2, 0.3)), FLAGS3)
+    for point in (exact, approx):
+        want = {"psd": is_psd(point), "min_eigenvalue": point.min_eigenvalue()}
+        calls.update(principal=0, det=0, eig=0)
+        data = point.to_json()
+        assert calls == {"principal": 1, "det": 1, "eig": 1}
+        assert {k: data[k] for k in want} == want
+
+
+def test_build_matrix_rejects_non_hermitian_gram():
+    # the exact route reads the lower triangle, the float route mirrors
+    # the upper one: a non-Hermitian Gram would give two different M's
+    g = [[1, F(1, 4), F(1, 4)], [F(1, 4), 1, 0], [F(-1, 4), 0, 1]]
+    for eff in (OPT3, EfficiencyVector((0.1, 0.2, 0.3))):
+        with pytest.raises(ValueError):
+            build_matrix(g, eff, FLAGS3)

@@ -62,12 +62,16 @@ def axes(resolution):
 
 
 def scan_blocks(kernel, resolution, wanted=None):
-    """{(g1, g2, g3): set of feasible flag tuples}, for the wanted blocks."""
+    """{(g1, g2, g3): set of feasible flag tuples}, for the wanted blocks.
+
+    Every block's iterator is used up, so every grid verdict is decided.
+    """
     gamma_axis, flag_axis = axes(resolution)
     out = {}
     for g1 in gamma_axis:
         for gammas, flags in kernel.scan(g1, gamma_axis, flag_axis):
-            assert flags == sorted(flags)
+            flags = list(flags)
+            assert flags == sorted(flags, reverse=True)
             if wanted is None or gammas in wanted:
                 out[gammas] = set(flags)
     return out

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import time
@@ -5,13 +6,16 @@ from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from probclone.feasibility import (ArrowKernel, EfficiencyVector, FlagOverlaps,
                                    _arrow_min_eig, build_matrix, case_params,
                                    intersection_x0, is_psd, s_cap)
 from probclone._exact import surd_text
-from probclone.optimize import (CORNER_FLAGS, analytic_optimum, case_gram,
-                                equal_gamma_optimum, numeric_search)
+from probclone.optimize import (CORNER_FLAGS, _clamp, _compass_refine, _objective_fn,
+                                analytic_optimum, case_gram, equal_gamma_optimum,
+                                numeric_search)
 
 
 def test_case_gram_matches_display():
@@ -160,6 +164,90 @@ def test_fast_eigenvalue_path_matches_point_api():
             assert _arrow_min_eig(m[0][0].real, m[1][1].real, m[2][2].real,
                                   m[0][1].real, m[0][2].real) == want
             assert kernel.slack(p) == (want if want >= -1e-9 else None)
+
+
+def exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations):
+    """Reference pattern search for ``_compass_refine``: every candidate
+    gets a kernel verdict, and nothing is memoised."""
+    point = tuple(start)
+    value = obj(point)
+    slack = kernel.slack(point)
+    steps = list(cell)
+    moves = [((d, sgn),) for d in range(len(point)) for sgn in (1.0, -1.0)]
+    moves += [((1, s2), (2, s3)) for s2 in (1.0, -1.0) for s3 in (1.0, -1.0)]
+    shrinks = 0
+    evals = 0
+    sweeps = 0
+    while shrinks < iterations and sweeps < 20000:
+        sweeps += 1
+        best_move = None
+        for move in moves:
+            cand = list(point)
+            for d, sgn in move:
+                cand[d] = _clamp(cand[d] + sgn * steps[d], lo[d], hi[d])
+            cand = tuple(cand)
+            if cand == point:
+                continue
+            evals += 1
+            eig = kernel.slack(cand)
+            if eig is None:
+                continue
+            key = (obj(cand), eig, cand)
+            if best_move is None or key > best_move:
+                best_move = key
+        accepted = False
+        if best_move is not None:
+            v, e, cand = best_move
+            if v > value or (v == value and e > slack + 1e-15):
+                point, value, slack = cand, v, e
+                accepted = True
+        if not accepted:
+            steps = [s_ / 2.0 for s_ in steps]
+            shrinks += 1
+    return value, point, evals
+
+
+@st.composite
+def refine_setups(draw):
+    """A kernel, objective, search box at a resolution, shrink budget,
+    feasible start point in the box (grid values or arbitrary floats) and
+    a grid block."""
+    case = draw(st.sampled_from(("3bit", "2bit")))
+    objective = draw(st.sampled_from(("gamma23", "gamma1")))
+    complex_flags = draw(st.booleans())
+    resolution = draw(st.integers(8, 12))
+    iterations = draw(st.integers(1, 40))
+    n_flags = 4 if complex_flags else 2
+    gamma_axis = [i / (resolution - 1) for i in range(resolution)]
+    flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]
+    start = tuple(draw(st.one_of(st.sampled_from(gamma_axis), st.floats(0.0, 1.0)))
+                  for _ in range(3))
+    start += tuple(draw(st.one_of(st.sampled_from(flag_axis), st.floats(-1.0, 1.0)))
+                   for _ in range(n_flags))
+    kernel = ArrowKernel(case_gram(case), complex_flags=complex_flags)
+    assume(kernel.slack(start) is not None)
+    block = tuple(draw(st.sampled_from(gamma_axis)) for _ in range(3))
+    box = ([0.0] * 3 + [-1.0] * n_flags, [1.0] * 3 + [1.0] * n_flags,
+           [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * n_flags)
+    return (kernel, _objective_fn(objective), start, box, iterations,
+            gamma_axis, flag_axis, block)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=refine_setups())
+def test_pruned_search_matches_exhaustive(setup):
+    kernel, obj, start, (lo, hi, cell), iterations, gamma_axis, flag_axis, block = setup
+    # the refine that skips verdicts and memoises them finds what the
+    # exhaustive one does, with the same evaluation count
+    want = exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations)
+    assert _compass_refine(start, obj, functools.cache(kernel.slack),
+                           lo, hi, cell, iterations) == want
+    # a block's first flag from the scan is its largest feasible flag
+    def flags_of(scan):
+        return next(flags for gammas, flags in scan if gammas == block)
+    first = next(flags_of(kernel.scan(block[0], gamma_axis, flag_axis)), None)
+    everything = list(flags_of(kernel.scan(block[0], gamma_axis, flag_axis)))
+    assert first == max(everything, default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ from itertools import combinations
 import pytest
 
 from probclone.funcspace import BooleanFunction, family
-from probclone.phasestate import (OUTSIDE_BASIS, StateVector, apply_phase_oracle,
-                                  canonicalized, discriminate, equivalent, gram,
-                                  inner, phase_state)
+from probclone.phasestate import (OUTSIDE_BASIS, GramMatrix, StateVector,
+                                  apply_phase_oracle, canonicalized, discriminate,
+                                  equivalent, gram, inner, phase_state)
 
 H = BooleanFunction.from_name
 
@@ -173,6 +173,41 @@ def test_pair_representative_basis_sign_patterns():
 def test_gram_empty_error():
     with pytest.raises(ValueError):
         gram([])
+
+
+def test_gram_rejects_non_hermitian_entries():
+    # exact comparison: the next float after 1/4 is already rejected
+    bad = [
+        ((1, Fraction(1, 4)), (Fraction(1, 3), 1)),
+        ((1, 0.25), (0.25000000000000006, 1)),
+        ((1, 0.5j), (0.5j, 1)),
+        ((1j, 0), (0, 1)),
+        ((1, 0, 0), (0, 1)),
+    ]
+    for entries in bad:
+        with pytest.raises(ValueError):
+            GramMatrix(entries)
+    GramMatrix(((1, 0.5j), (-0.5j, 1)))
+    GramMatrix(((1, Fraction(-1, 4)), (-0.25, 1.0)))
+
+
+def test_gram_of_states_is_hermitian():
+    for case in ("2bit", "3bit"):
+        fam = family(case)
+        for states in (fam.s_f0, fam.s1, fam.s2):
+            gram([phase_state(f) for f in states])
+    rng = random.Random(29)
+    for _ in range(300):
+        dim = rng.choice((4, 8))
+        states = []
+        for _ in range(rng.randint(1, 5)):
+            amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)]
+            norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+            states.append(StateVector(dim, amps=[a / norm for a in amps]))
+        g = gram(states)
+        n = len(states)
+        assert all(g.entry(j, i) == g.entry(i, j).conjugate()
+                   for i in range(n) for j in range(n))
 
 
 def test_pair_set_equals_same_ray():
