@@ -30,7 +30,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--case", choices=("2bit", "3bit"), default="3bit",
                         help="problem size (default: 3bit)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="base seed for anything stochastic (default: 0)")
+                        help="Monte Carlo seed; only simulate uses it (default: 0)")
     parser.add_argument("--trials", type=int, default=100_000,
                         help="Monte Carlo trials (default: 100000)")
     parser.add_argument("--tol", type=float, default=1e-9,
@@ -73,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="grid points per axis for the numeric search")
     p_opt.add_argument("--iterations", type=int, default=40,
                        help="pattern-search shrink count")
-    p_opt.add_argument("--complex-flags", action="store_true",
-                       help="let the numeric search vary imaginary flag parts")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo the guessing task")
     _add_common(p_sim)
@@ -207,8 +205,7 @@ def cmd_optimize(args) -> tuple[dict, int]:
         if args.mode in ("numeric", "both"):
             numeric = optimize.numeric_search(
                 args.case, args.objective, resolution=args.resolution,
-                iterations=args.iterations, seed=args.seed, tol=args.tol,
-                complex_flags=args.complex_flags)
+                iterations=args.iterations, tol=args.tol)
             reports.append(numeric)
     payload["reports"] = [r.to_json(args.tol) for r in reports]
     code = 0

@@ -11,15 +11,41 @@ is positive semidefinite, where G is the candidates' Gram matrix. This
 module builds M on one of two routes: exact rational entries whenever
 the inputs allow it (the certificate route, tested by its principal
 minors), else complex floats from ``_float_matrix``, the one float
-assembly, shared with the numeric search's ``ArrowKernel`` and tested by
-the closed-form eigenvalues. It also implements the reduced coordinates
-that collapse the criterion on the gamma2 = gamma3 slice to
+assembly, tested by the closed-form eigenvalues. It also implements the
+reduced coordinates that collapse the criterion on the gamma2 = gamma3
+slice to
 
     c0 - q*x + s*x^2  >=  y  >=  2*x  >=  0
 
 with x = sqrt(gamma1*gamma2), y = gamma1 + gamma2, and (q, s) quadratic
 in the flag components. Closed-form boundary curves of the (q, s) and
 (v, w) regions are provided as data.
+
+Sign-flag lemma. Let G be real with unit diagonal, G_23 = 0 and
+0 < |G_1j| <= 1/2 (both case Grams). For every Gamma in [0, 1]^3 and all
+flags with |P_12|, |P_13| <= 1 (P23 arbitrary), M at the real flags
+P_1j = sign(G_1j) has every principal minor, and lambda_min, at least as
+large as M at the given flags. So the flags sign(G_1j), which are
+``optimize.CORNER_FLAGS``, are feasible wherever any flags are, and no
+complex or other real flag ever enlarges the feasible set of Gamma.
+
+Proof. M_23 = G_23 * (1 - sqrt(gamma2 gamma3) G_23 P23) = 0, and
+M_1j = G_1j * (1 - sqrt(gamma1 gammaj) G_1j P_1j). With
+r = sqrt(gamma1 gammaj) |G_1j| <= 1/2 and sigma = sign(G_1j),
+|1 - r*sigma*P_1j| >= 1 - r*|P_1j| >= 1 - r > 0, with equality at
+P_1j = sigma. So |M_1j| is smallest over |P_1j| <= 1 at P_1j = sigma.
+Conjugating M by the diagonal unitary diag(1, e^(i t2), e^(i t3)) makes
+M_12 and M_13 real and nonnegative, so the eigenvalues, and the
+principal minors d_i, d_i d_j - |M_ij|^2 and
+det M = d1 d2 d3 - |M_12|^2 d3 - |M_13|^2 d2 (d_i = 1 - gamma_i >= 0),
+depend on the flags only through m_j = |M_1j|. Each minor is
+nonincreasing in m_2 and m_3. So is
+lambda_min = min over unit x of
+sum_i d_i x_i^2 - 2 m_2 |x1 x2| - 2 m_3 |x1 x3|
+(flipping the signs of x2 and x3 attains this form), a minimum of
+functions that are each nonincreasing in m_2 and m_3. Both the exact
+test (Sylvester's minors) and the float test (lambda_min >= -tol) can
+therefore only pass more easily at the sign flags.
 """
 from __future__ import annotations
 
@@ -309,10 +335,10 @@ def build_matrix(gram_in, eff: EfficiencyVector, flags: FlagOverlaps) -> Feasibi
 def _float_matrix(gf, gammas, p12: complex, p13: complex, p23: complex) -> tuple:
     """M in complex arithmetic from the Hermitian Gram ``gf`` (complex entries).
 
-    The one float assembly of M: ``build_matrix``'s float route and
-    ``ArrowKernel.matrix`` both call it. Each lower entry is the upper
-    one's conjugate written as ``complex(re, 0.0 - im)``, so a zero
-    imaginary part stays +0.0 (``.conjugate()`` would print -0.0).
+    The one float assembly of M, used by ``build_matrix``'s float route.
+    Each lower entry is the upper one's conjugate written as
+    ``complex(re, 0.0 - im)``, so a zero imaginary part stays +0.0
+    (``.conjugate()`` would print -0.0).
     """
     g1, g2, g3 = gammas
     m12 = gf[0][1] - math.sqrt(g1 * g2) * gf[0][1] ** 2 * p12
@@ -330,12 +356,11 @@ def hermitian3_eigvals(m) -> tuple[float, float, float]:
     Uses the trigonometric closed form; deterministic and dependency-free,
     accurate to ~1e-14 at this fixed size except near a double root, where
     acos turns the rounding of its argument into a square-root-sized error
-    (see ``EIG_ERR``). Callers: ``FeasibilityPoint.min_eigenvalue`` (the
-    float route of ``is_psd`` and the JSON certificates) and
-    ``ArrowKernel`` for the points inside its determinant band and, with
-    complex flags, for refine candidates; both pass M from
-    ``_float_matrix`` (or the exact route's entries as floats).
-    ``_arrow_min_eig`` reproduces it bit for bit for real arrow matrices.
+    (see ``EIG_ERR``). Its only caller is
+    ``FeasibilityPoint.min_eigenvalue`` (the float route of ``is_psd`` and
+    the JSON certificates), with M from ``_float_matrix`` or the exact
+    route's entries as floats. ``_arrow_min_eig`` reproduces it bit for
+    bit for real arrow matrices, which is what ``ArrowKernel`` uses.
     """
     a11, a22, a33 = m[0][0].real, m[1][1].real, m[2][2].real
     p1 = abs(m[0][1]) ** 2 + abs(m[0][2]) ** 2 + abs(m[1][2]) ** 2
@@ -411,21 +436,23 @@ def _arrow_min_eig(a11: float, a22: float, a33: float, u: float, w: float) -> fl
 
 
 class ArrowKernel:
-    """Float PSD verdicts of M at the numeric search's points.
+    """Float PSD verdicts of M at the numeric search's real points.
 
-    A search point is (gamma1, gamma2, gamma3, a, c) with P12 = a,
-    P13 = c, or (gamma1, gamma2, gamma3, a, b, c, d) with complex flags
-    P12 = a + bi, P13 = c + di; P23 multiplies the structural zero.
-    Every verdict equals the one of ``hermitian3_eigvals(M)[0] >= -tol``
-    on M from ``_float_matrix``, the assembly ``build_matrix``'s float
-    route uses (``matrix``).
+    A search point is (gamma1, gamma2, gamma3, a, c) with real flags
+    P12 = a, P13 = c; P23 multiplies the structural zero. By the
+    sign-flag lemma (module docstring) no complex flag can widen the
+    feasible set, so the kernel takes real flags only. Every verdict
+    equals the one of ``hermitian3_eigvals(M)[0] >= -tol`` on M from
+    ``_float_matrix``, the assembly ``build_matrix``'s float route uses;
+    for these real arrow matrices ``_arrow_min_eig`` computes that value
+    bit for bit.
 
     Both case Grams are real with unit diagonal and G_23 = 0, so M is an
     arrow matrix. Let A = M + tol*I, d_i = A_ii = 1 - gamma_i + tol and
     s = max(d2, d3). Because d2, d3 > 0, Cauchy interlacing puts
     lambda_2(A) in [min(d2, d3), s], so
 
-        det A = d1*d2*d3 - |M_12|^2 * d3 - |M_13|^2 * d2
+        det A = d1*d2*d3 - M_12^2 * d3 - M_13^2 * d2
 
     has the sign of lambda_1(A) = lambda_min(M) + tol: one Schur-complement
     test replaces the eigenvalues. With lambda_3(A) <= ||A||_F <= lam,
@@ -433,11 +460,10 @@ class ArrowKernel:
     within 16u * lam^2 * s of det A, so outside the band
     |det| <= s * band, band = lam * (EIG_ERR + 16u * lam), lambda_1(A)
     is further than EIG_ERR from 0 and the closed form's verdict agrees.
-    Points inside the band go to ``hermitian3_eigvals``.
+    Points inside the band go to ``_arrow_min_eig``.
     """
 
-    def __init__(self, gram: GramMatrix, tol: float = DEFAULT_TOL,
-                 complex_flags: bool = False):
+    def __init__(self, gram: GramMatrix, tol: float = DEFAULT_TOL):
         gf = tuple(tuple(complex(gram.entry(i, j)) for j in range(3)) for i in range(3))
         if (any(gf[i][i] != 1 for i in range(3)) or gf[1][2] != 0
                 or not all(gf[0][j].imag == 0 and 0.25 <= abs(gf[0][j]) <= 0.5
@@ -445,8 +471,6 @@ class ArrowKernel:
             raise ValueError("the arrow kernel needs unit diagonal, G_23 = 0 "
                              "and real 1/4 <= |G_1j| <= 1/2")
         self.tol = tol
-        self.complex_flags = complex_flags
-        self._gf = gf
         self._g12, self._g13 = gf[0][1].real, gf[0][2].real
         self._s12, self._s13 = (gf[0][1] ** 2).real, (gf[0][2] ** 2).real
         # |M_1j| <= |G_1j| + G_1j^2 over gamma <= 1, |P| <= 1
@@ -455,29 +479,16 @@ class ArrowKernel:
                         + 2.0 * (abs(self._g13) + self._s13) ** 2)
         self.band = lam * (EIG_ERR + 16.0 * _UNIT_ROUNDOFF * lam)
 
-    def _unpack(self, point):
-        if self.complex_flags:
-            return point
-        g1, g2, g3, a, c = point
-        return g1, g2, g3, a, 0.0, c, 0.0
-
-    def matrix(self, point):
-        """M at a search point, bit for bit ``build_matrix``'s float route."""
-        g1, g2, g3, a, b, c, d = self._unpack(point)
-        return _float_matrix(self._gf, (g1, g2, g3), complex(a, b), complex(c, d), 0j)
-
-    def _closed_form_ok(self, point) -> bool:
-        return hermitian3_eigvals(self.matrix(point))[0] >= -self.tol
-
     def slack(self, point) -> float | None:
-        """lambda_min(M) at a point where M + tol*I is PSD, else None.
+        """lambda_min(M) at a real point where M + tol*I is PSD, else None.
 
-        The value is bit-identical to ``hermitian3_eigvals(M)[0]``. A
-        determinant below the band rejects the point without it; flags
-        with modulus above 1 are rejected outright.
+        The value is ``_arrow_min_eig``, bit-identical to
+        ``hermitian3_eigvals(M)[0]``. A determinant below the band rejects
+        the point without it; flags with modulus above 1 are rejected
+        outright.
         """
-        g1, g2, g3, a, b, c, d = self._unpack(point)
-        if a * a + b * b > 1.0 or c * c + d * d > 1.0:
+        g1, g2, g3, a, c = point
+        if a * a > 1.0 or c * c > 1.0:
             return None
         tol = self.tol
         t12 = math.sqrt(g1 * g2) * self._s12
@@ -485,73 +496,64 @@ class ArrowKernel:
         u, w = self._g12 - t12 * a, self._g13 - t13 * c
         a11, a22, a33 = 1.0 - g1, 1.0 - g2, 1.0 - g3
         d2, d3 = a22 + tol, a33 + tol
-        det = ((a11 + tol) * d2 * d3 - (u * u + (t12 * b) ** 2) * d3
-               - (w * w + (t13 * d) ** 2) * d2)
+        det = (a11 + tol) * d2 * d3 - u * u * d3 - w * w * d2
         if det < -self.band * max(d2, d3):
             return None
-        if self.complex_flags:
-            eig = hermitian3_eigvals(self.matrix(point))[0]
-        else:
-            eig = _arrow_min_eig(a11, a22, a33, u, w)
+        eig = _arrow_min_eig(a11, a22, a33, u, w)
         return eig if eig >= -tol else None
 
     def scan(self, g1: float, gamma_axis, flag_axis):
-        """Lazy verdicts at every grid point with this gamma1.
+        """Lazy verdicts at every real grid point with this gamma1.
 
         Yields ``((g1, g2, g3), flags)`` for each (g2, g3) on the gamma
         axis, g2 outer and g3 inner, both ascending. ``flags`` is an
-        iterator over the block's feasible flag tuples in descending
-        lexicographic order (so its first item is the block's largest);
-        it decides a verdict only when asked for the next flag, and a
-        caller may consume the blocks' iterators in any order. Each
-        determinant term is computed in the outermost loop where it is
-        fixed. The computed determinant falls monotonically in |M_12|^2 and
-        |M_13|^2 (rounding is monotone), so a block whose determinant at
-        the smallest |M_12|^2 and |M_13|^2 is below the band has no
-        feasible flag, and a P12 part whose determinant at the smallest
-        |M_13|^2 is below it is skipped whole; both skip only verdicts
-        that would read infeasible. Flags with modulus above 1 are never
-        feasible.
+        iterator over the block's feasible ``(P12, P13)`` pairs of flag
+        axis values in descending lexicographic order (so its first item
+        is the block's largest); it decides a verdict only when asked for
+        the next flag, and a caller may consume the blocks' iterators in
+        any order. Each determinant term is computed in the outermost loop
+        where it is fixed, and a determinant inside the band goes to
+        ``_arrow_min_eig``. The computed determinant falls monotonically in
+        M_12^2 and M_13^2 (rounding is monotone), so a block whose
+        determinant at the smallest M_12^2 and M_13^2 is below the band has
+        no feasible flag, and a P12 whose determinant at the smallest
+        M_13^2 is below it is skipped whole; both skip only verdicts that
+        would read infeasible.
         """
         tol, band = self.tol, self.band
-        if self.complex_flags:
-            parts = [((a, b), a, b) for a in reversed(flag_axis)
-                     for b in reversed(flag_axis) if a * a + b * b <= 1.0]
-        else:
-            parts = [((a,), a, 0.0) for a in reversed(flag_axis)]
+        flags = flag_axis[::-1]
 
-        def moduli2(g, g1j, s1j):
-            # (flag part, |M_1j|^2) for every flag part, and the smallest |M_1j|^2
+        def moduli(g, g1j, s1j):
+            # (flag, M_1j, M_1j^2) for every flag, and the smallest M_1j^2
             t = math.sqrt(g1 * g) * s1j
-            out = [(p, (g1j - t * re) ** 2 + (t * im) ** 2) for p, re, im in parts]
-            return out, min(m2 for _, m2 in out)
+            out = [(p, (m := g1j - t * p), m ** 2) for p in flags]
+            return out, min(m2 for _, _, m2 in out)
 
-        def feasible(gammas, d2, d3, rows, u_min, col, m_min):
+        def feasible(g2, g3, d2, d3, rows, u_min, col, m_min):
             thr = band * (d2 if d2 > d3 else d3)
             d123 = d1 * d2 * d3
             w_min = m_min * d2
             if d123 - u_min * d3 - w_min < -thr:
                 return
-            w_d2 = [(p13, m2 * d2) for p13, m2 in col]
-            for p12, u2 in rows:
+            w_d2 = [(c, w, w2 * d2) for c, w, w2 in col]
+            for a, u, u2 in rows:
                 k = d123 - u2 * d3
                 if k - w_min < -thr:
                     continue
-                for p13, wd in w_d2:
+                for c, w, wd in w_d2:
                     det = k - wd
-                    if det > thr or (det >= -thr and self._closed_form_ok(
-                            gammas + p12 + p13)):
-                        yield p12 + p13
+                    if det > thr or (det >= -thr and _arrow_min_eig(
+                            1.0 - g1, 1.0 - g2, 1.0 - g3, u, w) >= -tol):
+                        yield a, c
 
         d1 = 1.0 - g1 + tol
-        cols = [(g3, 1.0 - g3 + tol, *moduli2(g3, self._g13, self._s13))
+        cols = [(g3, 1.0 - g3 + tol, *moduli(g3, self._g13, self._s13))
                 for g3 in gamma_axis]
         for g2 in gamma_axis:
             d2 = 1.0 - g2 + tol
-            rows, u_min = moduli2(g2, self._g12, self._s12)
+            rows, u_min = moduli(g2, self._g12, self._s12)
             for g3, d3, col, m_min in cols:
-                gammas = (g1, g2, g3)
-                yield gammas, feasible(gammas, d2, d3, rows, u_min, col, m_min)
+                yield (g1, g2, g3), feasible(g2, g3, d2, d3, rows, u_min, col, m_min)
 
 
 # ---------------------------------------------------------------------------

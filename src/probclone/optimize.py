@@ -7,10 +7,12 @@ certified by a feasibility matrix whose determinant is exactly zero. The
 equal-efficiency optimum is the parabola-line intersection x0 at the same
 corner, a quadratic surd reported as exact text and certified in floats.
 The numeric route is an independent check: a coarse grid over
-(gamma1, gamma2, gamma3, Re P12, Re P13) filtered by the PSD test,
-refined by coordinate-wise pattern search with shrinking steps. Both are
-reported side by side; only the slice value is proven optimal, the
-unrestricted search supplies evidence.
+(gamma1, gamma2, gamma3, P12, P13) with real flags, filtered by the PSD
+test, refined by coordinate-wise pattern search with shrinking steps.
+Both are reported side by side; only the slice value is proven optimal,
+the unrestricted search supplies evidence. Real flags lose nothing: by
+the sign-flag lemma in ``feasibility``, the flags sign(G_1j) =
+``CORNER_FLAGS`` are feasible wherever any complex flags are.
 """
 from __future__ import annotations
 
@@ -56,7 +58,6 @@ class OptimumReport:
     certificate: FeasibilityPoint
     value_exact: str | None = None
     gammas_exact: tuple[str, str, str] | None = None
-    seed: int | None = None
     evaluations: int = 0
     meta: dict = field(default_factory=dict)
 
@@ -74,7 +75,6 @@ class OptimumReport:
             "certificate": self.certificate.to_json(tol),
         }
         if self.mode == "numeric":
-            out["seed"] = self.seed
             out["evaluations"] = self.evaluations
         if self.meta:
             out["meta"] = dict(self.meta)
@@ -134,14 +134,13 @@ def _clamp(x, lo, hi):
 
 
 def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
-                   iterations: int = 40, seed: int = 0, tol: float = fz.DEFAULT_TOL,
-                   complex_flags: bool = False) -> OptimumReport:
-    """Grid-plus-pattern-search maximisation over (Gamma, P).
+                   iterations: int = 40, tol: float = fz.DEFAULT_TOL) -> OptimumReport:
+    """Grid-plus-pattern-search maximisation over (Gamma, P) with real P.
 
     Deterministic for fixed arguments: ties are broken by lexicographic
-    argmax over (objective, point). The imaginary flag components are
-    pinned to zero unless ``complex_flags`` is set; coarse grids never see
-    them improve the objective.
+    argmax over (objective, point). The flags are real: by the sign-flag
+    lemma in ``feasibility``, no complex flag makes any Gamma feasible
+    that the real flags sign(G_1j) do not.
 
     Feasibility comes from ``feasibility.ArrowKernel``: M is an arrow
     matrix (G_23 = 0), so the PSD verdict is the sign of one determinant,
@@ -176,12 +175,11 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
         raise ValueError("resolution must be at least 8")
     obj = _objective_fn(objective)
     g = case_gram(case)
-    kernel = fz.ArrowKernel(g, tol, complex_flags)
+    kernel = fz.ArrowKernel(g, tol)
 
     gamma_axis = [i / (resolution - 1) for i in range(resolution)]
     flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]
-    n_flag_axes = 4 if complex_flags else 2
-    evaluations = resolution ** (3 + n_flag_axes)
+    evaluations = resolution ** 5
 
     slab_best = []
     for g1 in gamma_axis:
@@ -198,9 +196,9 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     if not slab_best:
         raise AssertionError("grid found no feasible point (gamma = 0 is always feasible)")
 
-    lo = [0.0] * 3 + [-1.0] * n_flag_axes
-    hi = [1.0] * 3 + [1.0] * n_flag_axes
-    cell = [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * n_flag_axes
+    lo = [0.0] * 3 + [-1.0] * 2
+    hi = [1.0] * 5
+    cell = [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * 2
 
     # one memo per call: refines from different slabs join the same paths
     slack = functools.cache(kernel.slack)
@@ -211,19 +209,14 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
         if val > best_val or (val == best_val and point > best_point):
             best_val, best_point = val, point
 
-    if complex_flags:
-        flags = FlagOverlaps(p12=(best_point[3], best_point[4]),
-                             p13=(best_point[5], best_point[6]))
-    else:
-        flags = FlagOverlaps(p12=best_point[3], p13=best_point[4])
+    flags = FlagOverlaps(p12=best_point[3], p13=best_point[4])
     eff = EfficiencyVector(best_point[:3])
     cert = build_matrix(g, eff, flags)
     return OptimumReport(
         case=case, objective=objective, mode="numeric",
         value=float(best_val), gammas=tuple(float(x) for x in best_point[:3]),
-        flags=flags, certificate=cert, seed=seed, evaluations=evaluations,
-        meta={"resolution": resolution, "iterations": iterations,
-              "complex_flags": complex_flags},
+        flags=flags, certificate=cert, evaluations=evaluations,
+        meta={"resolution": resolution, "iterations": iterations},
     )
 
 

@@ -14,7 +14,7 @@ from probclone.feasibility import (EfficiencyVector, FlagOverlaps,
                                    hermitian3_eigvals, intersection_x0, is_psd,
                                    reduce, s_cap, stationary_x1,
                                    vw_boundary, V_CORNER, Q_CORNER)
-from probclone.optimize import case_gram
+from probclone.optimize import CORNER_FLAGS, case_gram
 
 OPT3 = EfficiencyVector((F(7, 127), F(112, 127), F(112, 127)))
 OPT2 = EfficiencyVector((F(1, 7), F(4, 7), F(4, 7)))
@@ -515,3 +515,50 @@ def test_build_matrix_rejects_non_hermitian_gram():
     for eff in (OPT3, EfficiencyVector((0.1, 0.2, 0.3))):
         with pytest.raises(ValueError):
             build_matrix(g, eff, FLAGS3)
+
+
+# ---------------------------------------------------------------------------
+# sign-flag lemma
+# ---------------------------------------------------------------------------
+
+@st.composite
+def rational_flags(draw):
+    """A rational complex flag overlap with modulus at most 1."""
+    d = draw(st.integers(1, 12))
+    part = st.integers(-d, d).map(lambda k: F(k, d))
+    return draw(st.tuples(part, part).filter(lambda p: p[0] ** 2 + p[1] ** 2 <= 1))
+
+
+@st.composite
+def exact_lemma_points(draw):
+    """(case, Gamma, flags) with every sqrt(gamma_i gamma_j) rational.
+
+    gamma_i = t * u_i^2 gives sqrt(gamma_i gamma_j) = t * u_i * u_j, so
+    build_matrix takes the exact route at any rational flags.
+    """
+    case = draw(st.sampled_from(("3bit", "2bit")))
+    q = draw(st.integers(1, 12))
+    t = F(draw(st.integers(1, q)), q)
+    d = draw(st.integers(1, 16))
+    gammas = tuple(t * F(draw(st.integers(0, d)), d) ** 2 for _ in range(3))
+    p23 = draw(st.one_of(st.just((F(0), F(0))), rational_flags()))
+    flags = FlagOverlaps(p12=draw(rational_flags()), p13=draw(rational_flags()),
+                         p23=p23)
+    return case, EfficiencyVector(gammas), flags
+
+
+@settings(max_examples=300, deadline=None)
+@given(setup=exact_lemma_points())
+def test_sign_flags_are_feasible_wherever_any_flags_are(setup):
+    # the sign-flag lemma in the feasibility docstring: at P_1j = sign(G_1j),
+    # which are CORNER_FLAGS, every principal minor and lambda_min is at
+    # least its value at any flags, so exact PSD carries over
+    case, eff, flags = setup
+    drawn = build_matrix(case_gram(case), eff, flags)
+    corner = build_matrix(case_gram(case), eff, FlagOverlaps(**CORNER_FLAGS[case]))
+    assert drawn.is_exact and corner.is_exact
+    if is_psd(drawn):
+        assert is_psd(corner)
+    assert all(c >= d for c, d in zip(corner.principal_minors(),
+                                      drawn.principal_minors()))
+    assert corner.min_eigenvalue() >= drawn.min_eigenvalue()
