@@ -2,9 +2,7 @@
 
 from .funcspace import (BooleanFunction, FunctionSet, TaskFamily, TaskInstance,
                         family)
-from .phasestate import (OUTSIDE_BASIS, GramMatrix, StateVector,
-                         apply_phase_oracle, canonicalized, discriminate,
-                         equivalent, gram, inner, phase_state)
+from .phasestate import GramMatrix, StateVector, gram, inner, measure, phase_state
 from .feasibility import (EfficiencyVector, FeasibilityPoint, FlagOverlaps,
                           ReducedCoordinates, build_matrix, gamma2_on_slice,
                           gammas_from_xy, intersection_x0, is_psd, reduce,
@@ -19,9 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BooleanFunction", "FunctionSet", "TaskFamily", "TaskInstance", "family",
-    "OUTSIDE_BASIS", "GramMatrix", "StateVector", "apply_phase_oracle",
-    "canonicalized", "discriminate", "equivalent", "gram", "inner",
-    "phase_state",
+    "GramMatrix", "StateVector", "gram", "inner", "measure", "phase_state",
     "EfficiencyVector", "FeasibilityPoint", "FlagOverlaps", "ReducedCoordinates",
     "build_matrix",
     "gamma2_on_slice", "gammas_from_xy", "intersection_x0", "is_psd", "reduce",

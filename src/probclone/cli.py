@@ -6,9 +6,9 @@ csv and table renderings are derived from the same payload. Rational
 inputs are accepted as "p/q" strings so exact boundary points survive
 the trip through the command line.
 
-Exit codes: 0 on success, 2 on usage or malformed input, 1 when an
-internal invariant trips (the numeric optimizer exceeding the analytic
-bound by more than the tolerance).
+Exit codes: 0 on success, 2 on usage, malformed input or an unwritable
+``--out`` path, 1 when an internal invariant trips (the numeric
+optimizer exceeding the analytic bound by more than the tolerance).
 """
 from __future__ import annotations
 
@@ -29,15 +29,14 @@ from .phasestate import gram, phase_state
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--case", choices=("2bit", "3bit"), default="3bit",
                         help="problem size (default: 3bit)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="Monte Carlo seed; only simulate uses it (default: 0)")
-    parser.add_argument("--trials", type=int, default=100_000,
-                        help="Monte Carlo trials (default: 100000)")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="PSD tolerance (default: 1e-9)")
     parser.add_argument("--format", choices=("json", "csv", "table"), default="json",
                         help="output format (default: json)")
     parser.add_argument("--out", default=None, help="write output to this path")
+
+
+def _add_tol(parser: argparse.ArgumentParser):
+    parser.add_argument("--tol", type=float, default=1e-9,
+                        help="PSD tolerance (default: 1e-9)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_feas = sub.add_parser("feasibility", help="feasibility matrix and PSD verdict")
     _add_common(p_feas)
+    _add_tol(p_feas)
     p_feas.add_argument("--gammas", default=None,
                         help="three efficiencies, e.g. 7/127,112/127,112/127")
     p_feas.add_argument("--p12", default="0", help="flag overlap P12 as re[,im]")
@@ -65,6 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="optimal efficiencies")
     _add_common(p_opt)
+    _add_tol(p_opt)
+    p_opt.add_argument("--seed", type=int, default=0,
+                       help="accepted and ignored: the search is deterministic")
     p_opt.add_argument("--objective", choices=("gamma23", "gamma1", "equal"),
                        default="gamma23")
     p_opt.add_argument("--mode", choices=("analytic", "numeric", "both"),
@@ -76,6 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo the guessing task")
     _add_common(p_sim)
+    p_sim.add_argument("--seed", type=int, default=0,
+                       help="Monte Carlo seed (default: 0)")
+    p_sim.add_argument("--trials", type=int, default=100_000,
+                       help="Monte Carlo trials, at least 1 (default: 100000)")
     p_sim.add_argument("--strategy", choices=("noclone", "clone"), required=True)
     p_sim.add_argument("--gammas", default=None,
                        help="efficiencies for the clone strategy (p/q,p/q,p/q)")
@@ -174,7 +181,9 @@ def cmd_feasibility(args) -> tuple[dict, int]:
 
 
 def _curve_payload(args) -> dict:
-    n = max(args.points, 2)
+    n = args.points
+    if n < 2:
+        raise ValueError("--points must be at least 2")
     rows = []
     v_hi = float(fz.V_CORNER[args.case])
     q_lo = float(fz.Q_CORNER[args.case])
@@ -291,9 +300,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _parser().parse_args(_attach_signed_values(list(argv)))
     try:
-        if args.trials < 1:
-            raise ValueError("--trials must be at least 1")
-        if args.tol <= 0:
+        if "tol" in args and args.tol <= 0:
             raise ValueError("--tol must be positive")
         payload, code = _COMMANDS[args.command](args)
     except ValueError as exc:
@@ -301,8 +308,12 @@ def main(argv=None) -> int:
         return 2
     text = render(payload, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

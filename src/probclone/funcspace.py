@@ -119,22 +119,12 @@ class FunctionSet:
     def __contains__(self, f):
         return f in self.members
 
-    def index(self, f: BooleanFunction) -> int:
-        return self.members.index(f)
-
 
 @dataclass(frozen=True)
 class TaskInstance:
     f0: BooleanFunction
     f1: BooleanFunction
     f2: BooleanFunction
-
-    def to_json(self) -> dict:
-        return {"f0": self.f0.name, "f1": self.f1.name, "f2": self.f2.name}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TaskInstance":
-        return cls(*(BooleanFunction.from_name(data[k]) for k in ("f0", "f1", "f2")))
 
 
 _THREE_BIT = {
@@ -229,9 +219,6 @@ class TaskFamily:
         if f.arity != self.arity:
             raise ValueError("arity mismatch for this case")
         return self.pair_label_by_table.get(f.table)
-
-    def pair_set(self, label: str) -> FunctionSet:
-        return self.pair_sets[label]
 
     def candidates(self, f0: BooleanFunction) -> FunctionSet:
         """Functions g in S_f12 with f0 xor g in S_f (S1 or S2)."""

@@ -17,8 +17,8 @@ not hard-code that term: they run the actual measurement distributions.
 does (by exhaustive enumeration), so claim and measurement can be
 compared; reports flag simulations that land more than three binomial
 standard deviations from the claimed score. Both read one per-case slot
-table: the enumeration sums its exact outcome rows, the simulator samples
-their float CDFs.
+table whose exact outcome rows come from ``phasestate.measure``: the
+enumeration sums those rows, the simulator samples their float CDFs.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .feasibility import EfficiencyVector
 from .funcspace import BooleanFunction, family
-from .phasestate import gram, overlap2, phase_state
+from .phasestate import measure, phase_state
 
 #: published chance that both wrong-branch guesses are right anyway
 CLAIMED_GUESS_CHANCE = {"3bit": Fraction(1, 64), "2bit": Fraction(1, 16)}
@@ -77,6 +77,7 @@ class _SlotTable:
       the state of f0 xor f, in the S2 (pair-representative) basis;
     * ``failed``: f's state in the S1 basis, the S1-side secret assumed.
 
+    A slot's row is ``measure`` of its state in its basis.
     ``hit[branch][f0.table]`` is the exact probability that one slot's
     guess is right, averaged over the candidates of f0.
     """
@@ -84,22 +85,16 @@ class _SlotTable:
     def __init__(self, case: str):
         fam = family(case)
         bases = {"s1": fam.s1, "s2": fam.s2}
-        basis_states = {}
-        for label, bset in bases.items():
-            states = [phase_state(f) for f in bset]
-            if not gram(states).is_identity():
-                raise AssertionError(f"{label} basis is not exactly orthonormal")
-            basis_states[label] = states
+        basis_states = {label: tuple(phase_state(f) for f in bset)
+                        for label, bset in bases.items()}
         labels = fam.pair_label_by_table
         outcomes: dict[tuple[str, int], tuple] = {}
 
         def slot(basis: str, measured: int, guess: int, truth: str) -> Slot:
             """``measured`` in ``basis``; outcome m guesses the pair set of guess ^ m."""
             if (basis, measured) not in outcomes:
-                st = phase_state(BooleanFunction(fam.arity, measured))
-                row = tuple(overlap2(b, st) for b in basis_states[basis])
-                if sum(row) != 1:
-                    raise AssertionError("measurement distribution does not sum to 1")
+                row = measure(phase_state(BooleanFunction(fam.arity, measured)),
+                              basis_states[basis])
                 cum, acc = [], Fraction(0)
                 for p in row:
                     acc += p

@@ -173,6 +173,8 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     """
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
     obj = _objective_fn(objective)
     g = case_gram(case)
     kernel = fz.ArrowKernel(g, tol)

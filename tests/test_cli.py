@@ -301,10 +301,41 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_run_config_invariants(capsys):
-    code, _, err = run_cli(capsys, "states", "--trials", "0")
+    code, _, err = run_cli(capsys, "simulate", "--strategy", "noclone", "--trials", "0")
     assert code == 2 and "trials" in err
-    code, _, err = run_cli(capsys, "states", "--tol=-1e-9")
+    code, _, err = run_cli(capsys, "feasibility", "--tol=-1e-9", "--gammas", "0,0,0")
     assert code == 2 and "tol" in err
+
+
+def test_out_of_range_counts_are_rejected(capsys):
+    for n in ("0", "1", "-4"):
+        code, out, err = run_cli(capsys, "feasibility", "--curve", "vw", "--points", n)
+        assert code == 2 and out == "" and "--points" in err
+    code, out, err = run_cli(capsys, "optimize", "--mode", "numeric",
+                             "--iterations", "-3")
+    assert code == 2 and out == "" and "iterations" in err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("states", "--seed"), ("states", "--trials"), ("states", "--tol"),
+    ("feasibility", "--seed"), ("feasibility", "--trials"),
+    ("optimize", "--trials"),
+    ("simulate", "--tol"),
+])
+def test_each_command_takes_only_the_options_it_reads(capsys, command, option):
+    required = ["--strategy", "noclone"] if command == "simulate" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, option, "1"])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_out_unwritable_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "states", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not path.exists()
 
 
 def test_out_writes_file(tmp_path, capsys):

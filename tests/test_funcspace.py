@@ -237,11 +237,3 @@ def test_sample_candidates_uniform():
             freq = counts.get((f0.table, g.table), 0) / n_f0
             p = 1 / len(fam.candidates(f0))
             assert abs(freq - p) <= 3 * sqrt(p * (1 - p) / n_f0)
-
-
-def test_task_instance_json_round_trip():
-    fam = family("3bit")
-    inst = fam.sample_instance(random.Random(5))
-    data = inst.to_json()
-    assert set(data) == {"f0", "f1", "f2"}
-    assert TaskInstance.from_json(data) == inst

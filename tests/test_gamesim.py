@@ -267,7 +267,7 @@ def _ref_wins(case, eff_floats, trials, seed):
             f1, f2 = (cand[rng.randrange(len(cand))] for _ in range(2))
             if eff_floats is None:
                 plan = ("s2", 0, fam.s2_f0_by_query[f0.evaluate(0)].table)
-            elif rng.random() < eff_floats[fam.s_f0.index(f0)]:
+            elif rng.random() < eff_floats[fam.s_f0.members.index(f0)]:
                 plan = ("s2", f0.table, 0)
             else:
                 plan = ("s1", 0, fam.s1_f0.table)
@@ -358,7 +358,7 @@ def test_clone_failure_posterior():
     fails = s1_fails = 0
     for _ in range(n):
         inst = fam.sample_instance(rng)
-        cloned = rng.random() < eff[fam.s_f0.index(inst.f0)]
+        cloned = rng.random() < eff[fam.s_f0.members.index(inst.f0)]
         _ = _trial(table.slots["cloned" if cloned else "failed"][inst.f0.table],
                    inst, rng)
         if not cloned:

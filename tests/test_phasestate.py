@@ -5,10 +5,11 @@ from itertools import combinations
 
 import pytest
 
+import probclone
+from probclone import phasestate
 from probclone.funcspace import BooleanFunction, family
-from probclone.phasestate import (OUTSIDE_BASIS, GramMatrix, StateVector,
-                                  apply_phase_oracle, canonicalized, discriminate,
-                                  equivalent, gram, inner, phase_state)
+from probclone.phasestate import (GramMatrix, StateVector, gram, inner, measure,
+                                  overlap2, phase_state)
 
 H = BooleanFunction.from_name
 
@@ -40,78 +41,57 @@ def test_phase_state_candidate_signs():
 
 
 def test_sign_string_round_trip():
-    st = StateVector.from_signs("+-++++++")
-    assert st == phase_state(H("h_{01000000}"))
-    # unicode minus also accepted
-    assert StateVector.from_signs("+−++++++") == st
+    st = phase_state(H("h_{01000000}"))
+    signs = st.sign_string()
+    assert StateVector(8, ints=[1 if c == "+" else -1 for c in signs]) == st
     with pytest.raises(ValueError):
-        StateVector.from_signs("+-x+")
+        StateVector(4, ints=[2, 0, 0, 0]).sign_string()
 
 
 def test_state_norm_validation():
-    with pytest.raises(ValueError):
-        StateVector(4, amps=[0.5, 0.5, 0.5, 0.6])
     with pytest.raises(ValueError):
         StateVector(4, ints=[1, 1, 1, 2])
     with pytest.raises(ValueError):
         StateVector(6, ints=[1] * 6)
 
 
-def test_json_round_trip():
-    st = phase_state(H("h_{10110000}"))
-    back = StateVector.from_json(st.to_json())
-    assert back.amps == st.amps
-    assert not back.is_exact
-
-
 # ---------------------------------------------------------------------------
-# oracle application
+# oracles act on truth tables by XOR
 # ---------------------------------------------------------------------------
 
 def test_identity_oracle():
-    st = phase_state(H("h_{01000000}"))
-    assert apply_phase_oracle(st, H("h_{00000000}")) == st
+    f = H("h_{01000000}")
+    assert phase_state(f ^ H("h_{00000000}")) == phase_state(f)
 
 
 def test_oracle_gives_xor_state_up_to_sign():
-    st = apply_phase_oracle(phase_state(H("h_{01000000}")), H("h_{10110000}"))
-    assert equivalent(st, phase_state(H("h_{11110000}")))
+    f, g = H("h_{01000000}"), H("h_{10110000}")
+    signs = tuple(a * b for a, b in zip(phase_state(f).ints, phase_state(g).ints))
+    assert signs == phase_state(f ^ g).ints == phase_state(H("h_{11110000}")).ints
 
 
 def test_oracle_composition():
+    # the oracle of g applied to the phase state of f multiplies amplitude x
+    # by (-1)^g(x), which is the phase state of f xor g
     rng = random.Random(3)
-    for _ in range(100):
-        f = BooleanFunction(3, rng.randrange(256))
-        g = BooleanFunction(3, rng.randrange(256))
-        s = BooleanFunction(3, rng.randrange(256))
-        st = phase_state(s)
-        once = apply_phase_oracle(apply_phase_oracle(st, f), g)
-        assert once == apply_phase_oracle(st, f ^ g)
-
-
-def test_oracle_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply_phase_oracle(phase_state(H("h_{0010}")), H("h_{00000000}"))
+    for arity in (2, 3):
+        for _ in range(100):
+            f = BooleanFunction(arity, rng.randrange(1 << (1 << arity)))
+            g = BooleanFunction(arity, rng.randrange(1 << (1 << arity)))
+            assert phase_state(f ^ g).ints == tuple(
+                a * b for a, b in zip(phase_state(f).ints, phase_state(g).ints))
 
 
 def test_complement_flips_global_sign():
     for name in ("h_{01000000}", "h_{0010}"):
         f = H(name)
-        assert phase_state(f.complement()) == phase_state(f).negated()
-        assert equivalent(phase_state(f), phase_state(f.complement()))
+        assert phase_state(f.complement()).ints == tuple(-k for k in phase_state(f).ints)
+        assert overlap2(phase_state(f), phase_state(f.complement())) == 1
 
 
-def test_canonicalized_fixes_leading_sign():
-    st = phase_state(H("h_{11000011}"))   # leading amplitude negative
-    canon = canonicalized(st)
-    assert canon == st.negated()
-    assert canonicalized(canon) == canon
-    # float mode: strips an arbitrary global phase
-    ph = complex(0.6, 0.8)
-    rotated = StateVector(4, amps=[a * ph for a in phase_state(H("h_{0010}")).amps])
-    fixed = canonicalized(rotated)
-    assert all(abs(a.imag) < 1e-14 for a in fixed.amps)
-    assert fixed.amps[0].real > 0
+def test_oracle_dimension_mismatch():
+    with pytest.raises(ValueError):
+        H("h_{0010}") ^ H("h_{00000000}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +109,10 @@ def test_inner_examples():
 
 
 def test_inner_conjugate_linearity():
-    u = StateVector(4, amps=[0.5, 0.5j, -0.5, 0.5j])
-    v = StateVector(4, amps=[0.5, 0.5, 0.5, 0.5])
-    assert inner(u, v) == inner(v, u).conjugate()
+    # real amplitudes: <u|v> = conj(<v|u>) = <v|u>
+    states = [phase_state(BooleanFunction(2, t)) for t in range(16)]
+    assert all(inner(u, v) == inner(v, u).conjugate() == inner(v, u)
+               for u in states for v in states)
 
 
 def test_inner_dimension_mismatch():
@@ -194,20 +175,12 @@ def test_gram_rejects_non_hermitian_entries():
 def test_gram_of_states_is_hermitian():
     for case in ("2bit", "3bit"):
         fam = family(case)
-        for states in (fam.s_f0, fam.s1, fam.s2):
-            gram([phase_state(f) for f in states])
-    rng = random.Random(29)
-    for _ in range(300):
-        dim = rng.choice((4, 8))
-        states = []
-        for _ in range(rng.randint(1, 5)):
-            amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)]
-            norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-            states.append(StateVector(dim, amps=[a / norm for a in amps]))
-        g = gram(states)
-        n = len(states)
-        assert all(g.entry(j, i) == g.entry(i, j).conjugate()
-                   for i in range(n) for j in range(n))
+        for fset in (fam.s_f0, fam.s1, fam.s2, fam.s_f12):
+            g = gram([phase_state(f) for f in fset])
+            n = len(fset)
+            assert g.is_exact
+            assert all(g.entry(j, i) == g.entry(i, j).conjugate()
+                       for i in range(n) for j in range(n))
 
 
 def test_pair_set_equals_same_ray():
@@ -216,71 +189,98 @@ def test_pair_set_equals_same_ray():
     members = fam.s_f.members
     for f, g in combinations(members, 2):
         same_set = fam.pair_set_of(f) == fam.pair_set_of(g)
-        assert same_set == equivalent(phase_state(f), phase_state(g))
+        assert same_set == (overlap2(phase_state(f), phase_state(g)) == 1)
 
 
 # ---------------------------------------------------------------------------
-# discrimination
+# measurement
 # ---------------------------------------------------------------------------
 
-def test_discriminate_basis_element_deterministic():
+@pytest.mark.parametrize("case", ["3bit", "2bit"])
+def test_measure_rows_match_overlaps(case):
+    fam = family(case)
+    for bset in (fam.s1, fam.s2):
+        basis = [phase_state(b) for b in bset]
+        for f in fam.s_f12.members + fam.s_f.members:
+            row = measure(phase_state(f), basis)
+            assert row == tuple(overlap_oracle(b, f) for b in bset)
+            assert all(isinstance(p, Fraction) for p in row)
+            assert sum(row) == 1
+
+
+def test_measure_basis_element_deterministic():
+    for case in ("3bit", "2bit"):
+        fam = family(case)
+        for bset in (fam.s1, fam.s2):
+            basis = [phase_state(b) for b in bset]
+            for k, st in enumerate(basis):
+                assert measure(st, basis) == tuple(int(j == k) for j in range(len(basis)))
+
+
+def test_measure_global_sign_irrelevant():
     fam = family("3bit")
     basis = [phase_state(f) for f in fam.s2]
-    target = H("h_{00110011}")
-    idx = fam.s2.index(target)
-    rng = random.Random(0)
-    assert all(discriminate(phase_state(target), basis, rng) == idx
-               for _ in range(200))
+    for f in fam.s_f12:
+        st = phase_state(f)
+        flipped = StateVector(st.dim, ints=[-k for k in st.ints])
+        assert measure(flipped, basis) == measure(st, basis)
 
 
-def test_discriminate_global_sign_irrelevant():
+def test_measure_requires_orthonormal_basis():
     fam = family("3bit")
-    basis = [phase_state(f) for f in fam.s2]
-    st = phase_state(H("h_{00110011}")).negated()
-    rng = random.Random(1)
-    assert discriminate(st, basis, rng) == fam.s2.index(H("h_{00110011}"))
+    st = phase_state(H("h_{00000000}"))
+    s2 = [phase_state(f) for f in fam.s2]
+    for basis in ([phase_state(f) for f in fam.s_f0],   # gram has -1/4 entries
+                  s2[:7] + [s2[0]]):                     # a repeated element
+        with pytest.raises(ValueError):
+            measure(st, basis)
 
 
-def test_discriminate_requires_orthonormal_basis():
+def test_measure_rejects_partial_basis():
+    # an orthonormal but incomplete basis would leave weight outside its span
     fam = family("3bit")
-    bad = [phase_state(f) for f in fam.s_f0]  # gram has -1/4 entries
+    st = phase_state(H("h_{10110000}"))
+    s2 = [phase_state(f) for f in fam.s2]
+    assert sum(overlap2(b, st) for b in s2[:3]) < 1
     with pytest.raises(ValueError):
-        discriminate(phase_state(H("h_{00000000}")), bad, random.Random(0))
+        measure(st, s2[:3])
 
 
-def test_discriminate_frequencies_match_overlaps():
-    """S1 member measured in the S2 basis: outcome histogram vs |overlap|^2."""
-    fam = family("3bit")
-    f = H("h_{10110000}")
-    basis = [phase_state(m) for m in fam.s2]
-    probs = [float(overlap_oracle(m, f)) for m in fam.s2]
-    assert abs(sum(probs) - 1.0) < 1e-15
-    st = phase_state(f)
-    rng = random.Random(11)
-    n = 100_000
-    counts = [0] * len(basis)
-    for _ in range(n):
-        counts[discriminate(st, basis, rng, check=False)] += 1
-    for k, p in enumerate(probs):
-        sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(counts[k] / n - p) <= 3 * sigma + 1e-12, (k, counts[k] / n, p)
+def test_measure_basis_size_limits():
+    s2 = [phase_state(f) for f in family("3bit").s2]
+    st = phase_state(H("h_{00000000}"))
+    for basis in ([], [StateVector(8, ints=[-k for k in s2[0].ints])] + s2):
+        with pytest.raises(ValueError):
+            measure(st, basis)
+    with pytest.raises(ValueError):                 # dimension mismatch
+        measure(phase_state(H("h_{0010}")), s2)
 
 
-def test_discriminate_outside_basis_outcome():
-    # measuring against a strict subset of the basis leaves leftover weight
-    fam = family("3bit")
-    partial = [phase_state(m) for m in fam.s2.members[:3]]
-    f = H("h_{10110000}")
-    p_inside = float(sum(overlap_oracle(m, f) for m in fam.s2.members[:3]))
-    st = phase_state(f)
-    rng = random.Random(2)
-    n = 20_000
-    outside = sum(discriminate(st, partial, rng, check=False) == OUTSIDE_BASIS
-                  for _ in range(n))
-    p = 1 - p_inside
-    assert abs(outside / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
+def test_measure_checks_each_basis_once(monkeypatch):
+    calls = []
+    real_gram = phasestate.gram
+    monkeypatch.setattr(phasestate, "gram", lambda states: calls.append(1) or real_gram(states))
+    phasestate._orthonormal_basis.cache_clear()
+    fam = family("2bit")
+    basis = [phase_state(f) for f in fam.s1]
+    for f in fam.s_f12:
+        measure(phase_state(f), basis)
+    assert len(calls) == 1
 
 
-def test_discriminate_basis_size_limits():
-    with pytest.raises(ValueError):
-        discriminate(phase_state(H("h_{00000000}")), [], random.Random(0))
+# ---------------------------------------------------------------------------
+# public surface
+# ---------------------------------------------------------------------------
+
+REMOVED = ("apply_phase_oracle", "canonicalized", "equivalent", "discriminate",
+           "OUTSIDE_BASIS")
+
+
+def test_public_surface():
+    for name in REMOVED:
+        assert not hasattr(probclone, name)
+        assert not hasattr(phasestate, name)
+    assert "measure" in probclone.__all__
+    assert len(set(probclone.__all__)) == len(probclone.__all__)
+    for name in probclone.__all__:
+        assert getattr(probclone, name) is not None
