@@ -199,6 +199,12 @@ def _curve_payload(args) -> dict:
 
 
 def cmd_optimize(args) -> tuple[dict, int]:
+    # checked for every mode and objective, so the exit code never depends
+    # on whether the numeric search runs
+    if args.resolution < 8:
+        raise ValueError("--resolution must be at least 8")
+    if args.iterations < 0:
+        raise ValueError("--iterations must be non-negative")
     payload: dict = {"case": args.case, "objective": args.objective,
                      "mode": args.mode, "tol": args.tol}
     reports = []

@@ -502,59 +502,6 @@ class ArrowKernel:
         eig = _arrow_min_eig(a11, a22, a33, u, w)
         return eig if eig >= -tol else None
 
-    def scan(self, g1: float, gamma_axis, flag_axis):
-        """Lazy verdicts at every real grid point with this gamma1.
-
-        Yields ``((g1, g2, g3), flags)`` for each (g2, g3) on the gamma
-        axis, g2 outer and g3 inner, both ascending. ``flags`` is an
-        iterator over the block's feasible ``(P12, P13)`` pairs of flag
-        axis values in descending lexicographic order (so its first item
-        is the block's largest); it decides a verdict only when asked for
-        the next flag, and a caller may consume the blocks' iterators in
-        any order. Each determinant term is computed in the outermost loop
-        where it is fixed, and a determinant inside the band goes to
-        ``_arrow_min_eig``. The computed determinant falls monotonically in
-        M_12^2 and M_13^2 (rounding is monotone), so a block whose
-        determinant at the smallest M_12^2 and M_13^2 is below the band has
-        no feasible flag, and a P12 whose determinant at the smallest
-        M_13^2 is below it is skipped whole; both skip only verdicts that
-        would read infeasible.
-        """
-        tol, band = self.tol, self.band
-        flags = flag_axis[::-1]
-
-        def moduli(g, g1j, s1j):
-            # (flag, M_1j, M_1j^2) for every flag, and the smallest M_1j^2
-            t = math.sqrt(g1 * g) * s1j
-            out = [(p, (m := g1j - t * p), m ** 2) for p in flags]
-            return out, min(m2 for _, _, m2 in out)
-
-        def feasible(g2, g3, d2, d3, rows, u_min, col, m_min):
-            thr = band * (d2 if d2 > d3 else d3)
-            d123 = d1 * d2 * d3
-            w_min = m_min * d2
-            if d123 - u_min * d3 - w_min < -thr:
-                return
-            w_d2 = [(c, w, w2 * d2) for c, w, w2 in col]
-            for a, u, u2 in rows:
-                k = d123 - u2 * d3
-                if k - w_min < -thr:
-                    continue
-                for c, w, wd in w_d2:
-                    det = k - wd
-                    if det > thr or (det >= -thr and _arrow_min_eig(
-                            1.0 - g1, 1.0 - g2, 1.0 - g3, u, w) >= -tol):
-                        yield a, c
-
-        d1 = 1.0 - g1 + tol
-        cols = [(g3, 1.0 - g3 + tol, *moduli(g3, self._g13, self._s13))
-                for g3 in gamma_axis]
-        for g2 in gamma_axis:
-            d2 = 1.0 - g2 + tol
-            rows, u_min = moduli(g2, self._g12, self._s12)
-            for g3, d3, col, m_min in cols:
-                yield (g1, g2, g3), feasible(g2, g3, d2, d3, rows, u_min, col, m_min)
-
 
 # ---------------------------------------------------------------------------
 # reduced coordinates

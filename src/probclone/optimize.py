@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 from operator import itemgetter
 
 from . import feasibility as fz
@@ -94,6 +94,7 @@ def analytic_optimum(case: str, objective: str = "gamma23") -> OptimumReport:
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
+    g = case_gram(case)
     flags = FlagOverlaps(**CORNER_FLAGS[case])
     q, s = reduce(flags, case)
     g_small, g_big = gamma2_on_slice(q, s, case)
@@ -104,7 +105,7 @@ def analytic_optimum(case: str, objective: str = "gamma23") -> OptimumReport:
         gammas = (g_big, g_small, g_small)
         value = g_big
     eff = EfficiencyVector(gammas)
-    cert = build_matrix(case_gram(case), eff, flags)
+    cert = build_matrix(g, eff, flags)
     if not is_psd(cert):
         raise AssertionError("analytic optimum failed its own feasibility certificate")
     return OptimumReport(
@@ -142,10 +143,10 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     lemma in ``feasibility``, no complex flag makes any Gamma feasible
     that the real flags sign(G_1j) do not.
 
-    Feasibility comes from ``feasibility.ArrowKernel``: M is an arrow
-    matrix (G_23 = 0), so the PSD verdict is the sign of one determinant,
-    with every term hoisted to the outermost grid loop where it is fixed.
-    Inside a band |det| <= max(d2, d3) * kernel.band derived from the
+    Every verdict, on the grid and in the refine, is one
+    ``feasibility.ArrowKernel.slack`` call: M is an arrow matrix
+    (G_23 = 0), so the PSD verdict is the sign of one determinant, and
+    inside a band |det| <= max(d2, d3) * kernel.band derived from the
     rounding bounds of both routes, the point goes to the closed-form
     eigenvalues, so every verdict matches ``hermitian3_eigvals(M)[0] >=
     -tol``.
@@ -154,12 +155,18 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     on one fact: the objective depends only on the point, and on the grid
     only on the gammas. So the best point of a gamma1 slab lies in the
     first (g2, g3) block, in descending (objective, gammas) order, that
-    has a feasible flag, paired with that block's largest feasible flag
-    (the first that ``ArrowKernel.scan`` yields); later blocks and flags
-    get no verdict. Refine candidates whose objective is below the
-    current point's are never accepted and get no verdict either (see
-    ``_compass_refine``). Refine verdicts are memoised by point for the
-    length of one call, because refines started in different slabs join
+    has a feasible flag, paired with that block's largest feasible flag.
+    By the sign-flag lemma, a block has a feasible flag iff it is
+    feasible at the grid flags ``CORNER_FLAGS``, so each block gets one
+    verdict there; the first feasible block's flags are then tried in
+    descending lexicographic order. Later blocks and flags get no
+    verdict. In floats the lemma holds below the band, since the
+    computed |M_1j| is smallest at sign(G_1j) and rounding is monotone;
+    inside it, the tests check it on the grid. Refine candidates whose
+    objective is below the current point's are never accepted and get
+    no verdict either (see ``_compass_refine``). Verdicts are memoised
+    by point for the length of one call: the grid's verdicts include the
+    refine's start points, and refines started in different slabs join
     the same trajectories; nothing is kept between calls.
     ``evaluations`` counts the points the search considers, each grid
     point and each refine candidate that differs from its current point,
@@ -183,18 +190,21 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]
     evaluations = resolution ** 5
 
+    corner = (float(CORNER_FLAGS[case]["p12"]), float(CORNER_FLAGS[case]["p13"]))
+    flag_pairs = list(product(flag_axis[::-1], repeat=2))    # descending
+    slack = functools.cache(kernel.slack)
+
     slab_best = []
     for g1 in gamma_axis:
         # best feasible point in this gamma1 slab, by (objective, point):
-        # the first block in descending (obj(gammas), gammas) order with a
-        # feasible flag holds it, paired with that block's largest flag
-        blocks = sorted(kernel.scan(g1, gamma_axis, flag_axis),
-                        key=lambda block: (obj(block[0]), block[0]), reverse=True)
-        for gammas, flags in blocks:
-            top = next(flags, None)
-            if top is not None:
-                slab_best.append((obj(gammas), gammas + top))
-                break
+        # the first block in descending (obj(gammas), gammas) order that
+        # is feasible at the corner flags, paired with its largest flags
+        blocks = sorted(((g1, g2, g3) for g2 in gamma_axis for g3 in gamma_axis),
+                        key=lambda gammas: (obj(gammas), gammas), reverse=True)
+        gammas = next((b for b in blocks if slack(b + corner) is not None), None)
+        if gammas is not None:
+            top = next(f for f in flag_pairs if slack(gammas + f) is not None)
+            slab_best.append((obj(gammas), gammas + top))
     if not slab_best:
         raise AssertionError("grid found no feasible point (gamma = 0 is always feasible)")
 
@@ -202,8 +212,6 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     hi = [1.0] * 5
     cell = [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * 2
 
-    # one memo per call: refines from different slabs join the same paths
-    slack = functools.cache(kernel.slack)
     best_val, best_point = max(slab_best)
     for _, start in sorted(slab_best, reverse=True):
         val, point, n_ev = _compass_refine(start, obj, slack, lo, hi, cell, iterations)
@@ -292,10 +300,11 @@ def equal_gamma_optimum(case: str) -> OptimumReport:
     the corner q = -q_bound, s = s_cap(q) that ``CORNER_FLAGS`` realise:
     (6 - 2*sqrt(2))/7 for 2-bit and (124 - 24*sqrt(2))/127 for 3-bit.
     """
+    g = case_gram(case)
     flags = FlagOverlaps(**CORNER_FLAGS[case])
     q, s = reduce(flags, case)
     x0 = float(intersection_x0(q, s, case))
-    cert = build_matrix(case_gram(case), EfficiencyVector((x0, x0, x0)), flags)
+    cert = build_matrix(g, EfficiencyVector((x0, x0, x0)), flags)
     if not is_psd(cert):
         raise AssertionError("equal-efficiency optimum failed its feasibility certificate")
     return OptimumReport(

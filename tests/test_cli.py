@@ -316,6 +316,22 @@ def test_out_of_range_counts_are_rejected(capsys):
     assert code == 2 and out == "" and "iterations" in err
 
 
+@pytest.mark.parametrize("mode, objective", [
+    ("analytic", "gamma23"), ("both", "gamma1"), ("numeric", "gamma23"),
+    ("analytic", "equal"), ("numeric", "equal"),
+])
+@pytest.mark.parametrize("option, value, message", [
+    ("--resolution", "7", "--resolution must be at least 8"),
+    ("--resolution", "-2", "--resolution must be at least 8"),
+    ("--iterations", "-3", "--iterations must be non-negative"),
+])
+def test_optimize_counts_are_checked_in_every_mode(capsys, mode, objective,
+                                                   option, value, message):
+    code, out, err = run_cli(capsys, "optimize", "--mode", mode,
+                             "--objective", objective, option, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command, option", [
     ("states", "--seed"), ("states", "--trials"), ("states", "--tol"),
     ("feasibility", "--seed"), ("feasibility", "--trials"),

@@ -12,11 +12,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from probclone import feasibility
 from probclone.feasibility import (DEFAULT_TOL, EIG_ERR, ArrowKernel,
                                    EfficiencyVector, FlagOverlaps, build_matrix,
                                    hermitian3_eigvals)
-from probclone.optimize import CORNER_FLAGS, case_gram
+from probclone.optimize import (CORNER_FLAGS, _objective_fn, case_gram,
+                                numeric_search)
 from probclone.phasestate import GramMatrix
 
 CASES = ("3bit", "2bit")
@@ -55,20 +55,13 @@ def axes(resolution):
     return gamma_axis, flag_axis
 
 
-def scan_blocks(kernel, resolution, wanted=None):
-    """{(g1, g2, g3): set of feasible flag tuples}, for the wanted blocks.
-
-    Every block's iterator is used up, so every grid verdict is decided.
-    """
+def grid_points(resolution):
     gamma_axis, flag_axis = axes(resolution)
-    out = {}
-    for g1 in gamma_axis:
-        for gammas, flags in kernel.scan(g1, gamma_axis, flag_axis):
-            flags = list(flags)
-            assert flags == sorted(flags, reverse=True)
-            if wanted is None or gammas in wanted:
-                out[gammas] = set(flags)
-    return out
+    return itertools.product(gamma_axis, gamma_axis, gamma_axis, flag_axis, flag_axis)
+
+
+def corner(case):
+    return tuple(float(CORNER_FLAGS[case][k]) for k in ("p12", "p13"))
 
 
 @pytest.mark.parametrize("resolution", [8, 9, 10])
@@ -76,47 +69,49 @@ def scan_blocks(kernel, resolution, wanted=None):
 def test_real_grid_verdicts_match_closed_form(case, resolution):
     gf = float_gram(case)
     kernel = ArrowKernel(case_gram(case))
-    blocks = scan_blocks(kernel, resolution)
-    gamma_axis, flag_axis = axes(resolution)
-    assert len(blocks) == resolution ** 3
-    feasible = 0
-    for gammas in itertools.product(gamma_axis, repeat=3):
-        got = blocks[gammas]
-        for flags in itertools.product(flag_axis, repeat=2):
-            ok = reference_ok(gf, gammas + flags)
-            assert (flags in got) == ok, (gammas, flags)
-            feasible += ok
-    assert sum(map(len, blocks.values())) == feasible
+    for p in grid_points(resolution):
+        assert (kernel.slack(p) is not None) == reference_ok(gf, p), p
 
 
-@pytest.mark.parametrize("objective", ("gamma23", "gamma1"))
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("resolution", [8, 9, 10, 11, 12])
 @pytest.mark.parametrize("case", CASES)
-def test_scan_band_branch_at_the_optimum(case, objective, monkeypatch):
-    # a scan through the analytic optimum meets a determinant inside the
-    # band, and the closed form decides it as the reference does
-    small, big = {"3bit": (7 / 127, 112 / 127), "2bit": (1 / 7, 4 / 7)}[case]
-    g1 = small if objective == "gamma23" else big
-    calls = []
-    arrow_min_eig = feasibility._arrow_min_eig
+def test_sign_flag_lemma_on_the_grid(case, resolution, tol):
+    # the float form of the lemma the numeric search's block verdict rests
+    # on: a grid block infeasible at the corner flags is infeasible at
+    # every grid flag pair, inside the determinant band too
+    kernel = ArrowKernel(case_gram(case), tol)
+    gamma_axis, flag_axis = axes(resolution)
+    assert all(f in flag_axis for f in corner(case))
+    rejected = 0
+    for gammas in itertools.product(gamma_axis, repeat=3):
+        if kernel.slack(gammas + corner(case)) is None:
+            rejected += 1
+            for flags in itertools.product(flag_axis, repeat=2):
+                assert kernel.slack(gammas + flags) is None, (gammas, flags)
+    assert rejected > 0
 
-    def counted(*args):
-        calls.append(args)
-        return arrow_min_eig(*args)
-    monkeypatch.setattr(feasibility, "_arrow_min_eig", counted)
-    flag_axis = [-1.0, 0.0, 1.0]
-    blocks = {gammas: set(flags) for gammas, flags
-              in ArrowKernel(case_gram(case)).scan(g1, [small, big], flag_axis)}
-    assert len(calls) >= 1
-    gf = float_gram(case)
-    for gammas, got in blocks.items():
-        for flags in itertools.product(flag_axis, repeat=2):
-            assert (flags in got) == reference_ok(gf, gammas + flags), (gammas, flags)
+
+@pytest.mark.parametrize("resolution", [8, 9, 10])
+@pytest.mark.parametrize("case", CASES)
+def test_grid_phase_finds_the_exhaustive_grid_maximum(case, resolution):
+    # with no refine, the search returns the largest (objective, point)
+    # over every grid point the kernel finds feasible
+    kernel = ArrowKernel(case_gram(case))
+    feasible = [p for p in grid_points(resolution) if kernel.slack(p) is not None]
+    for objective in ("gamma23", "gamma1"):
+        obj = _objective_fn(objective)
+        value, best = max((obj(p), p) for p in feasible)
+        r = numeric_search(case, objective, resolution=resolution, iterations=0)
+        assert (r.value, r.gammas, r.flags.p12, r.flags.p13) == (
+            value, best[:3], (best[3], 0.0), (best[4], 0.0))
+        assert r.evaluations == resolution ** 5
 
 
 def boundary_points(case):
     """Points on and within 1e-9 of the analytic optimum's boundary."""
     gam = {"3bit": (F(7, 127), F(112, 127)), "2bit": (F(1, 7), F(4, 7))}[case]
-    a, c = (float(CORNER_FLAGS[case][k]) for k in ("p12", "p13"))
+    a, c = corner(case)
     pts = []
     for scale in (1 - 1e-9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-9):
         g1, g2 = float(gam[0]), min(1.0, float(gam[1]) * scale)
