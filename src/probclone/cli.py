@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -22,12 +23,12 @@ from fractions import Fraction
 from . import feasibility as fz
 from . import gamesim, optimize
 from ._exact import parse_rational
-from .funcspace import family
-from .phasestate import gram, phase_state
+from .funcspace import CASES, family
+from .phasestate import case_gram, gram, phase_state
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--case", choices=("2bit", "3bit"), default="3bit",
+    parser.add_argument("--case", choices=CASES, default="3bit",
                         help="problem size (default: 3bit)")
     parser.add_argument("--format", choices=("json", "csv", "table"), default="json",
                         help="output format (default: json)")
@@ -173,7 +174,7 @@ def cmd_feasibility(args) -> tuple[dict, int]:
     eff = _parse_gammas(args.gammas)
     flags = fz.FlagOverlaps(p12=_parse_flag(args.p12), p13=_parse_flag(args.p13),
                             p23=_parse_flag(args.p23))
-    point = fz.build_matrix(optimize.case_gram(args.case), eff, flags)
+    point = fz.build_matrix(case_gram(args.case), eff, flags)
     payload = {"case": args.case}
     payload.update(point.to_json(args.tol))
     payload["reduced"] = fz.ReducedCoordinates.from_inputs(flags, eff, args.case).to_json()
@@ -306,8 +307,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _parser().parse_args(_attach_signed_values(list(argv)))
     try:
-        if "tol" in args and args.tol <= 0:
-            raise ValueError("--tol must be positive")
+        if "tol" in args and not 0 < args.tol < math.inf:
+            raise ValueError("--tol must be positive and finite")
         payload, code = _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

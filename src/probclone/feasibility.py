@@ -21,26 +21,40 @@ with x = sqrt(gamma1*gamma2), y = gamma1 + gamma2, and (q, s) quadratic
 in the flag components. Closed-form boundary curves of the (q, s) and
 (v, w) regions are provided as data.
 
-Sign-flag lemma. Let G be real with unit diagonal, G_23 = 0 and
-0 < |G_1j| <= 1/2 (both case Grams). For every Gamma in [0, 1]^3 and all
-flags with |P_12|, |P_13| <= 1 (P23 arbitrary), M at the real flags
-P_1j = sign(G_1j) has every principal minor, and lambda_min, at least as
-large as M at the given flags. So the flags sign(G_1j), which are
-``optimize.CORNER_FLAGS``, are feasible wherever any flags are, and no
-complex or other real flag ever enlarges the feasible set of Gamma.
+Both case Grams ``case_gram(case)`` are real with unit diagonal, G_23 = 0
+and |G_12| = |G_13| = g (1/4 for 3-bit, 1/2 for 2-bit); write
+sigma_j = sign(G_1j), d_i = 1 - gamma_i and m_j = |M_1j|.
 
-Proof. M_23 = G_23 * (1 - sqrt(gamma2 gamma3) G_23 P23) = 0, and
-M_1j = G_1j * (1 - sqrt(gamma1 gammaj) G_1j P_1j). With
-r = sqrt(gamma1 gammaj) |G_1j| <= 1/2 and sigma = sign(G_1j),
-|1 - r*sigma*P_1j| >= 1 - r*|P_1j| >= 1 - r > 0, with equality at
-P_1j = sigma. So |M_1j| is smallest over |P_1j| <= 1 at P_1j = sigma.
-Conjugating M by the diagonal unitary diag(1, e^(i t2), e^(i t3)) makes
-M_12 and M_13 real and nonnegative, so the eigenvalues, and the
-principal minors d_i, d_i d_j - |M_ij|^2 and
-det M = d1 d2 d3 - |M_12|^2 d3 - |M_13|^2 d2 (d_i = 1 - gamma_i >= 0),
-depend on the flags only through m_j = |M_1j|. Each minor is
-nonincreasing in m_2 and m_3. So is
-lambda_min = min over unit x of
+Slice constants (``case_params``). With P12 = a + b*i, P13 = c + d*i and
+|P|^2 = a^2 + b^2 + c^2 + d^2, det M = d2 * (d1*d2 - m_2^2 - m_3^2) on
+gamma2 = gamma3 < 1, where d1*d2 = 1 - y + x^2 and
+m_j^2 = g^2 * |1 - x*G_1j*P_1j|^2, so det M >= 0 is y <= c0 - q*x + s*x^2:
+
+    c0 = 1 - 2*g^2,
+    q  = -2*g^3 * (sigma_2*a + sigma_3*c) = (a + q_sign*c) / q_den,
+         q_sign = sigma_2*sigma_3, q_den = -sigma_2 / (2*g^3),
+    s  = 1 - g^4 * |P|^2 = 1 - |P|^2 / s_den,  s_den = 1/g^4.
+
+|q| <= q_bound = 4*g^3, and q = -q_bound only at P_1j = sigma_j, where
+|P|^2 = 2 gives the least s, s_floor = 1 - 2*g^4. At fixed q, |P|^2 is
+least at b = d = 0, a = q_sign*c: s <= s_cap(q) = 1 - cap_coeff*q^2 with
+cap_coeff = 1/(8*g^2). The region's corner is (Q_CORNER, s_floor) =
+(-q_bound, s_cap(-q_bound)); V_CORNER = stationary_x1(Q_CORNER, s_floor).
+
+Sign-flag lemma. For every Gamma in [0, 1]^3 and all flags with
+|P_12|, |P_13| <= 1 (P23 arbitrary), M at the real flags P_1j = sigma_j,
+which are ``optimize.CORNER_FLAGS``, has every principal minor, and
+lambda_min, at least as large as M at the given flags. So no complex or
+other real flag ever enlarges the feasible set of Gamma.
+
+Proof. M_23 = 0 and M_1j = G_1j * (1 - r*sigma_j*P_1j) with
+r = sqrt(gamma1 gammaj) * g <= 1/2, and |1 - r*sigma_j*P_1j| >=
+1 - r*|P_1j| >= 1 - r > 0, with equality at P_1j = sigma_j, so m_j is
+smallest there. Conjugating M by a diagonal unitary makes M_12 and M_13
+real and nonnegative, so the eigenvalues, and the principal minors d_i,
+d_i d_j - |M_ij|^2 and det M = d1 d2 d3 - m_2^2 d3 - m_3^2 d2, depend on
+the flags only through m_2 and m_3, and each minor is nonincreasing in
+both. So is lambda_min = min over unit x of
 sum_i d_i x_i^2 - 2 m_2 |x1 x2| - 2 m_3 |x1 x3|
 (flipping the signs of x2 and x3 attains this form), a minimum of
 functions that are each nonincreasing in m_2 and m_3. Both the exact
@@ -52,10 +66,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from ._exact import (as_fraction, exact_sqrt, is_rational, qc, qc_abs2, qc_conj,
                      qc_mul, qc_to_complex, surd_text)
-from .phasestate import GramMatrix
+from .funcspace import CASES
+from .phasestate import GramMatrix, case_gram
 
 DEFAULT_TOL = 1e-9
 
@@ -65,27 +81,23 @@ class _CaseParams:
     c0: Fraction          # constant term of the slice parabola
     q_bound: Fraction     # |q| <= q_bound
     s_floor: Fraction     # minimum s
-    q_den: int            # q = (a + q_sign*c) / q_den
+    q_den: Fraction       # q = (a + q_sign*c) / q_den
     q_sign: int
-    s_den: int            # s = 1 - (a^2+b^2+c^2+d^2) / s_den
+    s_den: Fraction       # s = 1 - (a^2+b^2+c^2+d^2) / s_den
     cap_coeff: Fraction   # s <= 1 - cap_coeff * q^2
+    signs: tuple          # (sign(G_12), sign(G_13)), the corner flags
 
 
-_CASES = {
-    "3bit": _CaseParams(c0=Fraction(7, 8), q_bound=Fraction(1, 16),
-                        s_floor=Fraction(127, 128), q_den=32,
-                        q_sign=-1, s_den=256, cap_coeff=Fraction(2)),
-    "2bit": _CaseParams(c0=Fraction(1, 2), q_bound=Fraction(1, 2),
-                        s_floor=Fraction(7, 8), q_den=4,
-                        q_sign=+1, s_den=16, cap_coeff=Fraction(1, 2)),
-}
-
-
+@cache
 def case_params(case: str) -> _CaseParams:
-    try:
-        return _CASES[case]
-    except KeyError:
-        raise ValueError(f"case must be one of {tuple(_CASES)}, got {case!r}") from None
+    """The slice constants of ``case``, read off its exact Gram (module docstring)."""
+    g12, g13 = case_gram(case).entries[0][1:]
+    g = abs(g12)
+    sigma2, sigma3 = (1 if x > 0 else -1 for x in (g12, g13))
+    return _CaseParams(c0=1 - 2 * g ** 2, q_bound=4 * g ** 3, s_floor=1 - 2 * g ** 4,
+                       q_den=-sigma2 / (2 * g ** 3), q_sign=sigma2 * sigma3,
+                       s_den=1 / g ** 4, cap_coeff=1 / (8 * g ** 2),
+                       signs=(sigma2, sigma3))
 
 
 def s_cap(q, case: str):
@@ -149,8 +161,7 @@ class FlagOverlaps:
     """Pairwise inner products of the heralding-flag failure states.
 
     P12 = a + b*i and P13 = c + d*i drive the analysis; P23 is carried
-    for completeness but its coefficient vanishes for both cases (the
-    candidates' Gram matrix has a structural zero at (2, 3)).
+    for completeness but its coefficient vanishes for both cases (G_23 = 0).
     """
 
     p12: tuple
@@ -161,7 +172,8 @@ class FlagOverlaps:
         for name, val in (("p12", p12), ("p13", p13), ("p23", p23)):
             pair = _coerce_pair(val)
             mod2 = pair[0] * pair[0] + pair[1] * pair[1]
-            if mod2 > 1 and not math.isclose(float(mod2), 1.0, abs_tol=1e-12):
+            # exact pairs are compared exactly, float pairs with isclose's 1e-9 slack
+            if mod2 > 1 and (isinstance(mod2, Fraction) or not math.isclose(mod2, 1)):
                 raise ValueError(f"|{name}| exceeds 1: |{name}|^2 = {float(mod2)}")
             object.__setattr__(self, name, pair)
 
@@ -447,10 +459,9 @@ class ArrowKernel:
     for these real arrow matrices ``_arrow_min_eig`` computes that value
     bit for bit.
 
-    Both case Grams are real with unit diagonal and G_23 = 0, so M is an
-    arrow matrix. Let A = M + tol*I, d_i = A_ii = 1 - gamma_i + tol and
-    s = max(d2, d3). Because d2, d3 > 0, Cauchy interlacing puts
-    lambda_2(A) in [min(d2, d3), s], so
+    M is an arrow matrix (G_23 = 0). Let A = M + tol*I, d_i = A_ii =
+    1 - gamma_i + tol and s = max(d2, d3). Because d2, d3 > 0, Cauchy
+    interlacing puts lambda_2(A) in [min(d2, d3), s], so
 
         det A = d1*d2*d3 - M_12^2 * d3 - M_13^2 * d2
 
@@ -470,6 +481,8 @@ class ArrowKernel:
                            for j in (1, 2))):
             raise ValueError("the arrow kernel needs unit diagonal, G_23 = 0 "
                              "and real 1/4 <= |G_1j| <= 1/2")
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {tol!r}")
         self.tol = tol
         self._g12, self._g13 = gf[0][1].real, gf[0][2].real
         self._s12, self._s13 = (gf[0][1] ** 2).real, (gf[0][2] ** 2).real
@@ -649,10 +662,11 @@ class ReducedCoordinates:
 # boundary curves of the (v, w) region
 # ---------------------------------------------------------------------------
 
-#: v at the region corner where the min-s and max-s curves meet
-V_CORNER = {"3bit": Fraction(28, 127), "2bit": Fraction(2, 7)}
-#: q at that corner
-Q_CORNER = {"3bit": Fraction(-1, 16), "2bit": Fraction(-1, 2)}
+#: q at the region corner where the min-s and max-s curves meet
+Q_CORNER = {case: -case_params(case).q_bound for case in CASES}
+#: v at that corner
+V_CORNER = {case: stationary_x1(Q_CORNER[case], case_params(case).s_floor, case)
+            for case in CASES}
 
 BRANCHES = ("max_s", "min_s")
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 
 @dataclass(frozen=True)
@@ -249,11 +250,7 @@ class TaskFamily:
                 and self.pair_set_of(inst.f0 ^ inst.f2) is not None)
 
 
-_FAMILIES: dict[str, TaskFamily] = {}
-
-
+@cache
 def family(case: str) -> TaskFamily:
     """Cached TaskFamily for "2bit" or "3bit"."""
-    if case not in _FAMILIES:
-        _FAMILIES[case] = TaskFamily(case)
-    return _FAMILIES[case]
+    return TaskFamily(case)

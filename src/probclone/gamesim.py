@@ -37,8 +37,6 @@ from .phasestate import measure, phase_state
 #: published chance that both wrong-branch guesses are right anyway
 CLAIMED_GUESS_CHANCE = {"3bit": Fraction(1, 64), "2bit": Fraction(1, 16)}
 
-STRATEGIES = ("noclone", "clone")
-
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 _SEED_MASK = (1 << 64) - 1
 _BLOCK = 10_000
@@ -133,7 +131,8 @@ def _slot_table(case: str) -> _SlotTable:
 
 def score_no_clone_exact(case: str) -> Fraction:
     """Published no-cloning score: 2/3 + (1/3) * claimed chance term."""
-    return Fraction(2, 3) + Fraction(1, 3) * CLAIMED_GUESS_CHANCE[_case_key(case)]
+    family(case)    # rejects an unknown case
+    return Fraction(2, 3) + Fraction(1, 3) * CLAIMED_GUESS_CHANCE[case]
 
 
 def score_clone_exact(eff, case: str):
@@ -144,7 +143,7 @@ def score_clone_exact(eff, case: str):
     """
     eff = _as_eff(eff)
     s = eff[1] + eff[2]
-    if _case_key(case) == "3bit":
+    if family(case).arity == 3:
         return (22 + 21 * s) / 64
     return (6 + 5 * s) / 16
 
@@ -164,12 +163,6 @@ def clone_intermediates(eff) -> dict:
     return {"p_success": p_success, "posterior": posterior}
 
 
-def _case_key(case: str) -> str:
-    if case not in ("2bit", "3bit"):
-        raise ValueError(f"case must be '2bit' or '3bit', got {case!r}")
-    return case
-
-
 def _as_eff(eff) -> EfficiencyVector:
     return eff if isinstance(eff, EfficiencyVector) else EfficiencyVector(eff)
 
@@ -180,13 +173,13 @@ def _as_eff(eff) -> EfficiencyVector:
 
 def score_no_clone_enumerated(case: str) -> Fraction:
     """Exact mean of the simulated no-cloning strategy (enumeration)."""
-    hit = _slot_table(_case_key(case)).hit["noclone"]
+    hit = _slot_table(case).hit["noclone"]
     return sum((s * s for s in hit.values()), Fraction(0)) / len(hit)
 
 
 def score_clone_enumerated(eff, case: str):
     """Exact mean of the simulated cloning strategy for efficiencies ``eff``."""
-    fam, table = family(_case_key(case)), _slot_table(case)
+    fam, table = family(case), _slot_table(case)
     eff = _as_eff(eff)
     total = 0
     for i, f0 in enumerate(fam.s_f0):
@@ -327,7 +320,7 @@ def _finish_report(strategy, case, exact, enumerated, wins, trials, seed,
 
 def simulate_no_clone(case: str, trials: int = 100_000, seed: int = 0) -> ScoreReport:
     """Monte Carlo of the no-cloning strategy; depends only on (seed, trials)."""
-    wins, _, _ = _run(_case_key(case), None, trials, seed)
+    wins, _, _ = _run(case, None, trials, seed)
     return _finish_report("noclone", case, score_no_clone_exact(case),
                           score_no_clone_enumerated(case), wins, trials, seed)
 
@@ -339,7 +332,7 @@ def simulate_clone(eff, case: str, trials: int = 100_000, seed: int = 0) -> Scor
     rate and failure posterior next to ``clone_intermediates``.
     """
     eff = _as_eff(eff)
-    fam = family(_case_key(case))
+    fam = family(case)
     gammas = {f0.table: g for f0, g in zip(fam.s_f0, eff.as_floats())}
     wins, clones, s1_failures = _run(case, gammas, trials, seed)
     inter = clone_intermediates(eff)

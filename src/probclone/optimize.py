@@ -10,9 +10,10 @@ The numeric route is an independent check: a coarse grid over
 (gamma1, gamma2, gamma3, P12, P13) with real flags, filtered by the PSD
 test, refined by coordinate-wise pattern search with shrinking steps.
 Both are reported side by side; only the slice value is proven optimal,
-the unrestricted search supplies evidence. Real flags lose nothing: by
-the sign-flag lemma in ``feasibility``, the flags sign(G_1j) =
-``CORNER_FLAGS`` are feasible wherever any complex flags are.
+the unrestricted search supplies evidence. ``CORNER_FLAGS`` is
+sign(G_1j) by construction, read off the exact case Gram, and real flags
+lose nothing: by the sign-flag lemma in ``feasibility``, these flags are
+feasible wherever any complex flags are.
 """
 from __future__ import annotations
 
@@ -26,25 +27,14 @@ from . import feasibility as fz
 from .feasibility import (EfficiencyVector, FeasibilityPoint, FlagOverlaps,
                           build_matrix, gamma2_on_slice, intersection_x0,
                           intersection_x0_text, is_psd, reduce)
-from .funcspace import family
-from .phasestate import GramMatrix, gram, phase_state
+from .funcspace import CASES
+from .phasestate import case_gram
 
 OBJECTIVES = ("gamma23", "gamma1")
 
-#: flags realising the slice-optimal corner of the (q, s) region
-CORNER_FLAGS = {
-    "3bit": {"p12": -1, "p13": 1},
-    "2bit": {"p12": -1, "p13": -1},
-}
-
-_GRAMS: dict[str, GramMatrix] = {}
-
-
-def case_gram(case: str) -> GramMatrix:
-    """Exact Gram matrix of the case's three candidate phase states."""
-    if case not in _GRAMS:
-        _GRAMS[case] = gram([phase_state(f) for f in family(case).s_f0])
-    return _GRAMS[case]
+#: flags realising the slice-optimal corner of the (q, s) region: sign(G_1j)
+CORNER_FLAGS = {case: dict(zip(("p12", "p13"), fz.case_params(case).signs))
+                for case in CASES}
 
 
 @dataclass(frozen=True)
@@ -92,18 +82,16 @@ def analytic_optimum(case: str, objective: str = "gamma23") -> OptimumReport:
     efficiencies; the gamma1 objective is the mirrored problem (swap the
     roles of state 1 and the equal pair) and shares the same corner.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}")
+    obj = _objective_fn(objective)
     g = case_gram(case)
     flags = FlagOverlaps(**CORNER_FLAGS[case])
     q, s = reduce(flags, case)
     g_small, g_big = gamma2_on_slice(q, s, case)
     if objective == "gamma23":
         gammas = (g_small, g_big, g_big)
-        value = g_big + g_big
     else:
         gammas = (g_big, g_small, g_small)
-        value = g_big
+    value = obj(gammas)
     eff = EfficiencyVector(gammas)
     cert = build_matrix(g, eff, flags)
     if not is_psd(cert):
@@ -139,9 +127,7 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     """Grid-plus-pattern-search maximisation over (Gamma, P) with real P.
 
     Deterministic for fixed arguments: ties are broken by lexicographic
-    argmax over (objective, point). The flags are real: by the sign-flag
-    lemma in ``feasibility``, no complex flag makes any Gamma feasible
-    that the real flags sign(G_1j) do not.
+    argmax over (objective, point). The flags are real (module docstring).
 
     Every verdict, on the grid and in the refine, is one
     ``feasibility.ArrowKernel.slack`` call: M is an arrow matrix

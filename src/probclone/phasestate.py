@@ -12,17 +12,18 @@ Amplitudes are exact: a state stores integers over the common sqrt(2^n)
 normalisation, so inner products and Gram matrices are Fractions and
 identities like "this basis is orthonormal" hold exactly. ``measure`` is
 the single measurement: the exact outcome distribution of a state in a
-complete orthonormal basis.
+complete orthonormal basis. ``case_gram`` is the candidates' Gram of a
+case, from which ``feasibility`` derives the case's slice constants.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Sequence
 
-from .funcspace import BooleanFunction
+from .funcspace import BooleanFunction, family
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,13 @@ def gram(states: Sequence[StateVector]) -> GramMatrix:
     return GramMatrix(tuple(tuple(inner(u, v) for v in states) for u in states))
 
 
-@lru_cache(maxsize=None)
+@cache
+def case_gram(case: str) -> GramMatrix:
+    """Exact Gram matrix of the case's three candidate phase states."""
+    return gram([phase_state(f) for f in family(case).s_f0])
+
+
+@cache
 def _orthonormal_basis(basis: tuple[StateVector, ...]) -> tuple[StateVector, ...]:
     """``basis`` if it is complete and exactly orthonormal; checked once per basis."""
     if not basis or len(basis) != basis[0].dim or not gram(basis).is_identity():

@@ -307,6 +307,25 @@ def test_run_config_invariants(capsys):
     assert code == 2 and "tol" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ("feasibility", "--gammas", "1/2,1/3,1/5", "--p12", "0.3"),
+    ("optimize",),
+    ("optimize", "--mode", "analytic"),
+])
+def test_non_finite_tol_is_rejected(capsys, tol, argv):
+    code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+    assert (code, out, err) == (2, "", "error: --tol must be positive and finite\n")
+
+
+def test_exact_flag_outside_the_unit_disc_exits_2(capsys):
+    for flag in ("10000000000001/10000000000000", "-1,1/100000000"):
+        code, out, err = run_cli(capsys, "feasibility", "--gammas", "0,0,0", "--p12", flag)
+        assert code == 2 and out == "" and "exceeds 1" in err
+    data = run_json(capsys, "feasibility", "--gammas", "0,0,0", "--p12", "-3/5,4/5")
+    assert data["exact"] is True and data["psd"] is True
+
+
 def test_out_of_range_counts_are_rejected(capsys):
     for n in ("0", "1", "-4"):
         code, out, err = run_cli(capsys, "feasibility", "--curve", "vw", "--points", n)

@@ -14,7 +14,7 @@ from probclone.feasibility import (EfficiencyVector, FlagOverlaps,
                                    hermitian3_eigvals, intersection_x0, is_psd,
                                    reduce, s_cap, stationary_x1,
                                    vw_boundary, V_CORNER, Q_CORNER)
-from probclone.optimize import CORNER_FLAGS, case_gram
+from probclone.optimize import CORNER_FLAGS, analytic_optimum, case_gram
 
 OPT3 = EfficiencyVector((F(7, 127), F(112, 127), F(112, 127)))
 OPT2 = EfficiencyVector((F(1, 7), F(4, 7), F(4, 7)))
@@ -103,6 +103,20 @@ def test_flag_validation():
     assert f.a == F(3, 5) and f.b == F(4, 5)
 
 
+def test_exact_flags_are_checked_exactly():
+    # an exact flag just outside the unit disc is rejected, however close
+    for val in (F(10**13 + 1, 10**13), (F(3, 5), F(4, 5) + F(1, 10**15)),
+                (F(-1), F(1, 10**8))):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            FlagOverlaps(p13=val)
+    assert FlagOverlaps(p12=F(1), p13=(F(-3, 5), F(4, 5))).p12 == (1, 0)
+    # a float flag keeps its roundoff slack, and no more
+    assert FlagOverlaps(p12=1 + 1e-13).a == 1 + 1e-13
+    assert FlagOverlaps(p13=(0.6, 0.8 + 1e-13)).d == 0.8 + 1e-13
+    with pytest.raises(ValueError, match="exceeds 1"):
+        FlagOverlaps(p12=1 + 1e-8)
+
+
 # ---------------------------------------------------------------------------
 # PSD tests
 # ---------------------------------------------------------------------------
@@ -181,6 +195,63 @@ def test_minor_and_eigenvalue_verdicts_agree():
 # ---------------------------------------------------------------------------
 # reduced coordinates
 # ---------------------------------------------------------------------------
+
+#: the slice constants as literals, the reference for their derivation
+#: from the case Gram
+LITERAL_PARAMS = {
+    "3bit": dict(c0=F(7, 8), q_bound=F(1, 16), s_floor=F(127, 128), q_den=32,
+                 q_sign=-1, s_den=256, cap_coeff=F(2)),
+    "2bit": dict(c0=F(1, 2), q_bound=F(1, 2), s_floor=F(7, 8), q_den=4,
+                 q_sign=+1, s_den=16, cap_coeff=F(1, 2)),
+}
+LITERAL_CORNERS = {
+    "3bit": dict(v=F(28, 127), q=F(-1, 16), flags={"p12": -1, "p13": 1}),
+    "2bit": dict(v=F(2, 7), q=F(-1, 2), flags={"p12": -1, "p13": -1}),
+}
+
+
+@pytest.mark.parametrize("case", ["3bit", "2bit"])
+def test_case_params_derived_from_the_gram_equal_the_literals(case):
+    cp = case_params(case)
+    for name, want in LITERAL_PARAMS[case].items():
+        got = getattr(cp, name)
+        assert isinstance(got, (int, F)) and got == want, name
+    corner = LITERAL_CORNERS[case]
+    assert isinstance(V_CORNER[case], F) and V_CORNER[case] == corner["v"]
+    assert isinstance(Q_CORNER[case], F) and Q_CORNER[case] == corner["q"]
+    assert CORNER_FLAGS[case] == corner["flags"]
+    assert all(type(x) is int for x in CORNER_FLAGS[case].values())
+
+
+@pytest.mark.parametrize("case", ["3bit", "2bit"])
+def test_corner_geometry_is_consistent(case):
+    cp = case_params(case)
+    g = case_gram(case)
+    assert CORNER_FLAGS[case] == {"p12": 1 if g.entry(0, 1) > 0 else -1,
+                                  "p13": 1 if g.entry(0, 2) > 0 else -1}
+    assert reduce(FlagOverlaps(**CORNER_FLAGS[case]), case) == (Q_CORNER[case], cp.s_floor)
+    assert s_cap(Q_CORNER[case], case) == cp.s_floor
+    gammas = [F(x) for x in analytic_optimum(case).gammas_exact]
+    assert V_CORNER[case] ** 2 == gammas[0] * gammas[1]
+
+
+def test_slice_constants_match_the_determinant():
+    """Oracle: det M on gamma2 = gamma3 is d2 * (s*x^2 - q*x + c0 - y) at
+    exact points, for random exact real flags and rational x, y."""
+    rng = random.Random(41)
+    for case in ("2bit", "3bit"):
+        g = case_gram(case)
+        for _ in range(200):
+            a, c = (F(rng.randint(-8, 8), 8) for _ in range(2))
+            k, m = rng.randint(0, 6), rng.randint(0, 6)
+            g1, g2 = F(k, 7) ** 2, F(m, 7) ** 2
+            flags = FlagOverlaps(p12=a, p13=c)
+            point = build_matrix(g, EfficiencyVector((g1, g2, g2)), flags)
+            q, s = reduce(flags, case)
+            x, y = F(k * m, 49), g1 + g2
+            want = (1 - g2) * (s * x * x - q * x + case_params(case).c0 - y)
+            assert point.det() == want
+
 
 def test_reduce_examples():
     q, s = reduce(FLAGS3, "3bit")

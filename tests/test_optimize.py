@@ -9,9 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from probclone import gamesim
 from probclone.feasibility import (ArrowKernel, EfficiencyVector, FlagOverlaps,
                                    _arrow_min_eig, build_matrix, case_params,
-                                   intersection_x0, is_psd, s_cap)
+                                   intersection_x0, is_psd, reduce, s_cap,
+                                   vw_boundary)
 from probclone._exact import surd_text
 from probclone.optimize import (CORNER_FLAGS, _clamp, _compass_refine, _objective_fn,
                                 analytic_optimum, case_gram, equal_gamma_optimum,
@@ -126,11 +128,45 @@ def test_numeric_deterministic_and_thread_invariant():
     assert a.to_json() == b.to_json()
 
 
-@pytest.mark.parametrize("entry", [analytic_optimum, equal_gamma_optimum, numeric_search])
+OPT3 = (F(7, 127), F(112, 127), F(112, 127))
+
+CASE_ENTRIES = {
+    "analytic_optimum": analytic_optimum,
+    "equal_gamma_optimum": equal_gamma_optimum,
+    "numeric_search": numeric_search,
+    "case_gram": case_gram,
+    "case_params": case_params,
+    "reduce": functools.partial(reduce, FlagOverlaps()),
+    "vw_boundary_max_s": lambda case: vw_boundary(case, "max_s", 0),
+    "vw_boundary_min_s": lambda case: vw_boundary(case, "min_s", 0),
+    "score_no_clone_exact": gamesim.score_no_clone_exact,
+    "score_no_clone_enumerated": gamesim.score_no_clone_enumerated,
+    "score_clone_exact": lambda case: gamesim.score_clone_exact(OPT3, case),
+    "score_clone_enumerated": lambda case: gamesim.score_clone_enumerated(OPT3, case),
+    "simulate_no_clone": lambda case: gamesim.simulate_no_clone(case, trials=10),
+    "simulate_clone": lambda case: gamesim.simulate_clone(OPT3, case, trials=10),
+}
+
+
+@pytest.mark.parametrize("entry", CASE_ENTRIES)
 @pytest.mark.parametrize("case", ["4bit", "x", ""])
 def test_unknown_case_is_a_value_error(entry, case):
-    with pytest.raises(ValueError, match=r"case must be one of \('2bit', '3bit'\)"):
-        entry(case)
+    with pytest.raises(ValueError, match=r"^case must be one of \('2bit', '3bit'\), got "):
+        CASE_ENTRIES[entry](case)
+
+
+@pytest.mark.parametrize("entry", [analytic_optimum, numeric_search])
+def test_unknown_objective_is_a_value_error(entry):
+    with pytest.raises(ValueError, match=r"^objective must be one of \('gamma23', 'gamma1'\)"):
+        entry("3bit", "equal")
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_tol_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        ArrowKernel(case_gram("3bit"), tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        numeric_search("3bit", tol=tol)
 
 
 def test_numeric_resolution_floor():
