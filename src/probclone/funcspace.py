@@ -212,6 +212,12 @@ class TaskFamily:
             grid.append(tuple(tuple(TaskInstance(f0, f1, f2) for f2 in cand)
                               for f1 in cand))
         self._grid = tuple(grid)
+        # (size, bits) of each pick: S1 and S2 are bases of one register,
+        # so every secret has the same number of candidates
+        if len({len(row) for row in grid}) != 1:
+            raise AssertionError("candidate sets differ in size")
+        n0, n = len(grid), len(grid[0])
+        self._draws = (n0, n0.bit_length(), n, n.bit_length())
 
     # -- set lookups -------------------------------------------------
 
@@ -235,12 +241,28 @@ class TaskFamily:
     def sample_instance(self, rng: random.Random) -> TaskInstance:
         """Draw f0 uniformly from S_f0 and f1, f2 iid uniform from candidates(f0).
 
-        The three draws are made in that order, each ``rng.choice`` over the
-        set in its listed order; the same instance comes back as a shared
-        (frozen) object every time it is drawn.
+        The three draws are made in that order, each an index into the set
+        in its listed order. An index below n is drawn as
+        ``rng.getrandbits(n.bit_length())``, drawn again while it is >= n:
+        the rejection loop ``random.Random.choice`` runs, so this returns
+        what three nested ``rng.choice`` calls return and leaves ``rng`` in
+        the same state. The same instance comes back as a shared (frozen)
+        object every time it is drawn.
         """
-        c = rng.choice
-        return c(c(c(self._grid)))
+        bits = rng.getrandbits
+        n0, k0, n, k = self._draws
+        i = bits(k0)
+        while i >= n0:
+            i = bits(k0)
+        row = self._grid[i]
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        col = row[i]
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        return col[i]
 
     def validate_instance(self, inst: TaskInstance) -> bool:
         """Check the task constraint: f0 in S_f0, f1/f2 in S_f12, xors in S_f."""

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import probclone
+from probclone import cli
 from probclone.cli import main
 
 
@@ -316,6 +317,32 @@ def test_run_config_invariants(capsys):
 def test_non_finite_tol_is_rejected(capsys, tol, argv):
     code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
     assert (code, out, err) == (2, "", "error: --tol must be positive and finite\n")
+
+
+#: (case, objective, tol) where the numeric value overshoots the analytic
+#: bound by at most tol; a margin of max(tol, 1e-6) hid each of these gaps
+HIDDEN_GAPS = [("3bit", objective, tol) for objective in ("gamma23", "gamma1")
+               for tol in ("0.3", "0.5")] + [("2bit", "gamma1", "0.5")] + [
+    (case, objective, "1.0") for case in ("3bit", "2bit")
+    for objective in ("gamma23", "gamma1")]
+
+
+@pytest.mark.parametrize("case,objective,tol", HIDDEN_GAPS)
+def test_large_tol_does_not_hide_a_regression(capsys, case, objective, tol):
+    code, out, _ = run_cli(capsys, "optimize", "--case", case,
+                           "--objective", objective, f"--tol={tol}")
+    data = json.loads(out)
+    assert code == 1 and data["regression"] is True
+    analytic, numeric = data["reports"]
+    assert numeric["value"] - analytic["value"] > cli.REGRESSION_MARGIN
+
+
+@pytest.mark.parametrize("case", ["3bit", "2bit"])
+@pytest.mark.parametrize("objective", ["gamma23", "gamma1"])
+def test_small_tol_stays_within_the_margin(capsys, case, objective):
+    code, out, _ = run_cli(capsys, "optimize", "--case", case,
+                           "--objective", objective, "--tol=1e-7")
+    assert code == 0 and json.loads(out)["regression"] is False
 
 
 def test_exact_flag_outside_the_unit_disc_exits_2(capsys):

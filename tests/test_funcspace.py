@@ -3,6 +3,8 @@ from itertools import combinations
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probclone.funcspace import BooleanFunction, TaskInstance, family
 
@@ -207,6 +209,23 @@ def test_sample_instance_matches_randrange_formula():
             f1 = cand[ref.randrange(len(cand))]
             f2 = cand[ref.randrange(len(cand))]
             assert fam.sample_instance(rng) == TaskInstance(f0, f1, f2)
+        assert rng.getstate() == ref.getstate()
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), warmup=st.integers(0, 5))
+def test_sample_instance_is_three_nested_choice_calls(seed, warmup):
+    """The sampler returns the very object three nested rng.choice calls
+    pick from the grid and consumes the same stream, from any state."""
+    for case in ("2bit", "3bit"):
+        fam = family(case)
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(warmup):
+            rng.random()
+            ref.random()
+        c = ref.choice
+        for _ in range(200):
+            assert fam.sample_instance(rng) is c(c(c(fam._grid)))
         assert rng.getstate() == ref.getstate()
 
 
