@@ -1,8 +1,8 @@
 """Small exact-arithmetic helpers shared across the package.
 
-Complex rationals are represented as ``(re, im)`` pairs of ``Fraction``;
-the handful of operations needed for 3x3 Hermitian matrices are spelled
-out here rather than pulling in a symbolic-algebra dependency.
+Rational parsing, exact square roots and surd text; the exact route of
+the feasibility matrix computes in integers (``feasibility``), so no
+symbolic-algebra dependency is needed.
 """
 from __future__ import annotations
 
@@ -57,27 +57,3 @@ def surd_text(p: Fraction, disc: Fraction, r: Fraction) -> str:
     den = lcm(a.denominator, b.denominator)
     return f"({a * den}-{b * den}*sqrt({nm // (k * k)}))/{den}"
 
-
-# --- complex rationals as (re, im) Fraction pairs ---
-
-QC = tuple  # (Fraction, Fraction)
-
-
-def qc(re, im=0) -> QC:
-    return (as_fraction(re), as_fraction(im))
-
-
-def qc_mul(u: QC, v: QC) -> QC:
-    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-
-def qc_conj(u: QC) -> QC:
-    return (u[0], -u[1])
-
-
-def qc_abs2(u: QC) -> Fraction:
-    return u[0] * u[0] + u[1] * u[1]
-
-
-def qc_to_complex(u: QC) -> complex:
-    return complex(float(u[0]), float(u[1]))

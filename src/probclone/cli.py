@@ -8,8 +8,9 @@ the trip through the command line.
 
 Exit codes: 0 on success, 2 on usage, malformed input or an unwritable
 ``--out`` path, 1 when an internal invariant trips (the numeric
-optimizer exceeding the analytic bound by more than ``REGRESSION_MARGIN``,
-whatever ``--tol`` is).
+optimizer exceeding the analytic bound by more than ``REGRESSION_MARGIN``;
+the search overshoots by up to 3.4 x ``--tol``, so every ``--tol`` >= 1e-6
+trips it).
 """
 from __future__ import annotations
 

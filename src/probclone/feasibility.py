@@ -8,10 +8,13 @@ overlaps P (inner products of the heralding-flag failure states,
     M_ij = G_ij - sqrt(gamma_i gamma_j) * G_ij^2 * P_ij      (P_ii = 1)
 
 is positive semidefinite, where G is the candidates' Gram matrix. This
-module builds M on one of two routes: exact rational entries whenever
-the inputs allow it (the certificate route, tested by its principal
-minors), else complex floats from ``_float_matrix``, the one float
-assembly, tested by the closed-form eigenvalues. It also implements the
+module builds M on one of two routes: exact whenever every input and every
+needed sqrt(gamma_i gamma_j) is rational (the certificate route, tested by
+its principal minors), else complex floats from ``_float_matrix``, the one
+float assembly, tested by the closed-form eigenvalues. The exact route
+computes in integers over one common denominator D (``_int_matrix``), a
+k x k minor being an integer over D**k (fraction-free, as in Bareiss's
+elimination), and hands out Fractions. It also implements the
 reduced coordinates that collapse the criterion on the gamma2 = gamma3
 slice to
 
@@ -66,14 +69,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
-from ._exact import (as_fraction, exact_sqrt, is_rational, qc, qc_abs2, qc_conj,
-                     qc_mul, qc_to_complex, surd_text)
+from ._exact import as_fraction, exact_sqrt, is_rational, surd_text
 from .funcspace import CASES
 from .phasestate import GramMatrix, case_gram
 
 DEFAULT_TOL = 1e-9
+#: the index pairs (i, j), i < j, of M's upper triangle
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -171,10 +175,12 @@ class FlagOverlaps:
     def __init__(self, p12=0, p13=0, p23=0):
         for name, val in (("p12", p12), ("p13", p13), ("p23", p23)):
             pair = _coerce_pair(val)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in pair):
+                raise ValueError(f"{name} must be finite, got {val!r}")
             mod2 = pair[0] * pair[0] + pair[1] * pair[1]
             # exact pairs are compared exactly, float pairs with isclose's 1e-9 slack
             if mod2 > 1 and (isinstance(mod2, Fraction) or not math.isclose(mod2, 1)):
-                raise ValueError(f"|{name}| exceeds 1: |{name}|^2 = {float(mod2)}")
+                raise ValueError(f"|{name}| exceeds 1: |{name}|^2 = {mod2}")
             object.__setattr__(self, name, pair)
 
     @property
@@ -207,11 +213,34 @@ class FeasibilityPoint:
     eff: EfficiencyVector
     flags: FlagOverlaps
     matrix: tuple                 # 3x3 of complex (always available)
-    exact_matrix: tuple | None    # 3x3 of (re, im) Fraction pairs, or None
+    # the exact route's integer form (A, D): M = A / D with A a 3x3 of
+    # integer (re, im) pairs and D > 0; None on the float route
+    scaled: tuple | None
 
     @property
     def is_exact(self) -> bool:
-        return self.exact_matrix is not None
+        return self.scaled is not None
+
+    @property
+    def exact_matrix(self) -> tuple | None:
+        """M as a 3x3 of (re, im) Fraction pairs on the exact route, else None."""
+        if self.scaled is None:
+            return None
+        a, d = self.scaled
+        return tuple(tuple((Fraction(x, d), Fraction(y, d)) for x, y in r) for r in a)
+
+    @cached_property
+    def _minor_numerators(self) -> tuple:
+        """A's principal minors in ``principal_minors``' order; a k x k one is M's
+        times D**k. det in its Hermitian form d1 d2 d3 - d1 |a23|^2
+        - d2 |a13|^2 - d3 |a12|^2 + 2 Re(a12 a23 conj(a13))."""
+        a = self.scaled[0]
+        d1, d2, d3 = a[0][0][0], a[1][1][0], a[2][2][0]
+        (x12, y12), (x13, y13), (x23, y23) = a[0][1], a[0][2], a[1][2]
+        n12, n13, n23 = x12 * x12 + y12 * y12, x13 * x13 + y13 * y13, x23 * x23 + y23 * y23
+        triple = (x12 * x23 - y12 * y23) * x13 + (x12 * y23 + y12 * x23) * y13
+        return (d1, d2, d3, d1 * d2 - n12, d1 * d3 - n13, d2 * d3 - n23,
+                d1 * d2 * d3 - d1 * n23 - d2 * n13 - d3 * n12 + 2 * triple)
 
     def min_eigenvalue(self) -> float:
         return hermitian3_eigvals(self.matrix)[0]
@@ -224,12 +253,12 @@ class FeasibilityPoint:
     def principal_minors(self) -> list:
         """All seven principal minors, ordered by size then index set."""
         if self.is_exact:
-            m, abs2 = self.exact_matrix, qc_abs2
-            diag = [m[i][i][0] for i in range(3)]
-        else:
-            m, abs2 = self.matrix, lambda z: abs(z) ** 2
-            diag = [m[i][i].real for i in range(3)]
-        pairs = [diag[i] * diag[j] - abs2(m[i][j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+            d, nums = self.scaled[1], self._minor_numerators
+            return ([Fraction(n, d ** k) for n, k in zip(nums, (1, 1, 1, 2, 2, 2))]
+                    + [self.det()])
+        m = self.matrix
+        diag = [m[i][i].real for i in range(3)]
+        pairs = [diag[i] * diag[j] - abs(m[i][j]) ** 2 for i, j in _PAIRS]
         return diag + pairs + [self.det()]
 
     def det(self):
@@ -240,13 +269,7 @@ class FeasibilityPoint:
         float-route report.
         """
         if self.is_exact:
-            m = self.exact_matrix
-            triple = qc_mul(qc_mul(m[0][1], m[1][2]), qc_conj(m[0][2]))
-            return (m[0][0][0] * m[1][1][0] * m[2][2][0]
-                    - m[0][0][0] * qc_abs2(m[1][2])
-                    - m[1][1][0] * qc_abs2(m[0][2])
-                    - m[2][2][0] * qc_abs2(m[0][1])
-                    + 2 * triple[0])
+            return Fraction(self._minor_numerators[6], self.scaled[1] ** 3)
         m = self.matrix
         det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -273,8 +296,8 @@ class FeasibilityPoint:
             "exact": self.is_exact,
         }
         if self.is_exact:
-            out["minors_exact"] = [str(Fraction(x)) for x in minors]
-            out["det_exact"] = str(Fraction(minors[2]))
+            out["minors_exact"] = [str(x) for x in minors]
+            out["det_exact"] = str(minors[2])
         return out
 
 
@@ -282,43 +305,56 @@ class FeasibilityPoint:
 # building and testing M
 # ---------------------------------------------------------------------------
 
-def _flag_pair(flags: FlagOverlaps, i: int, j: int):
-    key = {(0, 1): "p12", (0, 2): "p13", (1, 2): "p23"}[(min(i, j), max(i, j))]
-    pair = getattr(flags, key)
-    return pair if i < j else (pair[0], -pair[1])
+def _int_matrix(g: GramMatrix, eff: EfficiencyVector, flags: FlagOverlaps):
+    """(A, D) with M = A / D from rational inputs, or None for the float route.
 
-
-def _exact_matrix(g: GramMatrix, eff: EfficiencyVector, flags: FlagOverlaps):
-    """M as (re, im) Fraction pairs from exact inputs, or None when a
-    required sqrt(gamma_i*gamma_j) is irrational."""
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            gij = as_fraction(g.entry(i, j))
-            if i == j:
-                row.append(qc(gij - eff[i]))
-                continue
-            p = _flag_pair(flags, i, j)
-            coeff = qc_mul(qc(gij * gij), (as_fraction(p[0]), as_fraction(p[1])))
-            if coeff == (0, 0):
-                row.append(qc(gij))
-                continue
-            root = exact_sqrt(as_fraction(eff[i]) * as_fraction(eff[j]))
-            if root is None:
-                return None
-            row.append((gij - root * coeff[0], -root * coeff[1]))
-        rows.append(tuple(row))
-    return tuple(rows)
+    The route comes first: a structural zero G_ij^2 P_ij needs no root, and
+    gamma_i gamma_j = u/v has one iff u*v = n^2, the root being n/v. Over the
+    lcm L of the entry denominators, dividing out the gcd of L and all
+    numerators leaves D > 0, the least common denominator.
+    """
+    pairs = tuple(zip(_PAIRS, (flags.p12, flags.p13, flags.p23)))
+    roots = []
+    for (i, j), p in pairs:
+        if g.entry(i, j) == 0 or p == (0, 0):
+            roots.append(None)
+            continue
+        v = eff[i].denominator * eff[j].denominator
+        uv = eff[i].numerator * eff[j].numerator * v
+        n = math.isqrt(uv)
+        if n * n != uv:
+            return None
+        roots.append((n, v))
+    ents = [(gi.numerator * e.denominator - e.numerator * gi.denominator, 0,
+             gi.denominator * e.denominator)
+            for gi, e in ((g.entry(i, i), eff[i]) for i in range(3))]
+    for ((i, j), (x, y)), root in zip(pairs, roots):
+        gn, gd = g.entry(i, j).numerator, g.entry(i, j).denominator
+        if root is None:
+            ents.append((gn, 0, gd))
+            continue
+        # G - r*G^2*(x + y*i) with r = rn/rd, over rd * gd^2 * xd * yd
+        (rn, rd), xd, yd = root, x.denominator, y.denominator
+        t = rn * gn * gn
+        ents.append((gn * rd * gd * xd * yd - t * x.numerator * yd,
+                     -t * y.numerator * xd, rd * gd * gd * xd * yd))
+    big = math.lcm(*(den for _, _, den in ents))
+    nums = [(re * (big // den), im * (big // den)) for re, im, den in ents]
+    k = math.gcd(big, *(x for z in nums for x in z))
+    d1, d2, d3, m12, m13, m23 = ((re // k, im // k) for re, im in nums)
+    a = ((d1, m12, m13),
+         ((m12[0], -m12[1]), d2, m23),
+         ((m13[0], -m13[1]), (m23[0], -m23[1]), d3))
+    return a, big // k
 
 
 def build_matrix(gram_in, eff: EfficiencyVector, flags: FlagOverlaps) -> FeasibilityPoint:
     """Assemble M_ij = G_ij - sqrt(gamma_i gamma_j) G_ij^2 P_ij.
 
-    Inputs whose components are all rational produce an exact-matrix
-    point whenever every required sqrt(gamma_i*gamma_j) is rational
-    (coefficients multiplied by a structural zero are exempt); all other
-    points get complex float entries from ``_float_matrix``.
+    Rational inputs give an exact point in integers (``_int_matrix``) whenever
+    every required sqrt(gamma_i*gamma_j) is rational (structural zeros are
+    exempt); its floats are the correctly rounded quotients re / D and im / D.
+    All other points get complex float entries from ``_float_matrix``.
     """
     if isinstance(gram_in, GramMatrix):
         g = gram_in
@@ -331,17 +367,17 @@ def build_matrix(gram_in, eff: EfficiencyVector, flags: FlagOverlaps) -> Feasibi
     if not isinstance(flags, FlagOverlaps):
         flags = FlagOverlaps(*flags)
 
-    exact_m = None
+    scaled = None
     if g.is_exact and eff.is_exact and flags.is_exact:
-        exact_m = _exact_matrix(g, eff, flags)
-    if exact_m is not None:
-        matrix = tuple(tuple(qc_to_complex(e) for e in row) for row in exact_m)
-    else:
-        gf = tuple(tuple(complex(g.entry(i, j)) for j in range(3)) for i in range(3))
-        matrix = _float_matrix(gf, eff.as_floats(),
+        scaled = _int_matrix(g, eff, flags)
+    if scaled is None:
+        matrix = _float_matrix(g.as_complex, eff.as_floats(),
                                *(complex(float(re), float(im))
                                  for re, im in (flags.p12, flags.p13, flags.p23)))
-    return FeasibilityPoint(g, eff, flags, matrix, exact_m)
+    else:
+        a, d = scaled
+        matrix = tuple(tuple(complex(re / d, im / d) for re, im in row) for row in a)
+    return FeasibilityPoint(g, eff, flags, matrix, scaled)
 
 
 def _float_matrix(gf, gammas, p12: complex, p13: complex, p23: complex) -> tuple:
@@ -401,7 +437,7 @@ def is_psd(point: FeasibilityPoint, tol: float = DEFAULT_TOL) -> bool:
     the smallest closed-form eigenvalue against -tol.
     """
     if point.is_exact:
-        return all(x >= 0 for x in point.principal_minors())
+        return all(n >= 0 for n in point._minor_numerators)
     return point.min_eigenvalue() >= -tol
 
 
@@ -475,7 +511,7 @@ class ArrowKernel:
     """
 
     def __init__(self, gram: GramMatrix, tol: float = DEFAULT_TOL):
-        gf = tuple(tuple(complex(gram.entry(i, j)) for j in range(3)) for i in range(3))
+        gf = gram.as_complex
         if (any(gf[i][i] != 1 for i in range(3)) or gf[1][2] != 0
                 or not all(gf[0][j].imag == 0 and 0.25 <= abs(gf[0][j]) <= 0.5
                            for j in (1, 2))):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Sequence
 
 from .funcspace import BooleanFunction, family
@@ -101,12 +101,17 @@ class GramMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all(isinstance(e, (int, Fraction)) for row in self.entries for e in row)
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]
+
+    @cached_property
+    def as_complex(self) -> tuple[tuple[complex, ...], ...]:
+        """The entries as complex floats, converted once per matrix."""
+        return tuple(tuple(complex(e) for e in row) for row in self.entries)
 
     def is_identity(self) -> bool:
         """True when every entry equals the identity's, compared exactly."""

@@ -346,8 +346,9 @@ def test_small_tol_stays_within_the_margin(capsys, case, objective):
 
 
 def test_exact_flag_outside_the_unit_disc_exits_2(capsys):
-    for flag in ("10000000000001/10000000000000", "-1,1/100000000"):
-        code, out, err = run_cli(capsys, "feasibility", "--gammas", "0,0,0", "--p12", flag)
+    # 1e400 is exact too, and beyond float range: the message must not convert it
+    for flag in ("10000000000001/10000000000000", "-1,1/100000000", "1e400", "0,-1e400"):
+        code, out, err = run_cli(capsys, "feasibility", "--gammas", "0,0,0", f"--p12={flag}")
         assert code == 2 and out == "" and "exceeds 1" in err
     data = run_json(capsys, "feasibility", "--gammas", "0,0,0", "--p12", "-3/5,4/5")
     assert data["exact"] is True and data["psd"] is True

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import struct
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probclone import feasibility
+from probclone.funcspace import CASES
+from probclone.phasestate import GramMatrix
 from probclone.feasibility import (EfficiencyVector, FlagOverlaps,
                                    ReducedCoordinates, build_matrix,
                                    case_params, gamma2_on_slice, gammas_from_xy,
@@ -115,6 +119,16 @@ def test_exact_flags_are_checked_exactly():
     assert FlagOverlaps(p13=(0.6, 0.8 + 1e-13)).d == 0.8 + 1e-13
     with pytest.raises(ValueError, match="exceeds 1"):
         FlagOverlaps(p12=1 + 1e-8)
+
+
+@pytest.mark.parametrize("name", ["p12", "p13", "p23"])
+@pytest.mark.parametrize("val", [math.nan, complex(math.nan, 0), (0.5, math.nan),
+                                 complex(0, math.inf), -math.inf, (math.inf, 0)])
+def test_non_finite_flags_are_rejected(name, val):
+    # |nan|^2 > 1 is False, so a NaN flag would pass the modulus check and
+    # turn M_1j into NaN: at Gamma = 0, where M = G is PSD, is_psd said False
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        FlagOverlaps(**{name: val})
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +594,8 @@ def test_to_json_computes_each_verdict_once(monkeypatch):
 
 
 def test_build_matrix_rejects_non_hermitian_gram():
-    # the exact route reads the lower triangle, the float route mirrors
-    # the upper one: a non-Hermitian Gram would give two different M's
+    # both routes read the upper triangle and mirror it: a non-Hermitian
+    # Gram has no single M to build
     g = [[1, F(1, 4), F(1, 4)], [F(1, 4), 1, 0], [F(-1, 4), 0, 1]]
     for eff in (OPT3, EfficiencyVector((0.1, 0.2, 0.3))):
         with pytest.raises(ValueError):
@@ -633,3 +647,121 @@ def test_sign_flags_are_feasible_wherever_any_flags_are(setup):
     assert all(c >= d for c, d in zip(corner.principal_minors(),
                                       drawn.principal_minors()))
     assert corner.min_eigenvalue() >= drawn.min_eigenvalue()
+
+
+# ---------------------------------------------------------------------------
+# integer route against a Fraction reference
+# ---------------------------------------------------------------------------
+
+def rational_grams():
+    """A case Gram, or a general rational symmetric Gram with G_23 != 0.
+
+    The case Grams have G_23 = 0, which zeroes det's triple-product term,
+    so only the general Grams exercise it.
+    """
+    part = st.fractions(-1, 1, max_denominator=12)
+    general = st.tuples(st.fractions(0, 2, max_denominator=12), part,
+                        part.filter(lambda x: x != 0)).map(
+        lambda t: GramMatrix(((1 + t[0], t[1], -t[1] / 2),
+                              (t[1], 2 - t[0], t[2]),
+                              (-t[1] / 2, t[2], t[0]))))
+    return st.one_of(st.sampled_from(CASES).map(case_gram), general)
+
+
+@st.composite
+def integer_route_points(draw):
+    """(gram, gammas, flags, roots) with every sqrt(gamma_i gamma_j) rational.
+
+    gamma_i = t * u_i^2, so roots[i][j] = t * u_i * u_j is known exactly.
+    """
+    t = draw(st.fractions(F(1, 12), 1, max_denominator=12))
+    u = draw(st.tuples(*[st.fractions(0, 1, max_denominator=12)] * 3))
+    zero = st.just((F(0), F(0)))
+    flags = draw(st.tuples(*[st.one_of(rational_flags(), zero)] * 3))
+    roots = [[t * a * b for b in u] for a in u]
+    return draw(rational_grams()), tuple(t * a * a for a in u), flags, roots
+
+
+def _cmul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def reference_matrix(gram, gammas, flags, roots):
+    """M_ij = G_ij - sqrt(gamma_i gamma_j) G_ij^2 P_ij as (re, im) Fractions."""
+    p = {(0, 1): flags[0], (0, 2): flags[1], (1, 2): flags[2]}
+    m = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            g = F(gram.entry(i, j))
+            if i == j:
+                m[i][j] = (g - gammas[i], F(0))
+                continue
+            x, y = p[min(i, j), max(i, j)]
+            c = roots[i][j] * g * g
+            m[i][j] = (g - c * x, -c * y if i < j else c * y)
+    return m
+
+
+def reference_minors(m):
+    """The seven principal minors of complex m by Leibniz' formula, as Fractions."""
+    def det(idx):
+        total = (F(0), F(0))
+        for perm in itertools.permutations(range(len(idx))):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            term = (F(-1) ** inversions, F(0))
+            for r, c in enumerate(perm):
+                term = _cmul(term, m[idx[r]][idx[c]])
+            total = (total[0] + term[0], total[1] + term[1])
+        assert total[1] == 0
+        return total[0]
+    return [det(idx) for k in (1, 2, 3) for idx in itertools.combinations(range(3), k)]
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(setup=integer_route_points())
+def test_integer_route_matches_the_fraction_reference(setup):
+    gram, gammas, flags, roots = setup
+    point = build_matrix(gram, EfficiencyVector(gammas), FlagOverlaps(*flags))
+    assert point.is_exact
+    m = reference_matrix(gram, gammas, flags, roots)
+    minors = reference_minors(m)
+    assert [list(row) for row in point.exact_matrix] == m
+    assert point.principal_minors() == minors
+    assert all(type(x) is F for x in point.principal_minors())
+    assert point.leading_minors() == [minors[0], minors[3], minors[6]]
+    assert point.det() == minors[6]
+    assert is_psd(point) is all(x >= 0 for x in minors)
+    # every float is the correctly rounded value of its Fraction, bit for bit
+    for row, ref_row in zip(point.matrix, m):
+        for z, (re, im) in zip(row, ref_row):
+            assert float_bits(z.real) + float_bits(z.imag) == \
+                float_bits(float(re)) + float_bits(float(im))
+    data = point.to_json()
+    leading = [minors[0], minors[3], minors[6]]
+    assert [float_bits(x) for x in data["minors"] + [data["det"]]] == \
+        [float_bits(float(x)) for x in leading + [minors[6]]]
+    assert data["minors_exact"] == [str(x) for x in leading]
+    assert data["det_exact"] == str(minors[6])
+
+
+def is_rational_square(x):
+    n, d = x.numerator, x.denominator
+    return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram=rational_grams(),
+       gammas=st.tuples(*[st.sampled_from((F(0), F(1), F(1, 2), F(1, 4), F(2, 9),
+                                           F(8, 9), F(3, 4), F(1, 3), F(4, 9)))] * 3),
+       flags=st.tuples(*[st.one_of(rational_flags(), st.just((F(0), F(0))))] * 3))
+def test_exact_route_iff_every_needed_root_is_rational(gram, gammas, flags):
+    point = build_matrix(gram, EfficiencyVector(gammas), FlagOverlaps(*flags))
+    # a root is needed unless G_ij^2 P_ij is a structural zero
+    needed = [(i, j) for (i, j), p in zip(((0, 1), (0, 2), (1, 2)), flags)
+              if gram.entry(i, j) != 0 and p != (0, 0)]
+    assert point.is_exact is all(is_rational_square(gammas[i] * gammas[j])
+                                 for i, j in needed)
