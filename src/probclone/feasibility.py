@@ -63,6 +63,37 @@ sum_i d_i x_i^2 - 2 m_2 |x1 x2| - 2 m_3 |x1 x3|
 functions that are each nonincreasing in m_2 and m_3. Both the exact
 test (Sylvester's minors) and the float test (lambda_min >= -tol) can
 therefore only pass more easily at the sign flags.
+
+Symmetrisation lemma. At the sign flags, if Gamma = (gamma1, gamma2,
+gamma3) is feasible then so is (gamma1, gbar, gbar) with
+gbar = (gamma2 + gamma3)/2: the same gamma1 and the same gamma2 + gamma3.
+With the sign-flag lemma, the maximum of gamma2 + gamma3, or of gamma1,
+over all Gamma and all flags is therefore its maximum on the
+gamma2 = gamma3 slice at the sign flags, the corner that
+``optimize.analytic_optimum`` reports (gamma2 + gamma3 = 224/127 for
+3-bit, 8/7 for 2-bit).
+
+Proof. At the sign flags m_j = g*(1 - a*sqrt(gamma_j)) with
+a = g*sqrt(gamma1) in [0, 1/2]. If gamma_j = 1 then d_j = 0 while
+m_j >= g*(1 - a) > 0, so the minor d1*d_j - m_j^2 < 0 and Gamma is
+infeasible. Else d2, d3 > 0, and the arrow matrix M is PSD iff its Schur
+complement d1 - m_2^2/d2 - m_3^2/d3 is >= 0, that is iff
+
+    1 - gamma1  >=  g^2 * (h_a(gamma2) + h_a(gamma3)),
+    h_a(gamma) = (1 - a*sqrt(gamma))^2 / (1 - gamma).
+
+h_a is convex on [0, 1). With v = sqrt(gamma) in (0, 1),
+4*v^3 * h_a''(gamma) = N / (v^2 - 1)^3, where
+
+    N = -8*a^2*v^3 + a*(6*v^4 + 12*v^2 - 2) - 8*v^3,
+
+and (v^2 - 1)^3 < 0, so h_a'' >= 0 iff N <= 0. If 6*v^4 + 12*v^2 - 2 <= 0,
+every term of N is <= 0. Otherwise v^2 > 2/sqrt(3) - 1 > 1/9, and N is a
+concave quadratic in a whose discriminant
+(6*v^4 + 12*v^2 - 2)^2 - 256*v^6 = 4*(v^2 - 1)^3*(9*v^2 - 1) is negative,
+so N < 0. h_a is continuous at 0, so it is convex on all of [0, 1). By
+Jensen, h_a(gamma2) + h_a(gamma3) >= 2*h_a(gbar), so (gamma1, gbar, gbar)
+passes the Schur test whenever Gamma does, and gbar < 1.
 """
 from __future__ import annotations
 

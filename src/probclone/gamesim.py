@@ -18,12 +18,15 @@ does (by exhaustive enumeration), so claim and measurement can be
 compared; reports flag simulations that land more than three binomial
 standard deviations from the claimed score. Both read one per-case slot
 table whose exact outcome rows come from ``phasestate.measure``: the
-enumeration sums those rows, the simulator samples their float CDFs.
+enumeration sums those rows. Exactly one outcome of each slot guesses
+right, so the simulator tests one uniform against that outcome's hit
+window, its stretch of the slot's float CDF. That is the verdict a lookup
+in the whole CDF gives for the same uniform, so the random stream and
+every result are those of sampling the whole CDF.
 """
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,13 +57,10 @@ class Slot(NamedTuple):
     """One measured slot of a trial: a phase state measured in a basis."""
 
     row: tuple[Fraction, ...]   # exact outcome distribution over the basis
-    cdf: tuple[float, ...]      # float CDF of ``row``, last entry 1.0
-    hits: tuple[bool, ...]      # outcome k gives the right pair-set guess
-
-    @property
-    def p_hit(self) -> Fraction:
-        """Exact probability that the slot's guess is right."""
-        return sum((p for p, hit in zip(self.row, self.hits) if hit), Fraction(0))
+    p_hit: Fraction             # exact probability that the guess is right
+    #: [lo, hi): the uniforms that draw the one outcome guessing right, cut
+    #: from the float CDF of ``row`` (running Fraction sums, last one 1.0)
+    window: tuple[float, float]
 
 
 class _SlotTable:
@@ -75,7 +75,13 @@ class _SlotTable:
       the state of f0 xor f, in the S2 (pair-representative) basis;
     * ``failed``: f's state in the S1 basis, the S1-side secret assumed.
 
-    A slot's row is ``measure`` of its state in its basis.
+    A slot's row is ``measure`` of its state in its basis; outcome m
+    guesses the pair set of guess ^ m, which is right when that set is
+    the pair set {r, r ^ 1...1} of f0 ^ f. So the right outcomes are the
+    basis members guess ^ r and guess ^ r ^ 1...1. Complementing a truth
+    table only negates its phase state, so these two lie on one ray, and
+    an orthonormal basis holds at most one of them. That every slot holds
+    at least one is checked here: the table is not built otherwise.
     ``hit[branch][f0.table]`` is the exact probability that one slot's
     guess is right, averaged over the candidates of f0.
     """
@@ -93,15 +99,20 @@ class _SlotTable:
             if (basis, measured) not in outcomes:
                 row = measure(phase_state(BooleanFunction(fam.arity, measured)),
                               basis_states[basis])
-                cum, acc = [], Fraction(0)
+                cum, acc = [0.0], Fraction(0)
                 for p in row:
                     acc += p
                     cum.append(float(acc))
                 cum[-1] = 1.0
-                outcomes[(basis, measured)] = row, tuple(cum)
-            row, cdf = outcomes[(basis, measured)]
-            hits = tuple(labels.get(guess ^ m.table) == truth for m in bases[basis])
-            return Slot(row, cdf, hits)
+                outcomes[(basis, measured)] = row, cum
+            row, cum = outcomes[(basis, measured)]
+            right = [k for k, m in enumerate(bases[basis])
+                     if labels.get(guess ^ m.table) == truth]
+            if len(right) != 1:
+                raise AssertionError(f"{case} slot of {measured:#x} in {basis}: "
+                                     f"{len(right)} outcomes guess right, not 1")
+            k = right[0]
+            return Slot(row, row[k], (cum[k], cum[k + 1]))
 
         self.slots: dict[str, dict[int, dict[int, Slot]]] = {b: {} for b in BRANCHES}
         self.hit: dict[str, dict[int, Fraction]] = {b: {} for b in BRANCHES}
@@ -261,19 +272,6 @@ class ScoreReport:
         return data
 
 
-def _trial(slots: dict[int, Slot], inst, rng: random.Random) -> bool:
-    """Measure both slots of ``inst`` (``slots`` keyed by candidate table).
-
-    True when both pair-set guesses are right. Draws one uniform per slot
-    measured and stops at the first wrong guess.
-    """
-    _, cdf, hits = slots[inst.f1.table]
-    if not hits[bisect_right(cdf, rng.random())]:
-        return False
-    _, cdf, hits = slots[inst.f2.table]
-    return hits[bisect_right(cdf, rng.random())]
-
-
 def _run(case: str, gammas: dict[int, float] | None, trials: int,
          seed: int) -> tuple[int, int, int]:
     """(wins, clone successes, failure-branch trials with the S1-side secret).
@@ -282,7 +280,11 @@ def _run(case: str, gammas: dict[int, float] | None, trials: int,
     None runs the no-cloning strategy, which draws no cloning coin.
     Trials run in fixed-size blocks, block i seeded from
     seed + i * _SEED_STRIDE, so the result depends only on (seed, trials).
-    Each trial draws its instance, then the cloning coin, then measures.
+    Each trial draws its instance, then the cloning coin, then measures
+    f1's slot and, only if that guess was right, f2's: one uniform per
+    slot, right iff it falls in the slot's hit window. A uniform u draws
+    outcome k of a CDF iff cdf[k-1] <= u < cdf[k], so the window test is
+    the CDF lookup's verdict, and both draw the same uniforms.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -294,16 +296,20 @@ def _run(case: str, gammas: dict[int, float] | None, trials: int,
     wins = clones = s1_failures = 0
     for i, start in enumerate(range(0, trials, _BLOCK)):
         rng = random.Random((seed + i * _SEED_STRIDE) & _SEED_MASK)
+        draw = rng.random
         for _ in range(min(_BLOCK, trials - start)):
             inst = sample(rng)
             f0 = inst.f0.table
-            if gammas is not None and rng.random() < gammas[f0]:
+            if gammas is not None and draw() < gammas[f0]:
                 slots = cloned[f0]
                 clones += 1
             else:
                 slots = fallback[f0]
                 s1_failures += f0 == s1_f0
-            wins += _trial(slots, inst, rng)
+            lo, hi = slots[inst.f1.table].window
+            if lo <= draw() < hi:
+                lo, hi = slots[inst.f2.table].window
+                wins += lo <= draw() < hi
     return wins, clones, s1_failures
 
 

@@ -9,11 +9,13 @@ corner, a quadratic surd reported as exact text and certified in floats.
 The numeric route is an independent check: a coarse grid over
 (gamma1, gamma2, gamma3, P12, P13) with real flags, filtered by the PSD
 test, refined by coordinate-wise pattern search with shrinking steps.
-Both are reported side by side; only the slice value is proven optimal,
-the unrestricted search supplies evidence. ``CORNER_FLAGS`` is
-sign(G_1j) by construction, read off the exact case Gram, and real flags
-lose nothing: by the sign-flag lemma in ``feasibility``, these flags are
-feasible wherever any complex flags are.
+Both are reported side by side. The slice value is the optimum over all
+efficiencies and flags: by the sign-flag and symmetrisation lemmas in
+``feasibility``, no flags beat ``CORNER_FLAGS`` and no unequal
+gamma2, gamma3 beat their mean, so the search is an independent check.
+``CORNER_FLAGS`` is sign(G_1j) by construction, read off the exact case
+Gram, and real flags lose nothing: by the sign-flag lemma, these flags
+are feasible wherever any complex flags are.
 """
 from __future__ import annotations
 

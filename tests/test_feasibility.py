@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probclone import feasibility
+from probclone._exact import exact_sqrt
 from probclone.funcspace import CASES
 from probclone.phasestate import GramMatrix
 from probclone.feasibility import (EfficiencyVector, FlagOverlaps,
@@ -647,6 +648,45 @@ def test_sign_flags_are_feasible_wherever_any_flags_are(setup):
     assert all(c >= d for c, d in zip(corner.principal_minors(),
                                       drawn.principal_minors()))
     assert corner.min_eigenvalue() >= drawn.min_eigenvalue()
+
+
+# ---------------------------------------------------------------------------
+# symmetrisation lemma
+# ---------------------------------------------------------------------------
+
+def test_symmetrisation_numerator_is_never_positive():
+    # the symmetrisation lemma in the feasibility docstring: h_a is convex
+    # because N(a, v) <= 0 for a in [0, 1/2], v in [0, 1); exactly, on a
+    # rational grid, with the maximum 0 attained at a = v = 0 only
+    numerators = {}
+    for j in range(200):
+        v = F(j, 200)
+        lin = 6 * v ** 4 + 12 * v ** 2 - 2
+        # N's discriminant in a, negative wherever N's linear term is positive
+        assert lin ** 2 - 256 * v ** 6 == 4 * (v ** 2 - 1) ** 3 * (9 * v ** 2 - 1)
+        for i in range(51):
+            a = F(i, 100)
+            numerators[(i, j)] = -8 * a ** 2 * v ** 3 + a * lin - 8 * v ** 3
+    top = max(numerators.values())
+    assert top == 0
+    assert [k for k, n in numerators.items() if n == top] == [(0, 0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(setup=exact_lemma_points())
+def test_corner_flags_psd_iff_schur_form(setup):
+    # the lemma's Schur form: at the sign flags, M is PSD iff gamma2,
+    # gamma3 < 1 and 1 - gamma1 >= g^2 (h_a(gamma2) + h_a(gamma3)), with
+    # a*sqrt(gamma_j) = g*sqrt(gamma1 gamma_j) rational on these points
+    case, eff, _ = setup
+    gram = case_gram(case)
+    corner = build_matrix(gram, eff, FlagOverlaps(**CORNER_FLAGS[case]))
+    assert corner.is_exact
+    g1, g2, g3 = (F(x) for x in eff)
+    g = abs(F(gram.entry(0, 1)))
+    schur = g2 < 1 and g3 < 1 and 1 - g1 >= g * g * sum(
+        (1 - g * exact_sqrt(g1 * gj)) ** 2 / (1 - gj) for gj in (g2, g3))
+    assert is_psd(corner) == schur
 
 
 # ---------------------------------------------------------------------------

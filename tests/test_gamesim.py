@@ -1,16 +1,18 @@
+import copy
 import random
 from bisect import bisect_right
 from fractions import Fraction as F
 from functools import lru_cache
-from math import sqrt
+from math import nextafter, sqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probclone import gamesim
 from probclone.feasibility import EfficiencyVector
 from probclone.funcspace import TaskInstance, family
-from probclone.gamesim import (BRANCHES, CLAIMED_GUESS_CHANCE, _slot_table, _trial,
+from probclone.gamesim import (BRANCHES, CLAIMED_GUESS_CHANCE, _slot_table,
                                clone_intermediates, score_clone_enumerated,
                                score_clone_exact, score_no_clone_enumerated,
                                score_no_clone_exact, simulate_clone,
@@ -215,19 +217,35 @@ def test_score_report_json():
 
 
 def test_slot_table_rows_and_cdfs():
-    """Every slot row is an exact distribution and its CDF is the running
-    Fraction sum rounded to float, ending at exactly 1.0; the cloned
-    branch's guesses are certain."""
+    """Every slot row is an exact distribution, and its hit window is cut
+    from the CDF of running Fraction sums rounded to float, which ends at
+    exactly 1.0; the hit outcome's mass is p_hit, and the cloned branch's
+    guesses are certain."""
     for case in ("2bit", "3bit"):
         table = _slot_table(case)
         for branch in BRANCHES:
             for by_f in table.slots[branch].values():
                 for slot in by_f.values():
                     assert sum(slot.row) == 1
-                    running = [float(sum(slot.row[:k + 1])) for k in range(len(slot.row))]
-                    assert list(slot.cdf) == running[:-1] + [1.0]
+                    cdf = [0.0] + [float(sum(slot.row[:k + 1]))
+                                   for k in range(len(slot.row) - 1)] + [1.0]
+                    hit = [k for k in range(len(slot.row))
+                           if slot.window == (cdf[k], cdf[k + 1])]
+                    assert slot.p_hit in [slot.row[k] for k in hit]
                     if branch == "cloned":
                         assert slot.p_hit == 1
+
+
+def test_slot_table_refuses_a_slot_without_one_right_outcome(monkeypatch):
+    """Merge two pair sets under one label: a slot of the merged set now
+    has two right outcomes, and the table is not built."""
+    fam = copy.copy(family("3bit"))
+    merged, kept = list(fam.pair_sets)[:2]
+    fam.pair_label_by_table = {t: kept if label == merged else label
+                               for t, label in fam.pair_label_by_table.items()}
+    monkeypatch.setattr(gamesim, "family", lambda case: fam)
+    with pytest.raises(AssertionError, match="2 outcomes guess right, not 1"):
+        gamesim._SlotTable("3bit")
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +266,32 @@ def _ref_cdfs(case):
     return cdfs
 
 
-def _ref_wins(case, eff_floats, trials, seed):
-    """Wins of the strategy (no cloning when ``eff_floats`` is None)."""
-    fam, cdfs = family(case), _ref_cdfs(case)
+def _ref_plan(fam, f0, branch):
+    """(basis, xor shift of the measured state, guess offset) of a branch."""
+    return {"noclone": ("s2", 0, fam.s2_f0_by_query[f0.evaluate(0)].table),
+            "cloned": ("s2", f0.table, 0),
+            "failed": ("s1", 0, fam.s1_f0.table)}[branch]
+
+
+def _ref_hits(fam, f0, f, basis, offset):
+    """Which outcomes of the slot for (f0, f) guess f0 ^ f's pair set."""
     labels = fam.pair_label_by_table
+    members = fam.s1.members if basis == "s1" else fam.s2.members
+    return [labels.get(offset ^ m.table) == labels[f0.table ^ f.table]
+            for m in members]
 
-    def guess(basis, table, offset, rng):
-        cum, members = cdfs[(basis, table)]
+
+def _ref_run(case, eff_floats, trials, seed):
+    """(wins, clone successes, failures with the S1-side secret) of the
+    strategy (no cloning when ``eff_floats`` is None)."""
+    fam, cdfs = family(case), _ref_cdfs(case)
+
+    def right(f0, f, basis, shift, offset, rng):
+        cum, _ = cdfs[(basis, shift ^ f.table)]
         k = min(bisect_right(cum, rng.random()), len(cum) - 1)
-        return labels.get(offset ^ members[k].table)
+        return _ref_hits(fam, f0, f, basis, offset)[k]
 
-    wins = 0
+    wins = clones = s1_failures = 0
     for i, start in enumerate(range(0, trials, 10_000)):
         rng = random.Random((seed + i * 0x9E3779B97F4A7C15) & ((1 << 64) - 1))
         for _ in range(min(10_000, trials - start)):
@@ -266,15 +299,44 @@ def _ref_wins(case, eff_floats, trials, seed):
             cand = fam.candidates(f0).members
             f1, f2 = (cand[rng.randrange(len(cand))] for _ in range(2))
             if eff_floats is None:
-                plan = ("s2", 0, fam.s2_f0_by_query[f0.evaluate(0)].table)
+                branch = "noclone"
             elif rng.random() < eff_floats[fam.s_f0.members.index(f0)]:
-                plan = ("s2", f0.table, 0)
+                branch = "cloned"
+                clones += 1
             else:
-                plan = ("s1", 0, fam.s1_f0.table)
-            basis, shift, offset = plan
-            wins += all(guess(basis, shift ^ f.table, offset, rng)
-                        == labels[f0.table ^ f.table] for f in (f1, f2))
-    return wins
+                branch = "failed"
+                s1_failures += f0 == fam.s1_f0
+            plan = _ref_plan(fam, f0, branch)
+            wins += all(right(f0, f, *plan, rng) for f in (f1, f2))
+    return wins, clones, s1_failures
+
+
+def test_hit_window_is_the_cdf_lookup():
+    """For every slot of both cases, the hit window test lo <= u < hi gives
+    the verdict of looking u up in the slot's float CDF, at u = 0, at every
+    CDF entry below 1 and at their float neighbours in [0, 1); the slot's
+    row is the reference distribution of its state in its basis."""
+    for case in ("2bit", "3bit"):
+        fam, table = family(case), _slot_table(case)
+        for f0 in fam.s_f0:
+            for branch in BRANCHES:
+                basis, shift, offset = _ref_plan(fam, f0, branch)
+                for f in fam.candidates(f0):
+                    slot = table.slots[branch][f0.table][f.table]
+                    cdf, acc = [], F(0)
+                    for p in slot.row:
+                        acc += p
+                        cdf.append(float(acc))
+                    cdf[-1] = 1.0
+                    assert cdf == _ref_cdfs(case)[(basis, shift ^ f.table)][0]
+                    hits = _ref_hits(fam, f0, f, basis, offset)
+                    us = {0.0} | {c for c in cdf if c < 1.0}
+                    us |= {n for c in list(us)
+                           for n in (nextafter(c, 0.0), nextafter(c, 1.0))
+                           if 0.0 <= n < 1.0}
+                    lo, hi = slot.window
+                    for u in us:
+                        assert (lo <= u < hi) == hits[bisect_right(cdf, u)], (case, u)
 
 
 _gamma = st.fractions(min_value=0, max_value=1, max_denominator=200)
@@ -292,12 +354,26 @@ def test_simulation_matches_object_level_reference(case, gammas, seed, trials):
         eff = EfficiencyVector(gammas)
         r = simulate_clone(eff, case, trials=trials, seed=seed)
         eff_floats = eff.as_floats()
-    assert r.simulated == _ref_wins(case, eff_floats, trials, seed) / trials
+    wins, clones, s1_failures = _ref_run(case, eff_floats, trials, seed)
+    assert r.simulated == wins / trials
+    if gammas is not None:
+        assert r.p_success.count == clones
+        assert (r.posterior.count if r.posterior else 0) == s1_failures
 
 
 # ---------------------------------------------------------------------------
 # conditioned branches (trial-level checks)
 # ---------------------------------------------------------------------------
+
+def _both_right(slots, inst, rng):
+    """Measure f1's slot, then f2's if f1's guess was right, as ``_run``
+    does (``slots`` keyed by candidate table); True if both are right."""
+    lo, hi = slots[inst.f1.table].window
+    if not lo <= rng.random() < hi:
+        return False
+    lo, hi = slots[inst.f2.table].window
+    return lo <= rng.random() < hi
+
 
 def test_noclone_success_deterministic_when_assumption_holds():
     fam, slots = family("3bit"), _slot_table("3bit").slots["noclone"]
@@ -307,7 +383,7 @@ def test_noclone_success_deterministic_when_assumption_holds():
         for _ in range(2000):
             inst = TaskInstance(f0, cand[rng.randrange(len(cand))],
                                 cand[rng.randrange(len(cand))])
-            assert _trial(slots[f0.table], inst, rng)
+            assert _both_right(slots[f0.table], inst, rng)
 
 
 def test_noclone_wrong_branch_rate():
@@ -322,7 +398,7 @@ def test_noclone_wrong_branch_rate():
     for _ in range(n):
         inst = TaskInstance(f0, cand[rng.randrange(len(cand))],
                             cand[rng.randrange(len(cand))])
-        wins += _trial(slots, inst, rng)
+        wins += _both_right(slots, inst, rng)
     rate = wins / n
     assert abs(rate - 1 / 256) <= binom_band(F(1, 256), n)
     assert abs(rate - 1 / 64) > binom_band(F(1, 64), n)
@@ -334,8 +410,8 @@ def test_noclone_wrong_branch_rate_two_bit_matches_claim():
     f0 = fam.s1_f0
     slots = _slot_table("2bit").slots["noclone"][f0.table]
     cand = fam.candidates(f0).members
-    wins = sum(_trial(slots, TaskInstance(f0, cand[rng.randrange(len(cand))],
-                                          cand[rng.randrange(len(cand))]), rng)
+    wins = sum(_both_right(slots, TaskInstance(f0, cand[rng.randrange(len(cand))],
+                                               cand[rng.randrange(len(cand))]), rng)
                for _ in range(n))
     assert abs(wins / n - 1 / 16) <= binom_band(F(1, 16), n)
 
@@ -346,7 +422,7 @@ def test_clone_success_branch_never_errs():
     for _ in range(5000):
         inst = fam.sample_instance(rng)
         assert rng.random() < 1.0          # the cloning coin at gamma = 1
-        assert _trial(slots[inst.f0.table], inst, rng)
+        assert _both_right(slots[inst.f0.table], inst, rng)
 
 
 def test_clone_failure_posterior():
@@ -359,8 +435,8 @@ def test_clone_failure_posterior():
     for _ in range(n):
         inst = fam.sample_instance(rng)
         cloned = rng.random() < eff[fam.s_f0.members.index(inst.f0)]
-        _ = _trial(table.slots["cloned" if cloned else "failed"][inst.f0.table],
-                   inst, rng)
+        _ = _both_right(table.slots["cloned" if cloned else "failed"][inst.f0.table],
+                        inst, rng)
         if not cloned:
             fails += 1
             s1_fails += inst.f0 == fam.s1_f0
