@@ -8,9 +8,7 @@ the trip through the command line.
 
 Exit codes: 0 on success, 2 on usage, malformed input or an unwritable
 ``--out`` path, 1 when an internal invariant trips (the numeric
-optimizer exceeding the analytic bound by more than ``REGRESSION_MARGIN``;
-the search overshoots by up to 3.4 x ``--tol``, so every ``--tol`` >= 1e-6
-trips it).
+optimizer exceeding the analytic bound by more than ``REGRESSION_MARGIN``).
 """
 from __future__ import annotations
 
@@ -29,9 +27,9 @@ from .funcspace import CASES, family
 from .phasestate import case_gram, gram, phase_state
 
 #: how far ``optimize --mode both`` lets the numeric value exceed the
-#: analytic bound before it reports a regression. The PSD tolerance lets
-#: the search sit a few tol past the exact boundary (at most 3.4e-9 at the
-#: default 1e-9), so the margin is fixed: a large ``--tol`` never widens it.
+#: analytic bound before it reports a regression. The search's fixed PSD
+#: tolerance ``feasibility.DEFAULT_TOL`` lets it sit up to 3.4e-9 past
+#: the exact boundary.
 REGRESSION_MARGIN = 1e-6
 
 
@@ -41,11 +39,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--format", choices=("json", "csv", "table"), default="json",
                         help="output format (default: json)")
     parser.add_argument("--out", default=None, help="write output to this path")
-
-
-def _add_tol(parser: argparse.ArgumentParser):
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="PSD tolerance (default: 1e-9)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_feas = sub.add_parser("feasibility", help="feasibility matrix and PSD verdict")
     _add_common(p_feas)
-    _add_tol(p_feas)
+    p_feas.add_argument("--tol", type=float, default=fz.DEFAULT_TOL,
+                        help="PSD tolerance (default: 1e-9)")
     p_feas.add_argument("--gammas", default=None,
                         help="three efficiencies, e.g. 7/127,112/127,112/127")
     p_feas.add_argument("--p12", default="0", help="flag overlap P12 as re[,im]")
@@ -74,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="optimal efficiencies")
     _add_common(p_opt)
-    _add_tol(p_opt)
     p_opt.add_argument("--seed", type=int, default=0,
                        help="accepted and ignored: the search is deterministic")
     p_opt.add_argument("--objective", choices=("gamma23", "gamma1", "equal"),
@@ -215,7 +208,7 @@ def cmd_optimize(args) -> tuple[dict, int]:
     if args.iterations < 0:
         raise ValueError("--iterations must be non-negative")
     payload: dict = {"case": args.case, "objective": args.objective,
-                     "mode": args.mode, "tol": args.tol}
+                     "mode": args.mode, "tol": fz.DEFAULT_TOL}
     reports = []
     analytic = numeric = None
     if args.objective == "equal":
@@ -229,9 +222,9 @@ def cmd_optimize(args) -> tuple[dict, int]:
         if args.mode in ("numeric", "both"):
             numeric = optimize.numeric_search(
                 args.case, args.objective, resolution=args.resolution,
-                iterations=args.iterations, tol=args.tol)
+                iterations=args.iterations)
             reports.append(numeric)
-    payload["reports"] = [r.to_json(args.tol) for r in reports]
+    payload["reports"] = [r.to_json() for r in reports]
     code = 0
     if analytic is not None and numeric is not None:
         regression = numeric.value > analytic.value + REGRESSION_MARGIN

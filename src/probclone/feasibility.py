@@ -434,12 +434,12 @@ def hermitian3_eigvals(m) -> tuple[float, float, float]:
 
     Uses the trigonometric closed form; deterministic and dependency-free,
     accurate to ~1e-14 at this fixed size except near a double root, where
-    acos turns the rounding of its argument into a square-root-sized error
-    (see ``EIG_ERR``). Its only caller is
-    ``FeasibilityPoint.min_eigenvalue`` (the float route of ``is_psd`` and
-    the JSON certificates), with M from ``_float_matrix`` or the exact
-    route's entries as floats. ``_arrow_min_eig`` reproduces it bit for
-    bit for real arrow matrices, which is what ``ArrowKernel`` uses.
+    acos turns the rounding of its argument into a square-root-sized error.
+    Its only caller is ``FeasibilityPoint.min_eigenvalue`` (the float route
+    of ``is_psd`` and the JSON certificates), with M from ``_float_matrix``
+    or the exact route's entries as floats. ``_arrow_min_eig`` reproduces
+    it bit for bit for real arrow matrices, which is what ``ArrowKernel``
+    ranks moves by.
     """
     a11, a22, a33 = m[0][0].real, m[1][1].real, m[2][2].real
     p1 = abs(m[0][1]) ** 2 + abs(m[0][2]) ** 2 + abs(m[1][2]) ** 2
@@ -476,19 +476,6 @@ def is_psd(point: FeasibilityPoint, tol: float = DEFAULT_TOL) -> bool:
 # float kernel for the numeric search
 # ---------------------------------------------------------------------------
 
-_UNIT_ROUNDOFF = 2.0 ** -53
-
-#: bound on |hermitian3_eigvals(M)[0] - lambda_min(M)| over the search box
-#: of the case Grams. The closed form takes acos of r = det(B)/2, where
-#: B = (M - qI)/p has Frobenius norm sqrt(6), q <= 1 and 1/8 <= p <= 1
-#: (|M_1j| >= |G_1j| - G_1j^2 >= 3/16), so r carries a rounding error
-#: below 2**-40. acos is 1/2-Hoelder with constant pi/sqrt(2) < 2.25, so
-#: e_lo and e_hi move by at most 2p * (2.25/3) * 2**-20 = 1.5 * 2**-20 at
-#: a double root (far less elsewhere), e_mid = 3q - e_hi - e_lo by at
-#: most twice that, and the remaining O(u) roundings fit in the margin.
-EIG_ERR = 2.0 ** -18
-
-
 def _arrow_min_eig(a11: float, a22: float, a33: float, u: float, w: float) -> float:
     """``hermitian3_eigvals(M)[0]`` for real M with M_12 = u, M_13 = w, M_23 = 0.
 
@@ -520,67 +507,51 @@ class ArrowKernel:
     A search point is (gamma1, gamma2, gamma3, a, c) with real flags
     P12 = a, P13 = c; P23 multiplies the structural zero. By the
     sign-flag lemma (module docstring) no complex flag can widen the
-    feasible set, so the kernel takes real flags only. Every verdict
-    equals the one of ``hermitian3_eigvals(M)[0] >= -tol`` on M from
-    ``_float_matrix``, the assembly ``build_matrix``'s float route uses;
-    for these real arrow matrices ``_arrow_min_eig`` computes that value
-    bit for bit.
+    feasible set, so the kernel takes real flags only. M is assembled
+    as in ``_float_matrix``, the assembly of ``build_matrix``'s float
+    route, and tol is the fixed ``DEFAULT_TOL``.
 
-    M is an arrow matrix (G_23 = 0). Let A = M + tol*I, d_i = A_ii =
-    1 - gamma_i + tol and s = max(d2, d3). Because d2, d3 > 0, Cauchy
-    interlacing puts lambda_2(A) in [min(d2, d3), s], so
+    M is an arrow matrix (G_23 = 0). Let A = M + tol*I and d_i = A_ii =
+    1 - gamma_i + tol. Because d2, d3 > 0, Cauchy interlacing puts
+    lambda_2(A) in [min(d2, d3), max(d2, d3)], so
 
         det A = d1*d2*d3 - M_12^2 * d3 - M_13^2 * d2
 
     has the sign of lambda_1(A) = lambda_min(M) + tol: one Schur-complement
-    test replaces the eigenvalues. With lambda_3(A) <= ||A||_F <= lam,
-    |lambda_1(A)| >= |det A| / (s * lam). The computed determinant is
-    within 16u * lam^2 * s of det A, so outside the band
-    |det| <= s * band, band = lam * (EIG_ERR + 16u * lam), lambda_1(A)
-    is further than EIG_ERR from 0 and the closed form's verdict agrees.
-    Points inside the band go to ``_arrow_min_eig``.
+    test replaces the eigenvalues, and the computed determinant is the
+    verdict. Each rounding step of it is monotone in |M_12| and |M_13|,
+    and the computed |M_1j| is smallest at sign(G_1j), so the sign-flag
+    lemma holds for the computed verdict too.
     """
 
-    def __init__(self, gram: GramMatrix, tol: float = DEFAULT_TOL):
+    def __init__(self, gram: GramMatrix):
         gf = gram.as_complex
         if (any(gf[i][i] != 1 for i in range(3)) or gf[1][2] != 0
-                or not all(gf[0][j].imag == 0 and 0.25 <= abs(gf[0][j]) <= 0.5
+                or not all(gf[0][j].imag == 0 and 0 < abs(gf[0][j]) <= 0.5
                            for j in (1, 2))):
             raise ValueError("the arrow kernel needs unit diagonal, G_23 = 0 "
-                             "and real 1/4 <= |G_1j| <= 1/2")
-        if not 0 < tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {tol!r}")
-        self.tol = tol
+                             "and real 0 < |G_1j| <= 1/2")
         self._g12, self._g13 = gf[0][1].real, gf[0][2].real
         self._s12, self._s13 = (gf[0][1] ** 2).real, (gf[0][2] ** 2).real
-        # |M_1j| <= |G_1j| + G_1j^2 over gamma <= 1, |P| <= 1
-        lam = math.sqrt(3.0 * (1.0 + tol) ** 2
-                        + 2.0 * (abs(self._g12) + self._s12) ** 2
-                        + 2.0 * (abs(self._g13) + self._s13) ** 2)
-        self.band = lam * (EIG_ERR + 16.0 * _UNIT_ROUNDOFF * lam)
 
     def slack(self, point) -> float | None:
-        """lambda_min(M) at a real point where M + tol*I is PSD, else None.
+        """lambda_min(M) at a real point where det(M + tol*I) >= 0, else None.
 
         The value is ``_arrow_min_eig``, bit-identical to
-        ``hermitian3_eigvals(M)[0]``. A determinant below the band rejects
-        the point without it; flags with modulus above 1 are rejected
-        outright.
+        ``hermitian3_eigvals(M)[0]``; the search ranks moves by it. Flags
+        with modulus above 1 are rejected outright.
         """
         g1, g2, g3, a, c = point
         if a * a > 1.0 or c * c > 1.0:
             return None
-        tol = self.tol
         t12 = math.sqrt(g1 * g2) * self._s12
         t13 = math.sqrt(g1 * g3) * self._s13
         u, w = self._g12 - t12 * a, self._g13 - t13 * c
         a11, a22, a33 = 1.0 - g1, 1.0 - g2, 1.0 - g3
-        d2, d3 = a22 + tol, a33 + tol
-        det = (a11 + tol) * d2 * d3 - u * u * d3 - w * w * d2
-        if det < -self.band * max(d2, d3):
+        d2, d3 = a22 + DEFAULT_TOL, a33 + DEFAULT_TOL
+        if (a11 + DEFAULT_TOL) * d2 * d3 - u * u * d3 - w * w * d2 < 0:
             return None
-        eig = _arrow_min_eig(a11, a22, a33, u, w)
-        return eig if eig >= -tol else None
+        return _arrow_min_eig(a11, a22, a33, u, w)
 
 
 # ---------------------------------------------------------------------------
@@ -744,17 +715,24 @@ def vw_boundary(case: str, branch: str, parameter):
     ``max_s`` is parametrised by v in [0, v_corner] and follows the
     closed form along s = s_cap(q); ``min_s`` is parametrised by
     q in [q_corner, 0] and evaluates (x1, y1) at s = s_floor.
+
+    The closed form: (v, w) lies on the parabola, w = c0 - q*v + s*v^2,
+    and gamma2 is stationary there, 2*w*y' = 4*v + v*y'^2 with
+    y' = -q + 2*s*v. Eliminating q (a resultant) at s = s_cap(q) leaves,
+    besides the factor w - 1 - v^2,
+    2*g^2*w^2 + c0^2*w - (2 - c0)^2*v^2 - c0^2 = 0, whose positive root,
+    with 2*g^2 = 1 - c0 and 8*g^2 = 1/cap_coeff, is
+
+        w = ((2 - c0) * sqrt(c0^2 + v^2/cap_coeff) - c0^2) / (2*(1 - c0)).
     """
     cp = case_params(case)
     if branch == "max_s":
         v = parameter
         if not 0 <= v <= V_CORNER[case]:
             raise ValueError(f"v = {float(v)} outside [0, {float(V_CORNER[case])}]")
-        if case == "3bit":
-            w = Fraction(9, 16) * _sqrt_any(49 + 32 * v * v) - Fraction(49, 16)
-        else:
-            w = Fraction(-1, 4) + Fraction(3, 4) * _sqrt_any(1 + 8 * v * v)
-        return v, w
+        c0 = cp.c0
+        root = _sqrt_any(c0 * c0 + v * v / cp.cap_coeff)
+        return v, ((2 - c0) * root - c0 * c0) / (2 * (1 - c0))
     if branch == "min_s":
         qv = parameter
         if not Q_CORNER[case] <= qv <= 0:

@@ -53,7 +53,7 @@ class OptimumReport:
     evaluations: int = 0
     meta: dict = field(default_factory=dict)
 
-    def to_json(self, tol: float = fz.DEFAULT_TOL) -> dict:
+    def to_json(self) -> dict:
         out = {
             "case": self.case,
             "objective": self.objective,
@@ -64,7 +64,7 @@ class OptimumReport:
             "gammas_exact": list(self.gammas_exact) if self.gammas_exact else None,
             "P12": [float(self.flags.p12[0]), float(self.flags.p12[1])],
             "P13": [float(self.flags.p13[0]), float(self.flags.p13[1])],
-            "certificate": self.certificate.to_json(tol),
+            "certificate": self.certificate.to_json(),
         }
         if self.mode == "numeric":
             out["evaluations"] = self.evaluations
@@ -125,7 +125,7 @@ def _clamp(x, lo, hi):
 
 
 def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
-                   iterations: int = 40, tol: float = fz.DEFAULT_TOL) -> OptimumReport:
+                   iterations: int = 40) -> OptimumReport:
     """Grid-plus-pattern-search maximisation over (Gamma, P) with real P.
 
     Deterministic for fixed arguments: ties are broken by lexicographic
@@ -133,11 +133,8 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
 
     Every verdict, on the grid and in the refine, is one
     ``feasibility.ArrowKernel.slack`` call: M is an arrow matrix
-    (G_23 = 0), so the PSD verdict is the sign of one determinant, and
-    inside a band |det| <= max(d2, d3) * kernel.band derived from the
-    rounding bounds of both routes, the point goes to the closed-form
-    eigenvalues, so every verdict matches ``hermitian3_eigvals(M)[0] >=
-    -tol``.
+    (G_23 = 0), so the PSD verdict is the sign of one determinant of
+    M + tol*I at the fixed ``feasibility.DEFAULT_TOL``.
 
     Only the verdicts that can change the result are computed. This rests
     on one fact: the objective depends only on the point, and on the grid
@@ -148,17 +145,16 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     feasible at the grid flags ``CORNER_FLAGS``, so each block gets one
     verdict there; the first feasible block's flags are then tried in
     descending lexicographic order. Later blocks and flags get no
-    verdict. In floats the lemma holds below the band, since the
-    computed |M_1j| is smallest at sign(G_1j) and rounding is monotone;
-    inside it, the tests check it on the grid. Refine candidates whose
-    objective is below the current point's are never accepted and get
-    no verdict either (see ``_compass_refine``). Verdicts are memoised
-    by point for the length of one call: the grid's verdicts include the
-    refine's start points, and refines started in different slabs join
-    the same trajectories; nothing is kept between calls.
-    ``evaluations`` counts the points the search considers, each grid
-    point and each refine candidate that differs from its current point,
-    not the kernel calls.
+    verdict. The lemma holds for the computed determinant too, since the
+    computed |M_1j| is smallest at sign(G_1j) and rounding is monotone.
+    Refine candidates whose objective is below the current point's are
+    never accepted and get no verdict either (see ``_compass_refine``).
+    Verdicts are memoised by point for the length of one call: the
+    grid's verdicts include the refine's start points, and refines
+    started in different slabs join the same trajectories; nothing is
+    kept between calls. ``evaluations`` counts the points the search
+    considers, each grid point and each refine candidate that differs
+    from its current point, not the kernel calls.
 
     The objective is flat in every coordinate except gamma2/gamma3 (or
     gamma1), so the pattern search ranks moves by (objective, PSD slack)
@@ -172,7 +168,7 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
         raise ValueError("iterations must be non-negative")
     obj = _objective_fn(objective)
     g = case_gram(case)
-    kernel = fz.ArrowKernel(g, tol)
+    kernel = fz.ArrowKernel(g)
 
     gamma_axis = [i / (resolution - 1) for i in range(resolution)]
     flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]

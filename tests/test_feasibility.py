@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from probclone import feasibility
@@ -18,7 +18,8 @@ from probclone.feasibility import (EfficiencyVector, FlagOverlaps,
                                    case_params, gamma2_on_slice, gammas_from_xy,
                                    hermitian3_eigvals, intersection_x0, is_psd,
                                    reduce, s_cap, stationary_x1,
-                                   vw_boundary, V_CORNER, Q_CORNER)
+                                   vw_boundary, V_CORNER, Q_CORNER,
+                                   _stationary_point)
 from probclone.optimize import CORNER_FLAGS, analytic_optimum, case_gram
 
 OPT3 = EfficiencyVector((F(7, 127), F(112, 127), F(112, 127)))
@@ -520,18 +521,25 @@ def test_vw_corner_values():
     assert vw_boundary("2bit", "max_s", V_CORNER["2bit"]) == (F(2, 7), F(5, 7))
 
 
-def test_vw_max_s_closed_form_matches_direct_evaluation():
-    """Oracle: on s = s_cap(q) the curve must equal (x1, y1) evaluated
-    directly from the stationary-point formulas."""
-    for case in ("2bit", "3bit"):
-        cp = case_params(case)
-        for i in range(1, 40):
-            q = -float(cp.q_bound) * i / 40
-            s = float(s_cap(q, case))
-            v = float(stationary_x1(q, s, case))
-            w_direct = float(cp.c0) - q * v + s * v * v
-            v2, w_curve = vw_boundary(case, "max_s", v)
-            assert float(w_curve) == pytest.approx(w_direct, abs=1e-12)
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(("2bit", "3bit")),
+       t=st.one_of(st.fractions(0, 1, max_denominator=1000), st.floats(0.0, 1.0)))
+@example(case="3bit", t=F(1))
+@example(case="2bit", t=F(1))
+def test_vw_max_s_closed_form_matches_direct_evaluation(case, t):
+    """Oracle: on s = s_cap(q) the curve, derived from case_params alone,
+    must equal (x1, y1) evaluated directly from the stationary-point
+    formulas, for q = t * Q_CORNER in [Q_CORNER, 0)."""
+    q = t * Q_CORNER[case]
+    assume(q < 0)
+    v, w = _stationary_point(q, s_cap(q, case), case)
+    assume(v <= V_CORNER[case])
+    v_curve, w_curve = vw_boundary(case, "max_s", v)
+    assert v_curve == v
+    if isinstance(w, F) and isinstance(w_curve, F):
+        assert w_curve == w
+    else:
+        assert float(w_curve) == pytest.approx(float(w), rel=1e-12, abs=1e-12)
 
 
 def test_vw_parameter_range_errors():
@@ -687,6 +695,50 @@ def test_corner_flags_psd_iff_schur_form(setup):
     schur = g2 < 1 and g3 < 1 and 1 - g1 >= g * g * sum(
         (1 - g * exact_sqrt(g1 * gj)) ** 2 / (1 - gj) for gj in (g2, g3))
     assert is_psd(corner) == schur
+
+
+@st.composite
+def pythagorean_triples(draw):
+    """(case, Gamma, gbar) with gbar = (gamma2 + gamma3)/2 and all roots rational.
+
+    gamma1 = t*u^2, gamma2 = t*x^2 and gamma3 = t*y^2 with
+    x = m^2 - 2mn - n^2, y = m^2 + 2mn - n^2 and z = m^2 + n^2, so that
+    x^2 + y^2 = 2*z^2: the mean gbar = t*z^2 keeps every sqrt(gamma1*gamma_j)
+    rational, and both Gamma and (gamma1, gbar, gbar) take the exact route.
+    """
+    case = draw(st.sampled_from(("3bit", "2bit")))
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    u = draw(st.integers(0, 30))
+    x, y = m * m - 2 * m * n - n * n, m * m + 2 * m * n - n * n
+    assume(x or y)
+    q = draw(st.integers(1, 16))
+    t = F(draw(st.integers(1, q)), q) / max(u * u, x * x, y * y)
+    return case, (t * u * u, t * x * x, t * y * y), t * (m * m + n * n) ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(setup=pythagorean_triples())
+def test_symmetrising_never_loses_feasibility(setup):
+    # the lemma's Jensen step, exactly: at the sign flags, (gamma1, gbar,
+    # gbar) is feasible whenever Gamma is, and for gamma2, gamma3 < 1 the
+    # Schur value 1 - gamma1 - g^2 (h_a(gamma2) + h_a(gamma3)) does not fall
+    case, gammas, gbar = setup
+    assert gbar == (gammas[1] + gammas[2]) / 2
+    gram = case_gram(case)
+    flags = FlagOverlaps(**CORNER_FLAGS[case])
+    before = build_matrix(gram, EfficiencyVector(gammas), flags)
+    after = build_matrix(gram, EfficiencyVector((gammas[0], gbar, gbar)), flags)
+    assert before.is_exact and after.is_exact
+    if is_psd(before):
+        assert is_psd(after)
+    g = abs(F(gram.entry(0, 1)))
+
+    def schur(g1, g2, g3):
+        return 1 - g1 - g * g * sum(
+            (1 - g * exact_sqrt(g1 * gj)) ** 2 / (1 - gj) for gj in (g2, g3))
+
+    if gammas[1] < 1 and gammas[2] < 1:
+        assert schur(gammas[0], gbar, gbar) >= schur(*gammas)
 
 
 # ---------------------------------------------------------------------------

@@ -161,14 +161,6 @@ def test_unknown_objective_is_a_value_error(entry):
         entry("3bit", "equal")
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
-def test_tol_must_be_positive_and_finite(tol):
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        ArrowKernel(case_gram("3bit"), tol)
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        numeric_search("3bit", tol=tol)
-
-
 def test_numeric_resolution_floor():
     with pytest.raises(ValueError):
         numeric_search("2bit", resolution=4)
