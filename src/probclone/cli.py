@@ -129,14 +129,14 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _parse_gammas(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"need three efficiencies, got {text!r}")
     return fz.EfficiencyVector(tuple(parse_rational(p) for p in parts))
 
 
 def _parse_flag(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
     if len(parts) == 1:
         return (parse_rational(parts[0]), Fraction(0))
     if len(parts) == 2:
@@ -207,6 +207,9 @@ def cmd_optimize(args) -> tuple[dict, int]:
         raise ValueError("--resolution must be at least 8")
     if args.iterations < 0:
         raise ValueError("--iterations must be non-negative")
+    if args.objective == "equal" and args.mode == "numeric":
+        raise ValueError("--objective equal has no numeric search; "
+                         "use --mode analytic or both")
     payload: dict = {"case": args.case, "objective": args.objective,
                      "mode": args.mode, "tol": fz.DEFAULT_TOL}
     reports = []
@@ -236,6 +239,8 @@ def cmd_optimize(args) -> tuple[dict, int]:
 
 def cmd_simulate(args) -> tuple[dict, int]:
     if args.strategy == "noclone":
+        if args.gammas is not None:
+            raise ValueError("--gammas applies to the clone strategy only")
         report = gamesim.simulate_no_clone(args.case, trials=args.trials,
                                            seed=args.seed)
     else:

@@ -295,17 +295,13 @@ class FeasibilityPoint:
     def det(self):
         """Determinant of M (real; exact Fraction in rational mode).
 
-        The float route keeps the complex cofactor expansion rather than
-        the exact route's Hermitian form: its digits are in every
-        float-route report.
+        The exact route reads it off the integer minors; the float route
+        takes ``_det3`` of M's diagonal and upper triangle.
         """
         if self.is_exact:
             return Fraction(self._minor_numerators[6], self.scaled[1] ** 3)
         m = self.matrix
-        det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        return det.real
+        return _det3(m[0][0].real, m[1][1].real, m[2][2].real, m[0][1], m[0][2], m[1][2])
 
     def to_json(self, tol: float = DEFAULT_TOL) -> dict:
         principal = self.principal_minors()
@@ -429,35 +425,46 @@ def _float_matrix(gf, gammas, p12: complex, p13: complex, p23: complex) -> tuple
              gf[2][2] - g3))
 
 
-def hermitian3_eigvals(m) -> tuple[float, float, float]:
-    """Eigenvalues of a 3x3 Hermitian matrix via the characteristic cubic.
+def _det3(a11, a22, a33, m12, m13, m23):
+    """det of the Hermitian 3x3 with real diagonal a_ii and upper triangle m_ij,
+    by cofactors along the first row. Floats have ``.conjugate()`` and
+    ``.real`` too, so real entries take the same expansion in floats."""
+    m21, m31, m32 = m12.conjugate(), m13.conjugate(), m23.conjugate()
+    return (a11 * (a22 * a33 - m23 * m32)
+            - m12 * (m21 * a33 - m23 * m31)
+            + m13 * (m21 * m32 - a22 * m31)).real
 
-    Uses the trigonometric closed form; deterministic and dependency-free,
-    accurate to ~1e-14 at this fixed size except near a double root, where
-    acos turns the rounding of its argument into a square-root-sized error.
-    Its only caller is ``FeasibilityPoint.min_eigenvalue`` (the float route
-    of ``is_psd`` and the JSON certificates), with M from ``_float_matrix``
-    or the exact route's entries as floats. ``_arrow_min_eig`` reproduces
-    it bit for bit for real arrow matrices, which is what ``ArrowKernel``
-    ranks moves by.
-    """
-    a11, a22, a33 = m[0][0].real, m[1][1].real, m[2][2].real
-    p1 = abs(m[0][1]) ** 2 + abs(m[0][2]) ** 2 + abs(m[1][2]) ** 2
+
+def _eig3(a11, a22, a33, m12, m13, m23) -> tuple[float, float, float]:
+    """``hermitian3_eigvals`` of the matrix ``_det3`` takes."""
+    p1 = abs(m12) ** 2 + abs(m13) ** 2 + abs(m23) ** 2
     q = (a11 + a22 + a33) / 3.0
     p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
     if p2 <= 0.0:
         return (q, q, q)
     p = math.sqrt(p2 / 6.0)
-    b = [[(m[i][j] - (q if i == j else 0.0)) / p for j in range(3)] for i in range(3)]
-    detb = (b[0][0] * (b[1][1] * b[2][2] - b[1][2] * b[2][1])
-            - b[0][1] * (b[1][0] * b[2][2] - b[1][2] * b[2][0])
-            + b[0][2] * (b[1][0] * b[2][1] - b[1][1] * b[2][0]))
-    r = max(-1.0, min(1.0, detb.real / 2.0))
+    detb = _det3((a11 - q) / p, (a22 - q) / p, (a33 - q) / p, m12 / p, m13 / p, m23 / p)
+    r = max(-1.0, min(1.0, detb / 2.0))
     phi = math.acos(r) / 3.0
     e_hi = q + 2.0 * p * math.cos(phi)
     e_lo = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
     e_mid = 3.0 * q - e_hi - e_lo
     return tuple(sorted((e_lo, e_mid, e_hi)))
+
+
+def hermitian3_eigvals(m) -> tuple[float, float, float]:
+    """Ascending eigenvalues of a 3x3 Hermitian matrix.
+
+    The trigonometric closed form of the characteristic cubic (Smith,
+    "Eigenvalues of a symmetric 3x3 matrix", CACM 4(4), 1961), computed
+    by ``_eig3`` from the real diagonal and the upper triangle: with
+    q = tr(m)/3, p^2 = |m - q*I|_F^2 / 6 and phi = acos(det((m - q*I)/p)/2)/3,
+    the eigenvalues are q + 2*p*cos(phi + 2*pi*k/3). Deterministic and
+    dependency-free, accurate to ~1e-14 at this fixed size except near a
+    double root, where acos turns the rounding of its argument into a
+    square-root-sized error.
+    """
+    return _eig3(m[0][0].real, m[1][1].real, m[2][2].real, m[0][1], m[0][2], m[1][2])
 
 
 def is_psd(point: FeasibilityPoint, tol: float = DEFAULT_TOL) -> bool:
@@ -475,31 +482,6 @@ def is_psd(point: FeasibilityPoint, tol: float = DEFAULT_TOL) -> bool:
 # ---------------------------------------------------------------------------
 # float kernel for the numeric search
 # ---------------------------------------------------------------------------
-
-def _arrow_min_eig(a11: float, a22: float, a33: float, u: float, w: float) -> float:
-    """``hermitian3_eigvals(M)[0]`` for real M with M_12 = u, M_13 = w, M_23 = 0.
-
-    The general closed form's operations in the same order, minus the
-    products with the zero entries and imaginary parts (adding or
-    subtracting an exact zero changes no bit), so the result is
-    bit-identical to the complex computation.
-    """
-    p1 = abs(u) ** 2 + abs(w) ** 2
-    q = (a11 + a22 + a33) / 3.0
-    p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
-    if p2 <= 0.0:
-        return q
-    p = math.sqrt(p2 / 6.0)
-    b11, b22, b33 = (a11 - q) / p, (a22 - q) / p, (a33 - q) / p
-    b12, b13 = u / p, w / p
-    detb = b11 * (b22 * b33) - b12 * (b12 * b33) - b13 * (b22 * b13)
-    r = max(-1.0, min(1.0, detb / 2.0))
-    phi = math.acos(r) / 3.0
-    e_hi = q + 2.0 * p * math.cos(phi)
-    e_lo = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    e_mid = 3.0 * q - e_hi - e_lo
-    return min(e_lo, e_mid, e_hi)
-
 
 class ArrowKernel:
     """Float PSD verdicts of M at the numeric search's real points.
@@ -521,7 +503,8 @@ class ArrowKernel:
     test replaces the eigenvalues, and the computed determinant is the
     verdict. Each rounding step of it is monotone in |M_12| and |M_13|,
     and the computed |M_1j| is smallest at sign(G_1j), so the sign-flag
-    lemma holds for the computed verdict too.
+    lemma holds for the computed verdict too. It stays inline, as it runs
+    at every search point; moves are ranked by the closed form ``_eig3``.
     """
 
     def __init__(self, gram: GramMatrix):
@@ -537,7 +520,7 @@ class ArrowKernel:
     def slack(self, point) -> float | None:
         """lambda_min(M) at a real point where det(M + tol*I) >= 0, else None.
 
-        The value is ``_arrow_min_eig``, bit-identical to
+        The value is ``_eig3`` of M's real entries, so it equals
         ``hermitian3_eigvals(M)[0]``; the search ranks moves by it. Flags
         with modulus above 1 are rejected outright.
         """
@@ -551,7 +534,7 @@ class ArrowKernel:
         d2, d3 = a22 + DEFAULT_TOL, a33 + DEFAULT_TOL
         if (a11 + DEFAULT_TOL) * d2 * d3 - u * u * d3 - w * w * d2 < 0:
             return None
-        return _arrow_min_eig(a11, a22, a33, u, w)
+        return _eig3(a11, a22, a33, u, w, 0.0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,16 @@ def test_feasibility_zero_gammas(capsys):
 
 
 def test_feasibility_malformed_rational(capsys):
-    code, _, err = run_cli(capsys, "feasibility", "--gammas", "1/x,0,0")
-    assert code == 2
-    assert "error" in err
+    # an empty piece of a list (middle, trailing or a lone comma) is malformed
+    # too, never skipped
+    for extra in (["--gammas", "1/x,0,0"], ["--gammas", "1/2,,1/4,1/4"],
+                  ["--gammas", "1/2,,1/4"], ["--gammas", "1/2,1/4,1/4,"],
+                  ["--gammas", ","], ["--gammas", "1/2,1/4,1/4", "--p12", "1/2,"],
+                  ["--gammas", "1/2,1/4,1/4", "--p13", ","],
+                  ["--gammas", "1/2,1/4,1/4", "--p23", ",1/2"]):
+        code, out, err = run_cli(capsys, "feasibility", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
 
 
 def test_feasibility_requires_gammas(capsys):
@@ -228,6 +235,15 @@ def test_feasibility_stdout_matches_golden(capsys, argv, code, parent):
     assert list(new_report) == list(want) and new_report == want
 
 
+def test_optimize_equal_objective_has_no_numeric_mode(capsys):
+    # the equal optimum is analytic only, so a numeric-only request would
+    # echo "mode": "numeric" over an analytic report
+    code, out, err = run_cli(capsys, "optimize", "--objective", "equal",
+                             "--mode", "numeric")
+    assert (code, out) == (2, "")
+    assert err == "error: --objective equal has no numeric search; use --mode analytic or both\n"
+
+
 def test_optimize_equal_objective(capsys):
     data = run_json(capsys, "optimize", "--case", "2bit", "--objective", "equal")
     rep = data["reports"][0]
@@ -266,6 +282,12 @@ def test_simulate_stdout_matches_golden(capsys, argv, parent):
         assert list(new)[:len(old)] == list(old)
         assert {k: new[k] for k in old} == old
         assert list(new)[len(old):] == ["p_success", "posterior"]
+
+
+def test_simulate_noclone_rejects_gammas(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--strategy", "noclone",
+                             "--gammas", "1/2,1/2,1/2", "--trials", "10")
+    assert (code, out, err) == (2, "", "error: --gammas applies to the clone strategy only\n")
 
 
 def test_simulate_clone_requires_gammas(capsys):

@@ -188,6 +188,81 @@ def test_closed_form_eigenvalues_degenerate_spectra():
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-7
 
 
+def reference_eigvals(m):
+    """The closed form as written out on the full complex matrix before M's
+    determinant and eigenvalues shared ``_det3``: the digits to keep."""
+    a11, a22, a33 = m[0][0].real, m[1][1].real, m[2][2].real
+    p1 = abs(m[0][1]) ** 2 + abs(m[0][2]) ** 2 + abs(m[1][2]) ** 2
+    q = (a11 + a22 + a33) / 3.0
+    p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
+    if p2 <= 0.0:
+        return (q, q, q)
+    p = math.sqrt(p2 / 6.0)
+    b = [[(m[i][j] - (q if i == j else 0.0)) / p for j in range(3)] for i in range(3)]
+    r = max(-1.0, min(1.0, reference_det(b) / 2.0))
+    phi = math.acos(r) / 3.0
+    e_hi = q + 2.0 * p * math.cos(phi)
+    e_lo = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
+    e_mid = 3.0 * q - e_hi - e_lo
+    return tuple(sorted((e_lo, e_mid, e_hi)))
+
+
+def reference_det(m):
+    """The complex cofactor expansion of the full matrix."""
+    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    return det.real
+
+
+def hermitian(d, z):
+    """The Hermitian matrix with diagonal d and upper triangle z, its lower
+    triangle written as ``_float_matrix`` writes it."""
+    return ((complex(d[0]), z[0], z[1]),
+            (complex(z[0].real, 0.0 - z[0].imag), complex(d[1]), z[2]),
+            (complex(z[1].real, 0.0 - z[1].imag), complex(z[2].real, 0.0 - z[2].imag),
+             complex(d[2])))
+
+
+_PART = st.one_of(st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -1.0)),
+                  st.floats(-2.0, 2.0))
+_ENTRY = st.one_of(_PART.map(complex), st.builds(complex, _PART, _PART))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(d=st.tuples(_PART, _PART, _PART), z=st.tuples(_ENTRY, _ENTRY, _ENTRY))
+@example(d=(0.0, 0.5, 1.0), z=(complex(-0.5), complex(0.25, -0.0), 0j))
+@example(d=(0.0, 0.0, 0.0), z=(complex(-1.0), 1j, complex(0.5)))
+@example(d=(1.0, 1.0, 1.0), z=(0j, complex(-0.0, -0.0), 0j))
+def test_closed_forms_keep_their_digits(d, z):
+    m = hermitian(d, z)
+    assert repr(hermitian3_eigvals(m)) == repr(reference_eigvals(m))
+    det = feasibility.FeasibilityPoint(None, None, None, m, None).det()
+    want = reference_det(m)
+    # ``_det3`` conjugates the upper triangle, which gives -0.0 where the
+    # stored lower entry has +0.0: that can flip the sign of an exactly
+    # zero determinant (the second example), and changes no other digit
+    assert repr(det) == repr(want) if want else det == 0
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=st.sampled_from(("2bit", "3bit")),
+       gammas=st.tuples(*[st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))
+                          for _ in range(3)]),
+       flags=st.tuples(*[st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+                                   st.floats(-0.7, 0.7)) for _ in range(4)]))
+@example(case="3bit", gammas=(0.3, 1.0, 1.0), flags=(-1.0, 0.0, 1.0, -0.0))
+def test_case_gram_points_keep_every_digit(case, gammas, flags):
+    # every float-route point of a case Gram, the only Grams the CLI builds,
+    # has its reference determinant bit for bit, zero signs included
+    a, b, c, d = flags
+    assume(a * a + b * b <= 1 and c * c + d * d <= 1)
+    point = build_matrix(case_gram(case), EfficiencyVector(gammas),
+                         FlagOverlaps(p12=(a, b), p13=(c, d)))
+    assert repr(point.det()) == repr(reference_det(point.matrix))
+    assert repr(point.min_eigenvalue()) == repr(reference_eigvals(point.matrix)[0])
+
+
 def test_minor_and_eigenvalue_verdicts_agree():
     rng = random.Random(17)
     tol = 1e-9

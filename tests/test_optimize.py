@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from probclone import gamesim
 from probclone.feasibility import (ArrowKernel, EfficiencyVector, FlagOverlaps,
-                                   _arrow_min_eig, build_matrix, case_params,
-                                   intersection_x0, is_psd, reduce, s_cap,
-                                   vw_boundary)
+                                   build_matrix, case_params, intersection_x0,
+                                   is_psd, reduce, s_cap, vw_boundary)
 from probclone._exact import surd_text
 from probclone.optimize import (CORNER_FLAGS, _clamp, _compass_refine, _objective_fn,
                                 analytic_optimum, case_gram, equal_gamma_optimum,
@@ -168,7 +167,8 @@ def test_numeric_resolution_floor():
 
 def test_fast_eigenvalue_path_matches_point_api():
     # the refine eigenvalue is bit-identical to the point API's closed form,
-    # at uniform points and at refine-sized steps off the resolution-9 grid
+    # at uniform points, at points with a zero flag component or an
+    # efficiency of 0 or 1, and at refine-sized steps off the resolution-9 grid
     import random
     rng = random.Random(13)
     grid = [i / 8 for i in range(9)]
@@ -177,6 +177,11 @@ def test_fast_eigenvalue_path_matches_point_api():
         kernel = ArrowKernel(g)
         points = [(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 1),
                    rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2000)]
+        for _ in range(2000):
+            p = [rng.choice((0.0, 1.0, rng.uniform(0, 1))) for _ in range(3)]
+            p += [rng.uniform(-1, 1), rng.uniform(-1, 1)]
+            p[rng.choice((3, 4))] = 0.0
+            points.append(tuple(p))
         for _ in range(3000):
             p = [rng.choice(grid) for _ in range(3)] + [2 * rng.choice(grid) - 1
                                                         for _ in range(2)]
@@ -188,9 +193,6 @@ def test_fast_eigenvalue_path_matches_point_api():
             point = build_matrix(g, EfficiencyVector(p[:3]),
                                  FlagOverlaps(p12=p[3], p13=p[4]))
             want = point.min_eigenvalue()
-            m = point.matrix
-            assert _arrow_min_eig(m[0][0].real, m[1][1].real, m[2][2].real,
-                                  m[0][1].real, m[0][2].real) == want
             assert kernel.slack(p) == (want if want >= -1e-9 else None)
 
 
