@@ -1,7 +1,6 @@
 """Oracle phase states, probabilistic-cloning feasibility, and task scores."""
 
-from .funcspace import (BooleanFunction, FunctionSet, TaskFamily, TaskInstance,
-                        family)
+from .funcspace import BooleanFunction, TaskFamily, TaskInstance, family
 from .phasestate import (GramMatrix, StateVector, case_gram, gram, inner, measure,
                          phase_state)
 from .feasibility import (EfficiencyVector, FeasibilityPoint, FlagOverlaps,
@@ -17,7 +16,7 @@ from .gamesim import (ScoreReport, clone_intermediates, score_clone_enumerated,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BooleanFunction", "FunctionSet", "TaskFamily", "TaskInstance", "family",
+    "BooleanFunction", "TaskFamily", "TaskInstance", "family",
     "GramMatrix", "StateVector", "gram", "inner", "measure", "phase_state",
     "EfficiencyVector", "FeasibilityPoint", "FlagOverlaps", "ReducedCoordinates",
     "build_matrix",

@@ -9,19 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
-RationalLike = (int, Fraction)
-
-
-def is_rational(x) -> bool:
-    return isinstance(x, RationalLike)
-
-
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", "-1", "0.25" (and similar) into an exact Fraction."""
     try:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -54,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_feas = sub.add_parser("feasibility", help="feasibility matrix and PSD verdict")
     _add_common(p_feas)
-    p_feas.add_argument("--tol", type=float, default=fz.DEFAULT_TOL,
-                        help="PSD tolerance (default: 1e-9)")
     p_feas.add_argument("--gammas", default=None,
                         help="three efficiencies, e.g. 7/127,112/127,112/127")
     p_feas.add_argument("--p12", default="0", help="flag overlap P12 as re[,im]")
@@ -177,7 +174,7 @@ def cmd_feasibility(args) -> tuple[dict, int]:
                             p23=_parse_flag(args.p23))
     point = fz.build_matrix(case_gram(args.case), eff, flags)
     payload = {"case": args.case}
-    payload.update(point.to_json(args.tol))
+    payload.update(point.to_json())
     payload["reduced"] = fz.ReducedCoordinates.from_inputs(flags, eff, args.case).to_json()
     return payload, 0
 
@@ -310,8 +307,6 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _parser().parse_args(_attach_signed_values(list(argv)))
     try:
-        if "tol" in args and not 0 < args.tol < math.inf:
-            raise ValueError("--tol must be positive and finite")
         payload, code = _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -102,10 +102,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-from ._exact import as_fraction, exact_sqrt, is_rational, surd_text
+from ._exact import exact_sqrt, surd_text
 from .funcspace import CASES
 from .phasestate import GramMatrix, case_gram
 
+#: the fixed margin of every float PSD verdict: lambda_min(M) >= -DEFAULT_TOL
 DEFAULT_TOL = 1e-9
 #: the index pairs (i, j), i < j, of M's upper triangle
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -145,9 +146,12 @@ def s_cap(q, case: str):
 # ---------------------------------------------------------------------------
 
 def _coerce_component(x):
-    """Keep ints/Fractions exact, everything else becomes float."""
-    if is_rational(x):
-        return as_fraction(x)
+    """Keep ints/Fractions exact (a Fraction comes back as itself),
+    everything else becomes float."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
     return float(x)
 
 
@@ -303,12 +307,13 @@ class FeasibilityPoint:
         m = self.matrix
         return _det3(m[0][0].real, m[1][1].real, m[2][2].real, m[0][1], m[0][2], m[1][2])
 
-    def to_json(self, tol: float = DEFAULT_TOL) -> dict:
+    def to_json(self) -> dict:
         principal = self.principal_minors()
         minors = [principal[0], principal[3], principal[6]]    # the last is det M
         min_eig = self.min_eigenvalue()
         # is_psd's verdict, from the values above
-        psd = all(x >= 0 for x in principal) if self.is_exact else min_eig >= -tol
+        psd = (all(x >= 0 for x in principal) if self.is_exact
+               else min_eig >= -DEFAULT_TOL)
         out = {
             "gram": self.gram.to_lists(),
             "gammas": [float(g) for g in self.eff],
@@ -467,16 +472,16 @@ def hermitian3_eigvals(m) -> tuple[float, float, float]:
     return _eig3(m[0][0].real, m[1][1].real, m[2][2].real, m[0][1], m[0][2], m[1][2])
 
 
-def is_psd(point: FeasibilityPoint, tol: float = DEFAULT_TOL) -> bool:
+def is_psd(point: FeasibilityPoint) -> bool:
     """Positive semidefiniteness of M.
 
     Exact points use Sylvester's criterion for PSD (all seven principal
     minors nonnegative, not only the leading three); float points test
-    the smallest closed-form eigenvalue against -tol.
+    the smallest closed-form eigenvalue against -``DEFAULT_TOL``.
     """
     if point.is_exact:
         return all(n >= 0 for n in point._minor_numerators)
-    return point.min_eigenvalue() >= -tol
+    return point.min_eigenvalue() >= -DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ phase states form orthonormal bases, eight two-member complement pair
 sets labelled by their ``S2`` representative, and their union ``S_f``.
 An instance of the task draws f0 from ``S_f0`` and f1, f2 from
 ``S1 u S2`` subject to f0 xor f1 and f0 xor f2 landing in ``S_f``.
+Every set is a plain tuple of ``BooleanFunction`` in its listed order;
+``pair_sets`` maps each label to its pair ``(rep, complement(rep))``.
 
 The two-bit families are not spelled out anywhere as data; they are
 reconstructed here as the unique structure with the same shape: candidate
@@ -64,16 +66,6 @@ class BooleanFunction:
                 table |= 1 << i
         return cls(arity, table)
 
-    @classmethod
-    def from_name(cls, name: str) -> "BooleanFunction":
-        """Parse the "h_{bits}" text form."""
-        s = name.strip()
-        if s.startswith("h_{") and s.endswith("}"):
-            return cls.from_bits(s[3:-1])
-        if s.startswith("h_"):
-            return cls.from_bits(s[2:])
-        raise ValueError(f"not a function name: {name!r}")
-
     @property
     def bits(self) -> str:
         return "".join(str((self.table >> i) & 1) for i in range(self.size))
@@ -101,24 +93,6 @@ class BooleanFunction:
     @property
     def size_mask(self) -> int:
         return (1 << self.size) - 1
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class FunctionSet:
-    label: str
-    members: tuple[BooleanFunction, ...]
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, f):
-        return f in self.members
 
 
 @dataclass(frozen=True)
@@ -161,36 +135,27 @@ class TaskFamily:
         def fns(key):
             return tuple(BooleanFunction.from_bits(b) for b in data[key])
 
-        self.s_f0 = FunctionSet("S_f0", fns("s_f0"))
-        self.s1 = FunctionSet("S1", fns("s1"))
-        self.s2 = FunctionSet("S2", fns("s2"))
-        self.s_f12 = FunctionSet("S_f12", self.s1.members + self.s2.members)
+        self.s_f0 = fns("s_f0")
+        self.s1 = fns("s1")
+        self.s2 = fns("s2")
+        self.s_f12 = self.s1 + self.s2
 
-        # pair sets {h, complement(h)} labelled by their S2 representative
-        self.pair_sets: dict[str, FunctionSet] = {}
-        self.pair_label_by_table: dict[int, str] = {}
-        sf_members = []
-        for rep in self.s2:
-            label = "S_" + rep.bits
-            pair = FunctionSet(label, (rep, rep.complement()))
-            self.pair_sets[label] = pair
-            for m in pair:
-                self.pair_label_by_table[m.table] = label
-                sf_members.append(m)
-        self.s_f = FunctionSet("S_f", tuple(sf_members))
+        # pair sets (h, complement(h)) labelled by their S2 representative
+        self.pair_sets: dict[str, tuple[BooleanFunction, BooleanFunction]] = {
+            "S_" + rep.bits: (rep, rep.complement()) for rep in self.s2}
+        self.pair_label_by_table = {m.table: label
+                                    for label, pair in self.pair_sets.items()
+                                    for m in pair}
+        self.s_f = tuple(m for pair in self.pair_sets.values() for m in pair)
 
         # candidates(f0) = {g in S_f12 : f0 xor g in S_f}, brute-force filter
-        self._candidates: dict[int, FunctionSet] = {}
+        self._candidates: dict[int, tuple[BooleanFunction, ...]] = {}
         for f0 in self.s_f0:
             members = tuple(g for g in self.s_f12
                             if (f0 ^ g).table in self.pair_label_by_table)
-            if members == self.s1.members:
-                cset = self.s1
-            elif members == self.s2.members:
-                cset = self.s2
-            else:  # pragma: no cover - family data would be inconsistent
+            if members not in (self.s1, self.s2):  # pragma: no cover
                 raise AssertionError("candidate filter does not match S1/S2")
-            self._candidates[f0.table] = cset
+            self._candidates[f0.table] = self.s1 if members == self.s1 else self.s2
 
         # the lone S_f0 member whose candidates are S1, and the two whose
         # candidates are S2 keyed by their value on input 0 (the classical
@@ -208,7 +173,7 @@ class TaskFamily:
         # sampling is three uniform picks and returns a shared object
         grid = []
         for f0 in self.s_f0:
-            cand = self._candidates[f0.table].members
+            cand = self._candidates[f0.table]
             grid.append(tuple(tuple(TaskInstance(f0, f1, f2) for f2 in cand)
                               for f1 in cand))
         self._grid = tuple(grid)
@@ -227,8 +192,9 @@ class TaskFamily:
             raise ValueError("arity mismatch for this case")
         return self.pair_label_by_table.get(f.table)
 
-    def candidates(self, f0: BooleanFunction) -> FunctionSet:
-        """Functions g in S_f12 with f0 xor g in S_f (S1 or S2)."""
+    def candidates(self, f0: BooleanFunction) -> tuple[BooleanFunction, ...]:
+        """Functions g in S_f12 with f0 xor g in S_f: the ``s1`` or ``s2``
+        tuple itself, in its listed order."""
         if f0.arity != self.arity:
             raise ValueError("arity mismatch for this case")
         try:

@@ -117,7 +117,7 @@ class _SlotTable:
         self.slots: dict[str, dict[int, dict[int, Slot]]] = {b: {} for b in BRANCHES}
         self.hit: dict[str, dict[int, Fraction]] = {b: {} for b in BRANCHES}
         for f0 in fam.s_f0:
-            cand = fam.candidates(f0).members
+            cand = fam.candidates(f0)
             # (branch, basis, measured state's xor offset from f, guess offset)
             plan = (("noclone", "s2", 0, fam.s2_f0_by_query[f0.evaluate(0)].table),
                     ("cloned", "s2", f0.table, 0),

@@ -327,17 +327,6 @@ def test_usage_error_exit_code(capsys):
 def test_run_config_invariants(capsys):
     code, _, err = run_cli(capsys, "simulate", "--strategy", "noclone", "--trials", "0")
     assert code == 2 and "trials" in err
-    code, _, err = run_cli(capsys, "feasibility", "--tol=-1e-9", "--gammas", "0,0,0")
-    assert code == 2 and "tol" in err
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("argv", [
-    ("feasibility", "--gammas", "1/2,1/3,1/5", "--p12", "0.3"),
-])
-def test_non_finite_tol_is_rejected(capsys, tol, argv):
-    code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
-    assert (code, out, err) == (2, "", "error: --tol must be positive and finite\n")
 
 
 @pytest.mark.parametrize("case", ["3bit", "2bit"])
@@ -396,16 +385,19 @@ def test_optimize_counts_are_checked_in_every_mode(capsys, mode, objective,
 
 @pytest.mark.parametrize("command, option", [
     ("states", "--seed"), ("states", "--trials"), ("states", "--tol"),
-    ("feasibility", "--seed"), ("feasibility", "--trials"),
+    ("feasibility", "--seed"), ("feasibility", "--trials"), ("feasibility", "--tol"),
     ("optimize", "--trials"), ("optimize", "--tol"),
     ("simulate", "--tol"),
 ])
 def test_each_command_takes_only_the_options_it_reads(capsys, command, option):
-    required = ["--strategy", "noclone"] if command == "simulate" else []
+    # the required options make the command valid without the rejected one
+    required = {"simulate": ["--strategy", "noclone"],
+                "feasibility": ["--gammas", "0,0,0"]}.get(command, [])
     with pytest.raises(SystemExit) as exc:
-        main([command, *required, option, "1"])
+        main([command, *required, option, "1e-3"])
     assert exc.value.code == 2
-    assert option in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert option in captured.err and captured.out == ""
 
 
 def test_out_unwritable_path_exits_2(tmp_path, capsys):

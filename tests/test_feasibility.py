@@ -100,6 +100,17 @@ def test_efficiency_validation():
         EfficiencyVector((-0.1, 0.5, 0.5))
 
 
+def test_components_keep_their_route():
+    # a Fraction passes through as the same object, an int becomes an
+    # exact Fraction, anything else a float
+    x = F(7, 127)
+    assert feasibility._coerce_component(x) is x
+    assert EfficiencyVector((x, x, x)).gammas[0] is x
+    for value, want in ((3, F(3)), (True, F(1)), (0.25, 0.25), (np.float64(0.5), 0.5)):
+        got = feasibility._coerce_component(value)
+        assert got == want and type(got) is type(want)
+
+
 def test_flag_validation():
     with pytest.raises(ValueError):
         FlagOverlaps(p12=1.2)
@@ -265,7 +276,7 @@ def test_case_gram_points_keep_every_digit(case, gammas, flags):
 
 def test_minor_and_eigenvalue_verdicts_agree():
     rng = random.Random(17)
-    tol = 1e-9
+    tol = feasibility.DEFAULT_TOL
     checked = 0
     for case in ("2bit", "3bit"):
         g = case_gram(case)
@@ -278,7 +289,7 @@ def test_minor_and_eigenvalue_verdicts_agree():
                 continue
             # float principal-minor verdict as the cross-check route
             minors_psd = all(float(x) >= -tol for x in point.principal_minors())
-            assert is_psd(point, tol) == minors_psd
+            assert is_psd(point) == minors_psd
             checked += 1
     assert checked > 9000
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from probclone.funcspace import BooleanFunction, TaskInstance, family
 
-H = BooleanFunction.from_name
+H = BooleanFunction.from_bits
 
 
 def popcount(x):
@@ -25,15 +25,16 @@ def sign_dot(f, g):
 # ---------------------------------------------------------------------------
 
 def test_name_round_trip():
-    for name in ("h_{01000000}", "h_{00110011}", "h_{0010}", "h_{1111}"):
-        assert H(name).name == name
+    for bits in ("01000000", "00110011", "0010", "1111"):
+        assert H(bits).bits == bits
+        assert H(bits).name == "h_{" + bits + "}"
 
 
 def test_eval_examples():
-    assert H("h_{01000000}").evaluate(0b001) == 1
-    f0 = H("h_{00000000}")
+    assert H("01000000").evaluate(0b001) == 1
+    f0 = H("00000000")
     assert all(f0.evaluate(x) == 0 for x in range(8))
-    assert H("h_{11000011}").evaluate(0b000) == 1
+    assert H("11000011").evaluate(0b000) == 1
 
 
 def test_eval_matches_name_digits():
@@ -47,13 +48,13 @@ def test_eval_matches_name_digits():
 
 def test_eval_out_of_range():
     with pytest.raises(ValueError):
-        H("h_{0010}").evaluate(4)
+        H("0010").evaluate(4)
     with pytest.raises(ValueError):
-        H("h_{0010}").evaluate(-1)
+        H("0010").evaluate(-1)
 
 
 def test_bad_names():
-    for bad in ("h_{010}", "g_{0100}", "h_{01002000}", ""):
+    for bad in ("010", "01002000", ""):
         with pytest.raises(ValueError):
             H(bad)
 
@@ -63,15 +64,15 @@ def test_bad_names():
 # ---------------------------------------------------------------------------
 
 def test_xor_examples():
-    assert H("h_{01000000}") ^ H("h_{10110000}") == H("h_{11110000}")
-    f = H("h_{00101001}")
-    assert f ^ f == H("h_{00000000}")
-    assert H("h_{00110011}") ^ H("h_{00000000}") == H("h_{00110011}")
+    assert H("01000000") ^ H("10110000") == H("11110000")
+    f = H("00101001")
+    assert f ^ f == H("00000000")
+    assert H("00110011") ^ H("00000000") == H("00110011")
 
 
 def test_xor_arity_mismatch():
     with pytest.raises(ValueError):
-        H("h_{0010}") ^ H("h_{00110011}")
+        H("0010") ^ H("00110011")
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,7 @@ def test_three_bit_set_sizes():
     assert len(fam.s_f12) == 16
     assert len(fam.s_f) == 16
     assert all(len(p) == 2 for p in fam.pair_sets.values())
-    assert not set(fam.s1.members) & set(fam.s2.members)
+    assert not set(fam.s1) & set(fam.s2)
 
 
 def test_two_bit_set_sizes():
@@ -94,7 +95,7 @@ def test_two_bit_set_sizes():
     assert len(fam.s1) == len(fam.s2) == 4
     assert len(fam.s_f12) == 8
     assert len(fam.s_f) == 8
-    assert not set(fam.s1.members) & set(fam.s2.members)
+    assert not set(fam.s1) & set(fam.s2)
 
 
 def test_pair_sets_are_complement_pairs():
@@ -102,31 +103,31 @@ def test_pair_sets_are_complement_pairs():
         fam = family(case)
         ones = BooleanFunction(fam.arity, (1 << (1 << fam.arity)) - 1)
         for pair in fam.pair_sets.values():
-            a, b = pair.members
+            a, b = pair
             assert a ^ b == ones
 
 
 def test_pair_set_of_examples():
     fam = family("3bit")
-    assert fam.pair_set_of(H("h_{11110000}")) == "S_00001111"
-    assert fam.pair_set_of(H("h_{00000000}")) == "S_00000000"
-    assert fam.pair_set_of(H("h_{01000000}")) is None
+    assert fam.pair_set_of(H("11110000")) == "S_00001111"
+    assert fam.pair_set_of(H("00000000")) == "S_00000000"
+    assert fam.pair_set_of(H("01000000")) is None
     # oracle for the None: enumerate all 16 members of S_f directly
-    assert H("h_{01000000}") not in fam.s_f.members
+    assert H("01000000") not in fam.s_f
 
 
 def test_candidates_examples():
     fam = family("3bit")
-    assert fam.candidates(H("h_{01000000}")) is fam.s1
-    assert fam.candidates(H("h_{00110011}")) is fam.s2
-    assert fam.candidates(H("h_{11000011}")) is fam.s2
+    assert fam.candidates(H("01000000")) is fam.s1
+    assert fam.candidates(H("00110011")) is fam.s2
+    assert fam.candidates(H("11000011")) is fam.s2
 
 
 def test_candidates_brute_force_oracle():
     # independent filter over S_f12 using the task constraint directly
     for case in ("2bit", "3bit"):
         fam = family(case)
-        sf_tables = {m.table for m in fam.s_f.members}
+        sf_tables = {m.table for m in fam.s_f}
         for f0 in fam.s_f0:
             expected = [g for g in fam.s_f12 if (f0.table ^ g.table) in sf_tables]
             assert list(fam.candidates(f0)) == expected
@@ -135,7 +136,7 @@ def test_candidates_brute_force_oracle():
 def test_candidates_rejects_non_secret():
     fam = family("3bit")
     with pytest.raises(ValueError):
-        fam.candidates(H("h_{00000000}"))
+        fam.candidates(H("00000000"))
 
 
 def test_constraint_invariant():
@@ -151,7 +152,7 @@ def test_candidate_states_pairwise_orthogonal():
     for case in ("2bit", "3bit"):
         fam = family(case)
         for sset in (fam.s1, fam.s2):
-            for f, g in combinations(sset.members, 2):
+            for f, g in combinations(sset, 2):
                 assert sign_dot(f, g) == 0
 
 
@@ -204,8 +205,8 @@ def test_sample_instance_matches_randrange_formula():
         fam = family(case)
         rng, ref = random.Random(17), random.Random(17)
         for _ in range(3000):
-            f0 = fam.s_f0.members[ref.randrange(len(fam.s_f0))]
-            cand = fam.candidates(f0).members
+            f0 = fam.s_f0[ref.randrange(len(fam.s_f0))]
+            cand = fam.candidates(f0)
             f1 = cand[ref.randrange(len(cand))]
             f2 = cand[ref.randrange(len(cand))]
             assert fam.sample_instance(rng) == TaskInstance(f0, f1, f2)
@@ -233,7 +234,7 @@ def test_sample_f0_uniform():
     fam = family("3bit")
     rng = random.Random(0)
     n = 100_000
-    target = H("h_{01000000}")
+    target = H("01000000")
     hits = sum(fam.sample_instance(rng).f0 == target for _ in range(n))
     p = 1 / 3
     assert abs(hits / n - p) <= 3 * sqrt(p * (1 - p) / n)

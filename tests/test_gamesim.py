@@ -87,6 +87,25 @@ def test_clone_enumerated():
         assert score_clone_enumerated(g, "3bit") == (86 + 85 * s) / 256
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(("2bit", "3bit")),
+       gammas=st.tuples(*[st.fractions(0, 1, max_denominator=1000)] * 3))
+def test_cloning_breaks_even_at_unit_gamma_sum(case, gammas):
+    """Both score pairs differ by (1 - c)(s - 1)/3, s = gamma2 + gamma3, with
+    c the pair's both-guesses chance: gamma1 drops out, and cloning wins
+    iff gamma2 + gamma3 > 1."""
+    eff = EfficiencyVector(gammas)
+    s = gammas[1] + gammas[2]
+    c = CLAIMED_GUESS_CHANCE[case]
+    assert (score_clone_exact(eff, case) - score_no_clone_exact(case)
+            == (1 - c) * (s - 1) / 3)
+    no_clone = score_no_clone_enumerated(case)
+    c_measured = 3 * no_clone - 2
+    assert c_measured == {"3bit": F(1, 256), "2bit": F(1, 16)}[case]
+    assert (score_clone_enumerated(eff, case) - no_clone
+            == (1 - c_measured) * (s - 1) / 3)
+
+
 def test_wrong_branch_chance_measured_not_claimed():
     """Direct exact computation of the wrong-branch both-right probability:
     equals the claim for 2-bit, is 1/256 (not 1/64) for 3-bit."""
@@ -100,7 +119,7 @@ def test_wrong_branch_chance_measured_not_claimed():
         for f in cand:
             row = slots[f0.table][f.table].row
             truth = labels[f0.table ^ f.table]
-            slot += sum((p for p, m in zip(row, fam.s2.members)
+            slot += sum((p for p, m in zip(row, fam.s2)
                          if labels.get(f0_hat.table ^ m.table) == truth), F(0))
         slot /= len(cand)
         assert slot * slot == expected
@@ -256,13 +275,13 @@ def test_slot_table_refuses_a_slot_without_one_right_outcome(monkeypatch):
 def _ref_cdfs(case):
     fam, cdfs = family(case), {}
     for basis, bset in (("s1", fam.s1), ("s2", fam.s2)):
-        for f in fam.s_f12.members + fam.s_f.members:
+        for f in fam.s_f12 + fam.s_f:
             cum, acc = [], F(0)
             for b in bset:
                 acc += overlap2(phase_state(b), phase_state(f))
                 cum.append(float(acc))
             cum[-1] = 1.0
-            cdfs[(basis, f.table)] = (cum, bset.members)
+            cdfs[(basis, f.table)] = (cum, bset)
     return cdfs
 
 
@@ -276,7 +295,7 @@ def _ref_plan(fam, f0, branch):
 def _ref_hits(fam, f0, f, basis, offset):
     """Which outcomes of the slot for (f0, f) guess f0 ^ f's pair set."""
     labels = fam.pair_label_by_table
-    members = fam.s1.members if basis == "s1" else fam.s2.members
+    members = fam.s1 if basis == "s1" else fam.s2
     return [labels.get(offset ^ m.table) == labels[f0.table ^ f.table]
             for m in members]
 
@@ -295,12 +314,12 @@ def _ref_run(case, eff_floats, trials, seed):
     for i, start in enumerate(range(0, trials, 10_000)):
         rng = random.Random((seed + i * 0x9E3779B97F4A7C15) & ((1 << 64) - 1))
         for _ in range(min(10_000, trials - start)):
-            f0 = fam.s_f0.members[rng.randrange(len(fam.s_f0))]
-            cand = fam.candidates(f0).members
+            f0 = fam.s_f0[rng.randrange(len(fam.s_f0))]
+            cand = fam.candidates(f0)
             f1, f2 = (cand[rng.randrange(len(cand))] for _ in range(2))
             if eff_floats is None:
                 branch = "noclone"
-            elif rng.random() < eff_floats[fam.s_f0.members.index(f0)]:
+            elif rng.random() < eff_floats[fam.s_f0.index(f0)]:
                 branch = "cloned"
                 clones += 1
             else:
@@ -379,7 +398,7 @@ def test_noclone_success_deterministic_when_assumption_holds():
     fam, slots = family("3bit"), _slot_table("3bit").slots["noclone"]
     rng = random.Random(21)
     for f0 in fam.s2_f0_by_query.values():
-        cand = fam.candidates(f0).members
+        cand = fam.candidates(f0)
         for _ in range(2000):
             inst = TaskInstance(f0, cand[rng.randrange(len(cand))],
                                 cand[rng.randrange(len(cand))])
@@ -393,7 +412,7 @@ def test_noclone_wrong_branch_rate():
     rng, n = random.Random(29), 100_000
     f0 = fam.s1_f0
     slots = _slot_table("3bit").slots["noclone"][f0.table]
-    cand = fam.candidates(f0).members
+    cand = fam.candidates(f0)
     wins = 0
     for _ in range(n):
         inst = TaskInstance(f0, cand[rng.randrange(len(cand))],
@@ -409,7 +428,7 @@ def test_noclone_wrong_branch_rate_two_bit_matches_claim():
     rng, n = random.Random(31), 100_000
     f0 = fam.s1_f0
     slots = _slot_table("2bit").slots["noclone"][f0.table]
-    cand = fam.candidates(f0).members
+    cand = fam.candidates(f0)
     wins = sum(_both_right(slots, TaskInstance(f0, cand[rng.randrange(len(cand))],
                                                cand[rng.randrange(len(cand))]), rng)
                for _ in range(n))
@@ -434,7 +453,7 @@ def test_clone_failure_posterior():
     fails = s1_fails = 0
     for _ in range(n):
         inst = fam.sample_instance(rng)
-        cloned = rng.random() < eff[fam.s_f0.members.index(inst.f0)]
+        cloned = rng.random() < eff[fam.s_f0.index(inst.f0)]
         _ = _both_right(table.slots["cloned" if cloned else "failed"][inst.f0.table],
                         inst, rng)
         if not cloned:

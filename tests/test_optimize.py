@@ -102,7 +102,7 @@ def test_numeric_three_bit_reaches_corner():
     assert abs(r.value - 224 / 127) <= 1e-4
     assert r.gammas[1] >= 0.88188
     assert r.value <= 224 / 127 + 1e-6
-    assert is_psd(r.certificate, 1e-8)
+    assert is_psd(r.certificate)
 
 
 def test_numeric_two_bit_beats_published_numeric_baseline():

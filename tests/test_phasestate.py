@@ -11,7 +11,7 @@ from probclone.funcspace import BooleanFunction, family
 from probclone.phasestate import (GramMatrix, StateVector, gram, inner, measure,
                                   overlap2, phase_state)
 
-H = BooleanFunction.from_name
+H = BooleanFunction.from_bits
 
 
 def overlap_oracle(f, g):
@@ -26,22 +26,22 @@ def overlap_oracle(f, g):
 # ---------------------------------------------------------------------------
 
 def test_phase_state_all_plus():
-    st = phase_state(H("h_{00000000}"))
+    st = phase_state(H("00000000"))
     assert st.ints == (1,) * 8
     assert all(abs(a - 1 / (2 * math.sqrt(2))) < 1e-15 for a in st.amps)
 
 
 def test_phase_state_candidate_signs():
-    assert phase_state(H("h_{01000000}")).sign_string() == "+-++++++"
-    assert phase_state(H("h_{00110011}")).sign_string() == "++--++--"
-    assert phase_state(H("h_{11000011}")).sign_string() == "--++++--"
-    st = phase_state(H("h_{0010}"))
+    assert phase_state(H("01000000")).sign_string() == "+-++++++"
+    assert phase_state(H("00110011")).sign_string() == "++--++--"
+    assert phase_state(H("11000011")).sign_string() == "--++++--"
+    st = phase_state(H("0010"))
     assert st.sign_string() == "++-+"
     assert st.amps[0] == 0.5
 
 
 def test_sign_string_round_trip():
-    st = phase_state(H("h_{01000000}"))
+    st = phase_state(H("01000000"))
     signs = st.sign_string()
     assert StateVector(8, ints=[1 if c == "+" else -1 for c in signs]) == st
     with pytest.raises(ValueError):
@@ -60,14 +60,14 @@ def test_state_norm_validation():
 # ---------------------------------------------------------------------------
 
 def test_identity_oracle():
-    f = H("h_{01000000}")
-    assert phase_state(f ^ H("h_{00000000}")) == phase_state(f)
+    f = H("01000000")
+    assert phase_state(f ^ H("00000000")) == phase_state(f)
 
 
 def test_oracle_gives_xor_state_up_to_sign():
-    f, g = H("h_{01000000}"), H("h_{10110000}")
+    f, g = H("01000000"), H("10110000")
     signs = tuple(a * b for a, b in zip(phase_state(f).ints, phase_state(g).ints))
-    assert signs == phase_state(f ^ g).ints == phase_state(H("h_{11110000}")).ints
+    assert signs == phase_state(f ^ g).ints == phase_state(H("11110000")).ints
 
 
 def test_oracle_composition():
@@ -83,15 +83,15 @@ def test_oracle_composition():
 
 
 def test_complement_flips_global_sign():
-    for name in ("h_{01000000}", "h_{0010}"):
-        f = H(name)
+    for bits in ("01000000", "0010"):
+        f = H(bits)
         assert phase_state(f.complement()).ints == tuple(-k for k in phase_state(f).ints)
         assert overlap2(phase_state(f), phase_state(f.complement())) == 1
 
 
 def test_oracle_dimension_mismatch():
     with pytest.raises(ValueError):
-        H("h_{0010}") ^ H("h_{00000000}")
+        H("0010") ^ H("00000000")
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_inner_conjugate_linearity():
 
 def test_inner_dimension_mismatch():
     with pytest.raises(ValueError):
-        inner(phase_state(H("h_{0010}")), phase_state(H("h_{00000000}")))
+        inner(phase_state(H("0010")), phase_state(H("00000000")))
 
 
 def test_candidate_gram_exact():
@@ -186,8 +186,7 @@ def test_gram_of_states_is_hermitian():
 def test_pair_set_equals_same_ray():
     # two functions share a pair set exactly when their states agree up to sign
     fam = family("3bit")
-    members = fam.s_f.members
-    for f, g in combinations(members, 2):
+    for f, g in combinations(fam.s_f, 2):
         same_set = fam.pair_set_of(f) == fam.pair_set_of(g)
         assert same_set == (overlap2(phase_state(f), phase_state(g)) == 1)
 
@@ -201,7 +200,7 @@ def test_measure_rows_match_overlaps(case):
     fam = family(case)
     for bset in (fam.s1, fam.s2):
         basis = [phase_state(b) for b in bset]
-        for f in fam.s_f12.members + fam.s_f.members:
+        for f in fam.s_f12 + fam.s_f:
             row = measure(phase_state(f), basis)
             assert row == tuple(overlap_oracle(b, f) for b in bset)
             assert all(isinstance(p, Fraction) for p in row)
@@ -228,7 +227,7 @@ def test_measure_global_sign_irrelevant():
 
 def test_measure_requires_orthonormal_basis():
     fam = family("3bit")
-    st = phase_state(H("h_{00000000}"))
+    st = phase_state(H("00000000"))
     s2 = [phase_state(f) for f in fam.s2]
     for basis in ([phase_state(f) for f in fam.s_f0],   # gram has -1/4 entries
                   s2[:7] + [s2[0]]):                     # a repeated element
@@ -239,7 +238,7 @@ def test_measure_requires_orthonormal_basis():
 def test_measure_rejects_partial_basis():
     # an orthonormal but incomplete basis would leave weight outside its span
     fam = family("3bit")
-    st = phase_state(H("h_{10110000}"))
+    st = phase_state(H("10110000"))
     s2 = [phase_state(f) for f in fam.s2]
     assert sum(overlap2(b, st) for b in s2[:3]) < 1
     with pytest.raises(ValueError):
@@ -248,12 +247,12 @@ def test_measure_rejects_partial_basis():
 
 def test_measure_basis_size_limits():
     s2 = [phase_state(f) for f in family("3bit").s2]
-    st = phase_state(H("h_{00000000}"))
+    st = phase_state(H("00000000"))
     for basis in ([], [StateVector(8, ints=[-k for k in s2[0].ints])] + s2):
         with pytest.raises(ValueError):
             measure(st, basis)
     with pytest.raises(ValueError):                 # dimension mismatch
-        measure(phase_state(H("h_{0010}")), s2)
+        measure(phase_state(H("0010")), s2)
 
 
 def test_measure_checks_each_basis_once(monkeypatch):
