@@ -57,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="three efficiencies, e.g. 7/127,112/127,112/127")
     p_feas.add_argument("--p12", default="0", help="flag overlap P12 as re[,im]")
     p_feas.add_argument("--p13", default="0", help="flag overlap P13 as re[,im]")
-    p_feas.add_argument("--p23", default="0", help="flag overlap P23 as re[,im]")
+    p_feas.add_argument("--p23", default="0",
+                        help="flag overlap P23 as re[,im], echoed only: P23 multiplies "
+                             "G_23 = 0 in both cases, so it cannot change M")
     p_feas.add_argument("--curve", choices=("vw",), default=None,
                         help="emit boundary curve points instead of a verdict")
     p_feas.add_argument("--points", type=int, default=64,

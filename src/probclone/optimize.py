@@ -34,6 +34,9 @@ from .phasestate import case_gram
 
 OBJECTIVES = ("gamma23", "gamma1")
 
+#: sweeps after which a pattern-search walk stops, whatever its shrinks
+MAX_SWEEPS = 20000
+
 #: flags realising the slice-optimal corner of the (q, s) region: sign(G_1j)
 CORNER_FLAGS = {case: dict(zip(("p12", "p13"), fz.case_params(case).signs))
                 for case in CASES}
@@ -151,10 +154,16 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     never accepted and get no verdict either (see ``_compass_refine``).
     Verdicts are memoised by point for the length of one call: the
     grid's verdicts include the refine's start points, and refines
-    started in different slabs join the same trajectories; nothing is
-    kept between calls. ``evaluations`` counts the points the search
-    considers, each grid point and each refine candidate that differs
-    from its current point, not the kernel calls.
+    started in different slabs join the same trajectories. Those
+    trajectories are shared too: the walk from a refine state
+    (point, shrinks) is a pure function of that state, so each walk that
+    ends on its shrink budget leaves its tail at every state it swept,
+    and a later slab's walk that reaches one of them takes the tail's
+    result instead of walking it again. Nothing is kept between calls.
+    ``evaluations`` counts the points the search considers, each grid
+    point and each refine candidate that differs from its current point,
+    not the kernel calls; a reused tail adds the candidates its walk
+    considered, so the count is that of walking every slab in full.
 
     The objective is flat in every coordinate except gamma2/gamma3 (or
     gamma1), so the pattern search ranks moves by (objective, PSD slack)
@@ -197,8 +206,10 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     cell = [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * 2
 
     best_val, best_point = max(slab_best)
+    tails = {}
     for _, start in sorted(slab_best, reverse=True):
-        val, point, n_ev = _compass_refine(start, obj, slack, lo, hi, cell, iterations)
+        val, point, n_ev = _compass_refine(start, obj, slack, lo, hi, cell,
+                                           iterations, tails)
         evaluations += n_ev
         if val > best_val or (val == best_val and point > best_point):
             best_val, best_point = val, point
@@ -214,7 +225,7 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     )
 
 
-def _compass_refine(start, obj, slack, lo, hi, cell, iterations):
+def _compass_refine(start, obj, slack, lo, hi, cell, iterations, tails=None):
     """Coordinate-wise pattern search, step halving on stall.
 
     ``slack(point)`` gives ``ArrowKernel.slack``: lambda_min(M) at a
@@ -226,6 +237,16 @@ def _compass_refine(start, obj, slack, lo, hi, cell, iterations):
     objective than the current point can never be accepted, so they get
     no verdict, and the objective levels above it are visited from the
     top, asking for slack only until one level has a feasible member.
+
+    ``tails`` maps a state (point, shrinks) at the start of a sweep to
+    the rest of a walk from it: (value, point, evals, sweeps). Share one
+    dict only among calls with the same ``obj``, ``slack``, box
+    (``lo``, ``hi``, ``cell``) and ``iterations``, because the rest of a
+    walk depends on those and on the state alone. A walk stores the
+    tails of the states it swept only when it ended on the shrink
+    budget, and reuses a tail only when the tail fits in its remaining
+    ``MAX_SWEEPS`` budget; otherwise it walks on, as it would without
+    the dict. Without ``tails`` the call keeps its own.
     """
     point = tuple(start)
     value = obj(point)
@@ -235,10 +256,21 @@ def _compass_refine(start, obj, slack, lo, hi, cell, iterations):
     # paired gamma2/gamma3 moves walk the symmetric ridge directly
     moves += [((1, s2), (2, s3)) for s2 in (1.0, -1.0) for s3 in (1.0, -1.0)]
     level = itemgetter(0)
+    if tails is None:
+        tails = {}
+    swept = []      # (point, shrinks, evals, sweeps) at the start of each sweep
     shrinks = 0
     evals = 0
     sweeps = 0
-    while shrinks < iterations and sweeps < 20000:
+    while shrinks < iterations and sweeps < MAX_SWEEPS:
+        tail = tails.get((point, shrinks))
+        if tail is not None and sweeps + tail[3] <= MAX_SWEEPS:
+            value, point, tail_evals, tail_sweeps = tail
+            evals += tail_evals
+            sweeps += tail_sweeps
+            shrinks = iterations    # the tail ended on the shrink budget
+            break
+        swept.append((point, shrinks, evals, sweeps))
         sweeps += 1
         ranked = []     # (objective, cand) for candidates not below value
         for move in moves:
@@ -265,6 +297,10 @@ def _compass_refine(start, obj, slack, lo, hi, cell, iterations):
         if not accepted:
             steps = [s_ / 2.0 for s_ in steps]
             shrinks += 1
+    if shrinks >= iterations:
+        for state_point, state_shrinks, state_evals, state_sweeps in swept:
+            tails[state_point, state_shrinks] = (value, point, evals - state_evals,
+                                                 sweeps - state_sweeps)
     return value, point, evals
 
 

@@ -123,6 +123,22 @@ def test_negative_flag_values_without_equals(capsys, option, value):
     assert json.loads(spaced)[option[2:].upper()] == pair[:2]
 
 
+@pytest.mark.parametrize("point, exact", [
+    (("--gammas", "7/127,112/127,112/127", "--p12=-1", "--p13=1"), True),
+    (("--gammas", "0.3,0.5,0.5", "--p12=-0.5,0.25", "--p13=0.5"), False),
+])
+def test_p23_is_echoed_only(capsys, point, exact):
+    # P23 multiplies G_23 = 0, so only its echo may differ, on either route
+    outs = set()
+    for p23 in ((), ("--p23=1/2,1/2",), ("--p23=-1",)):
+        code, out, err = run_cli(capsys, "feasibility", "--case", "3bit", *point, *p23)
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["exact"] is exact
+        outs.add(json.dumps({k: v for k, v in data.items() if k != "P23"}))
+    assert len(outs) == 1
+
+
 def test_feasibility_curve(capsys):
     data = run_json(capsys, "feasibility", "--case", "2bit", "--curve", "vw",
                     "--points", "5")

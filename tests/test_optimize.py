@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from probclone import gamesim
+from probclone import gamesim, optimize
 from probclone.feasibility import (ArrowKernel, EfficiencyVector, FlagOverlaps,
                                    build_matrix, case_params, intersection_x0,
                                    is_psd, reduce, s_cap, vw_boundary)
@@ -121,8 +121,11 @@ def test_numeric_gamma1_objective():
     assert abs(r3.value - 112 / 127) <= 1e-4
 
 
-def test_numeric_deterministic_and_thread_invariant():
+def test_numeric_deterministic():
+    # a call with another kernel and objective in between would change the
+    # second result if any refine state outlived its call
     a = numeric_search("2bit", "gamma23", resolution=8)
+    numeric_search("3bit", "gamma1", resolution=8)
     b = numeric_search("2bit", "gamma23", resolution=8)
     assert a.to_json() == b.to_json()
 
@@ -208,7 +211,7 @@ def exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations):
     shrinks = 0
     evals = 0
     sweeps = 0
-    while shrinks < iterations and sweeps < 20000:
+    while shrinks < iterations and sweeps < optimize.MAX_SWEEPS:
         sweeps += 1
         best_move = None
         for move in moves:
@@ -237,25 +240,47 @@ def exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations):
     return value, point, evals
 
 
-@st.composite
-def refine_setups(draw):
-    """A kernel, objective, search box at a resolution, shrink budget and
-    feasible start point in the box (grid values or arbitrary floats)."""
+def _draw_refine_box(draw):
+    """A kernel, objective, grid axes and search box at a resolution, and a
+    shrink budget."""
     case = draw(st.sampled_from(("3bit", "2bit")))
     objective = draw(st.sampled_from(("gamma23", "gamma1")))
     resolution = draw(st.integers(8, 12))
     iterations = draw(st.integers(1, 40))
     gamma_axis = [i / (resolution - 1) for i in range(resolution)]
     flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]
-    start = tuple(draw(st.one_of(st.sampled_from(gamma_axis), st.floats(0.0, 1.0)))
-                  for _ in range(3))
-    start += tuple(draw(st.one_of(st.sampled_from(flag_axis), st.floats(-1.0, 1.0)))
-                   for _ in range(2))
-    kernel = ArrowKernel(case_gram(case))
-    assume(kernel.slack(start) is not None)
     box = ([0.0] * 3 + [-1.0] * 2, [1.0] * 5,
            [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * 2)
-    return kernel, _objective_fn(objective), start, box, iterations
+    return (ArrowKernel(case_gram(case)), _objective_fn(objective),
+            [gamma_axis] * 3 + [flag_axis] * 2, box, iterations)
+
+
+@st.composite
+def refine_setups(draw):
+    """A kernel, objective, search box at a resolution, shrink budget and
+    feasible start point in the box (grid values or arbitrary floats)."""
+    kernel, obj, axes, box, iterations = _draw_refine_box(draw)
+    start = tuple(draw(st.one_of(st.sampled_from(axis), st.floats(lo, hi)))
+                  for axis, lo, hi in zip(axes, *box[:2]))
+    assume(kernel.slack(start) is not None)
+    return kernel, obj, start, box, iterations
+
+
+@st.composite
+def shared_refine_setups(draw):
+    """A ``refine_setups`` kernel, objective, box and shrink budget with 2-6
+    feasible start points. Each lies on the grid within one cell of a
+    drawn grid point, so that walks meet as the neighbouring slabs' walks
+    of ``numeric_search`` do, or anywhere in the box."""
+    kernel, obj, axes, box, iterations = _draw_refine_box(draw)
+    centre = [draw(st.integers(0, len(axis) - 1)) for axis in axes]
+    near = st.tuples(*(st.integers(max(i - 1, 0), min(i + 1, len(axis) - 1))
+                       .map(axis.__getitem__) for i, axis in zip(centre, axes)))
+    anywhere = st.tuples(*(st.floats(lo, hi) for lo, hi in zip(*box[:2])))
+    starts = draw(st.lists(st.one_of(near, anywhere), min_size=2, max_size=12))
+    starts = [s for s in starts if kernel.slack(s) is not None][:6]
+    assume(len(starts) >= 2)
+    return kernel, obj, starts, box, iterations
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,6 +292,46 @@ def test_pruned_search_matches_exhaustive(setup):
     want = exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations)
     assert _compass_refine(start, obj, functools.cache(kernel.slack),
                            lo, hi, cell, iterations) == want
+
+
+def _walk_with_shared_tails(setup):
+    # one tails dict and one verdict memo for every walk, as numeric_search
+    # shares them across its slabs; each walk must find what a lone
+    # exhaustive walk from its start does, evaluation count included
+    kernel, obj, starts, (lo, hi, cell), iterations = setup
+    slack = functools.cache(kernel.slack)
+    tails = {}
+    for start in starts:
+        want = exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations)
+        assert _compass_refine(start, obj, slack, lo, hi, cell, iterations,
+                               tails) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=shared_refine_setups())
+def test_shared_tails_match_exhaustive(setup):
+    _walk_with_shared_tails(setup)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=refine_setups(), data=st.data())
+def test_shared_tails_keep_the_sweep_cap(setup, data):
+    # the walk from start passes a later state before its first shrink and
+    # ends on the shrink budget after `total` sweeps. Under a cap below
+    # `total`, walking the later state first stores a tail that the walk
+    # from start reaches with too few sweeps left, so it must walk on to
+    # the cap; walking start first stops it on the cap, so it must store
+    # no tail for the later state's walk to reuse
+    kernel, obj, start, (lo, hi, cell), iterations = setup
+    trail = {}
+    _compass_refine(start, obj, kernel.slack, lo, hi, cell, iterations, trail)
+    total = trail[start, 0][3]
+    later = [point for point, shrinks in trail if shrinks == 0 and point != start]
+    assume(later)
+    starts = data.draw(st.permutations([start, data.draw(st.sampled_from(later))]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "MAX_SWEEPS", data.draw(st.integers(1, total)))
+        _walk_with_shared_tails((kernel, obj, starts, (lo, hi, cell), iterations))
 
 
 # ---------------------------------------------------------------------------
