@@ -23,7 +23,7 @@ from . import feasibility as fz
 from . import gamesim, optimize
 from ._exact import parse_rational
 from .funcspace import CASES, family
-from .phasestate import case_gram, gram, phase_state
+from .phasestate import gram, phase_state
 
 #: how far ``optimize --mode both`` lets the numeric value exceed the
 #: analytic bound before it reports a regression. The search's fixed PSD
@@ -174,7 +174,7 @@ def cmd_feasibility(args) -> tuple[dict, int]:
     eff = _parse_gammas(args.gammas)
     flags = fz.FlagOverlaps(p12=_parse_flag(args.p12), p13=_parse_flag(args.p13),
                             p23=_parse_flag(args.p23))
-    point = fz.build_matrix(case_gram(args.case), eff, flags)
+    point = fz.build_matrix(args.case, eff, flags)
     payload = {"case": args.case}
     payload.update(point.to_json())
     payload["reduced"] = fz.ReducedCoordinates.from_inputs(flags, eff, args.case).to_json()

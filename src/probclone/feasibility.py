@@ -7,16 +7,18 @@ overlaps P (inner products of the heralding-flag failure states,
 
     M_ij = G_ij - sqrt(gamma_i gamma_j) * G_ij^2 * P_ij      (P_ii = 1)
 
-is positive semidefinite, where G is the candidates' Gram matrix. This
-module builds M on one of two routes: exact whenever every input and every
-needed sqrt(gamma_i gamma_j) is rational (the certificate route, tested by
-its principal minors), else complex floats from ``_float_matrix``, the one
-float assembly, tested by the closed-form eigenvalues. The exact route
-computes in integers over one common denominator D (``_int_matrix``), a
-k x k minor being an integer over D**k (fraction-free, as in Bareiss's
-elimination), and hands out Fractions. It also implements the
-reduced coordinates that collapse the criterion on the gamma2 = gamma3
-slice to
+is positive semidefinite, where G is the candidates' Gram matrix. M is
+only ever built from the two case Grams ``case_gram(case)``, which are
+arrow matrices (below), so M_23 = 0 and only P12 and P13 enter M. This
+module builds M on one of two routes: exact whenever every input and
+every needed sqrt(gamma1 gamma_j) is rational (the certificate route,
+tested by its principal minors), else complex floats from
+``_float_matrix``, the one float assembly, tested by the closed-form
+eigenvalues. The exact route computes in integers over one common
+denominator D (``_int_matrix``), a k x k minor being an integer over D**k
+(fraction-free, as in Bareiss's elimination), and hands out Fractions.
+It also implements the reduced coordinates that collapse the criterion on
+the gamma2 = gamma3 slice to
 
     c0 - q*x + s*x^2  >=  y  >=  2*x  >=  0
 
@@ -108,8 +110,6 @@ from .phasestate import GramMatrix, case_gram
 
 #: the fixed margin of every float PSD verdict: lambda_min(M) >= -DEFAULT_TOL
 DEFAULT_TOL = 1e-9
-#: the index pairs (i, j), i < j, of M's upper triangle
-_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,8 @@ class EfficiencyVector:
 class FlagOverlaps:
     """Pairwise inner products of the heralding-flag failure states.
 
-    P12 = a + b*i and P13 = c + d*i drive the analysis; P23 is carried
-    for completeness but its coefficient vanishes for both cases (G_23 = 0).
+    P12 = a + b*i and P13 = c + d*i enter M. P23 is echoed only: it
+    multiplies G_23 = 0 in both cases, so no route or verdict reads it.
     """
 
     p12: tuple
@@ -236,8 +236,7 @@ class FlagOverlaps:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(x, Fraction)
-                   for p in (self.p12, self.p13, self.p23) for x in p)
+        return all(isinstance(x, Fraction) for x in self.p12 + self.p13)
 
 
 @dataclass(frozen=True)
@@ -267,15 +266,14 @@ class FeasibilityPoint:
     @cached_property
     def _minor_numerators(self) -> tuple:
         """A's principal minors in ``principal_minors``' order; a k x k one is M's
-        times D**k. det in its Hermitian form d1 d2 d3 - d1 |a23|^2
-        - d2 |a13|^2 - d3 |a12|^2 + 2 Re(a12 a23 conj(a13))."""
+        times D**k. A is an arrow matrix (a23 = 0), so det A is
+        d1 d2 d3 - d2 |a13|^2 - d3 |a12|^2."""
         a = self.scaled[0]
         d1, d2, d3 = a[0][0][0], a[1][1][0], a[2][2][0]
-        (x12, y12), (x13, y13), (x23, y23) = a[0][1], a[0][2], a[1][2]
-        n12, n13, n23 = x12 * x12 + y12 * y12, x13 * x13 + y13 * y13, x23 * x23 + y23 * y23
-        triple = (x12 * x23 - y12 * y23) * x13 + (x12 * y23 + y12 * x23) * y13
-        return (d1, d2, d3, d1 * d2 - n12, d1 * d3 - n13, d2 * d3 - n23,
-                d1 * d2 * d3 - d1 * n23 - d2 * n13 - d3 * n12 + 2 * triple)
+        (x12, y12), (x13, y13) = a[0][1], a[0][2]
+        n12, n13 = x12 * x12 + y12 * y12, x13 * x13 + y13 * y13
+        return (d1, d2, d3, d1 * d2 - n12, d1 * d3 - n13, d2 * d3,
+                d1 * d2 * d3 - d2 * n13 - d3 * n12)
 
     def min_eigenvalue(self) -> float:
         return hermitian3_eigvals(self.matrix)[0]
@@ -292,9 +290,9 @@ class FeasibilityPoint:
             return ([Fraction(n, d ** k) for n, k in zip(nums, (1, 1, 1, 2, 2, 2))]
                     + [self.det()])
         m = self.matrix
-        diag = [m[i][i].real for i in range(3)]
-        pairs = [diag[i] * diag[j] - abs(m[i][j]) ** 2 for i, j in _PAIRS]
-        return diag + pairs + [self.det()]
+        d1, d2, d3 = (m[i][i].real for i in range(3))
+        return [d1, d2, d3, d1 * d2 - abs(m[0][1]) ** 2, d1 * d3 - abs(m[0][2]) ** 2,
+                d2 * d3, self.det()]
 
     def det(self):
         """Determinant of M (real; exact Fraction in rational mode).
@@ -305,7 +303,7 @@ class FeasibilityPoint:
         if self.is_exact:
             return Fraction(self._minor_numerators[6], self.scaled[1] ** 3)
         m = self.matrix
-        return _det3(m[0][0].real, m[1][1].real, m[2][2].real, m[0][1], m[0][2], m[1][2])
+        return _det3(m[0][0].real, m[1][1].real, m[2][2].real, m[0][1], m[0][2])
 
     def to_json(self) -> dict:
         principal = self.principal_minors()
@@ -337,31 +335,30 @@ class FeasibilityPoint:
 # building and testing M
 # ---------------------------------------------------------------------------
 
-def _int_matrix(g: GramMatrix, eff: EfficiencyVector, flags: FlagOverlaps):
+def _int_matrix(g1j: tuple, eff: EfficiencyVector, flags: FlagOverlaps):
     """(A, D) with M = A / D from rational inputs, or None for the float route.
 
-    The route comes first: a structural zero G_ij^2 P_ij needs no root, and
-    gamma_i gamma_j = u/v has one iff u*v = n^2, the root being n/v. Over the
-    lcm L of the entry denominators, dividing out the gcd of L and all
-    numerators leaves D > 0, the least common denominator.
+    ``g1j`` is the case Gram's (G_12, G_13); its diagonal is 1 and
+    G_23 = 0, so A_23 = 0. The route comes first: a zero flag P_1j needs no
+    root, and gamma1 gamma_j = u/v has one iff u*v = n^2, the root being
+    n/v. Over the lcm L of the entry denominators, dividing out the gcd of
+    L and all numerators leaves D > 0, the least common denominator.
     """
-    pairs = tuple(zip(_PAIRS, (flags.p12, flags.p13, flags.p23)))
+    p1j = (flags.p12, flags.p13)
     roots = []
-    for (i, j), p in pairs:
-        if g.entry(i, j) == 0 or p == (0, 0):
+    for j, p in zip((1, 2), p1j):
+        if p == (0, 0):
             roots.append(None)
             continue
-        v = eff[i].denominator * eff[j].denominator
-        uv = eff[i].numerator * eff[j].numerator * v
+        v = eff[0].denominator * eff[j].denominator
+        uv = eff[0].numerator * eff[j].numerator * v
         n = math.isqrt(uv)
         if n * n != uv:
             return None
         roots.append((n, v))
-    ents = [(gi.numerator * e.denominator - e.numerator * gi.denominator, 0,
-             gi.denominator * e.denominator)
-            for gi, e in ((g.entry(i, i), eff[i]) for i in range(3))]
-    for ((i, j), (x, y)), root in zip(pairs, roots):
-        gn, gd = g.entry(i, j).numerator, g.entry(i, j).denominator
+    ents = [(e.denominator - e.numerator, 0, e.denominator) for e in eff]
+    for g, (x, y), root in zip(g1j, p1j, roots):
+        gn, gd = g.numerator, g.denominator
         if root is None:
             ents.append((gn, 0, gd))
             continue
@@ -373,47 +370,36 @@ def _int_matrix(g: GramMatrix, eff: EfficiencyVector, flags: FlagOverlaps):
     big = math.lcm(*(den for _, _, den in ents))
     nums = [(re * (big // den), im * (big // den)) for re, im, den in ents]
     k = math.gcd(big, *(x for z in nums for x in z))
-    d1, d2, d3, m12, m13, m23 = ((re // k, im // k) for re, im in nums)
+    d1, d2, d3, m12, m13 = ((re // k, im // k) for re, im in nums)
     a = ((d1, m12, m13),
-         ((m12[0], -m12[1]), d2, m23),
-         ((m13[0], -m13[1]), (m23[0], -m23[1]), d3))
+         ((m12[0], -m12[1]), d2, (0, 0)),
+         ((m13[0], -m13[1]), (0, 0), d3))
     return a, big // k
 
 
-def build_matrix(gram_in, eff: EfficiencyVector, flags: FlagOverlaps) -> FeasibilityPoint:
-    """Assemble M_ij = G_ij - sqrt(gamma_i gamma_j) G_ij^2 P_ij.
+def build_matrix(case: str, eff: EfficiencyVector, flags: FlagOverlaps) -> FeasibilityPoint:
+    """Assemble M_ij = G_ij - sqrt(gamma_i gamma_j) G_ij^2 P_ij on ``case_gram(case)``.
 
     Rational inputs give an exact point in integers (``_int_matrix``) whenever
-    every required sqrt(gamma_i*gamma_j) is rational (structural zeros are
-    exempt); its floats are the correctly rounded quotients re / D and im / D.
-    All other points get complex float entries from ``_float_matrix``.
+    every required sqrt(gamma1*gamma_j) is rational (a zero flag needs none);
+    its floats are the correctly rounded quotients re / D and im / D. All
+    other points get complex float entries from ``_float_matrix``.
     """
-    if isinstance(gram_in, GramMatrix):
-        g = gram_in
-    else:
-        g = GramMatrix(tuple(tuple(e for e in row) for row in gram_in))
-    if g.dim != 3:
-        raise ValueError("gram must be 3x3")
-    if not isinstance(eff, EfficiencyVector):
-        eff = EfficiencyVector(eff)
-    if not isinstance(flags, FlagOverlaps):
-        flags = FlagOverlaps(*flags)
-
-    scaled = None
-    if g.is_exact and eff.is_exact and flags.is_exact:
-        scaled = _int_matrix(g, eff, flags)
+    g = case_gram(case)
+    g1j = g.entries[0][1:]
+    scaled = _int_matrix(g1j, eff, flags) if eff.is_exact and flags.is_exact else None
     if scaled is None:
-        matrix = _float_matrix(g.as_complex, eff.as_floats(),
+        matrix = _float_matrix(*(complex(x) for x in g1j), eff.as_floats(),
                                *(complex(float(re), float(im))
-                                 for re, im in (flags.p12, flags.p13, flags.p23)))
+                                 for re, im in (flags.p12, flags.p13)))
     else:
         a, d = scaled
         matrix = tuple(tuple(complex(re / d, im / d) for re, im in row) for row in a)
     return FeasibilityPoint(g, eff, flags, matrix, scaled)
 
 
-def _float_matrix(gf, gammas, p12: complex, p13: complex, p23: complex) -> tuple:
-    """M in complex arithmetic from the Hermitian Gram ``gf`` (complex entries).
+def _float_matrix(g12: complex, g13: complex, gammas, p12: complex, p13: complex) -> tuple:
+    """M in complex arithmetic from a case Gram's first row (G_12, G_13).
 
     The one float assembly of M, used by ``build_matrix``'s float route.
     Each lower entry is the upper one's conjugate written as
@@ -421,34 +407,32 @@ def _float_matrix(gf, gammas, p12: complex, p13: complex, p23: complex) -> tuple
     (``.conjugate()`` would print -0.0).
     """
     g1, g2, g3 = gammas
-    m12 = gf[0][1] - math.sqrt(g1 * g2) * gf[0][1] ** 2 * p12
-    m13 = gf[0][2] - math.sqrt(g1 * g3) * gf[0][2] ** 2 * p13
-    m23 = gf[1][2] - math.sqrt(g2 * g3) * gf[1][2] ** 2 * p23
-    return ((gf[0][0] - g1, m12, m13),
-            (complex(m12.real, 0.0 - m12.imag), gf[1][1] - g2, m23),
-            (complex(m13.real, 0.0 - m13.imag), complex(m23.real, 0.0 - m23.imag),
-             gf[2][2] - g3))
+    m12 = g12 - math.sqrt(g1 * g2) * g12 ** 2 * p12
+    m13 = g13 - math.sqrt(g1 * g3) * g13 ** 2 * p13
+    return ((complex(1 - g1), m12, m13),
+            (complex(m12.real, 0.0 - m12.imag), complex(1 - g2), 0j),
+            (complex(m13.real, 0.0 - m13.imag), 0j, complex(1 - g3)))
 
 
-def _det3(a11, a22, a33, m12, m13, m23):
-    """det of the Hermitian 3x3 with real diagonal a_ii and upper triangle m_ij,
-    by cofactors along the first row. Floats have ``.conjugate()`` and
-    ``.real`` too, so real entries take the same expansion in floats."""
-    m21, m31, m32 = m12.conjugate(), m13.conjugate(), m23.conjugate()
-    return (a11 * (a22 * a33 - m23 * m32)
-            - m12 * (m21 * a33 - m23 * m31)
-            + m13 * (m21 * m32 - a22 * m31)).real
+def _det3(a11, a22, a33, m12, m13):
+    """det of the Hermitian arrow 3x3 with real diagonal a_ii, upper first
+    row m12, m13 and M_23 = 0, by cofactors along the first row. Floats
+    have ``.conjugate()`` and ``.real`` too, so real entries take the same
+    expansion in floats."""
+    m21, m31 = m12.conjugate(), m13.conjugate()
+    return (a11 * (a22 * a33) - m12 * (m21 * a33) - m13 * (a22 * m31)).real
 
 
-def _eig3(a11, a22, a33, m12, m13, m23) -> tuple[float, float, float]:
+def _eig3(a11, a22, a33, m12, m13) -> tuple[float, float, float]:
     """``hermitian3_eigvals`` of the matrix ``_det3`` takes."""
-    p1 = abs(m12) ** 2 + abs(m13) ** 2 + abs(m23) ** 2
+    p1 = abs(m12) ** 2 + abs(m13) ** 2
     q = (a11 + a22 + a33) / 3.0
     p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
-    if p2 <= 0.0:
-        return (q, q, q)
+    # test p, not p2: a subnormal p2 > 0 can underflow p2 / 6 to zero
     p = math.sqrt(p2 / 6.0)
-    detb = _det3((a11 - q) / p, (a22 - q) / p, (a33 - q) / p, m12 / p, m13 / p, m23 / p)
+    if p == 0.0:
+        return (q, q, q)
+    detb = _det3((a11 - q) / p, (a22 - q) / p, (a33 - q) / p, m12 / p, m13 / p)
     r = max(-1.0, min(1.0, detb / 2.0))
     phi = math.acos(r) / 3.0
     e_hi = q + 2.0 * p * math.cos(phi)
@@ -458,7 +442,7 @@ def _eig3(a11, a22, a33, m12, m13, m23) -> tuple[float, float, float]:
 
 
 def hermitian3_eigvals(m) -> tuple[float, float, float]:
-    """Ascending eigenvalues of a 3x3 Hermitian matrix.
+    """Ascending eigenvalues of a Hermitian arrow 3x3 (M_23 = 0, not read).
 
     The trigonometric closed form of the characteristic cubic (Smith,
     "Eigenvalues of a symmetric 3x3 matrix", CACM 4(4), 1961), computed
@@ -469,7 +453,7 @@ def hermitian3_eigvals(m) -> tuple[float, float, float]:
     double root, where acos turns the rounding of its argument into a
     square-root-sized error.
     """
-    return _eig3(m[0][0].real, m[1][1].real, m[2][2].real, m[0][1], m[0][2], m[1][2])
+    return _eig3(m[0][0].real, m[1][1].real, m[2][2].real, m[0][1], m[0][2])
 
 
 def is_psd(point: FeasibilityPoint) -> bool:
@@ -492,7 +476,7 @@ class ArrowKernel:
     """Float PSD verdicts of M at the numeric search's real points.
 
     A search point is (gamma1, gamma2, gamma3, a, c) with real flags
-    P12 = a, P13 = c; P23 multiplies the structural zero. By the
+    P12 = a, P13 = c, and ``case`` names the case Gram. By the
     sign-flag lemma (module docstring) no complex flag can widen the
     feasible set, so the kernel takes real flags only. M is assembled
     as in ``_float_matrix``, the assembly of ``build_matrix``'s float
@@ -512,15 +496,9 @@ class ArrowKernel:
     at every search point; moves are ranked by the closed form ``_eig3``.
     """
 
-    def __init__(self, gram: GramMatrix):
-        gf = gram.as_complex
-        if (any(gf[i][i] != 1 for i in range(3)) or gf[1][2] != 0
-                or not all(gf[0][j].imag == 0 and 0 < abs(gf[0][j]) <= 0.5
-                           for j in (1, 2))):
-            raise ValueError("the arrow kernel needs unit diagonal, G_23 = 0 "
-                             "and real 0 < |G_1j| <= 1/2")
-        self._g12, self._g13 = gf[0][1].real, gf[0][2].real
-        self._s12, self._s13 = (gf[0][1] ** 2).real, (gf[0][2] ** 2).real
+    def __init__(self, case: str):
+        self._g12, self._g13 = (float(x) for x in case_gram(case).entries[0][1:])
+        self._s12, self._s13 = self._g12 * self._g12, self._g13 * self._g13
 
     def slack(self, point) -> float | None:
         """lambda_min(M) at a real point where det(M + tol*I) >= 0, else None.
@@ -539,7 +517,7 @@ class ArrowKernel:
         d2, d3 = a22 + DEFAULT_TOL, a33 + DEFAULT_TOL
         if (a11 + DEFAULT_TOL) * d2 * d3 - u * u * d3 - w * w * d2 < 0:
             return None
-        return _eig3(a11, a22, a33, u, w, 0.0)[0]
+        return _eig3(a11, a22, a33, u, w)[0]
 
 
 # ---------------------------------------------------------------------------

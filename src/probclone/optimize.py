@@ -30,7 +30,6 @@ from .feasibility import (EfficiencyVector, FeasibilityPoint, FlagOverlaps,
                           build_matrix, gamma2_on_slice, intersection_x0,
                           intersection_x0_text, is_psd, reduce)
 from .funcspace import CASES
-from .phasestate import case_gram
 
 OBJECTIVES = ("gamma23", "gamma1")
 
@@ -88,8 +87,7 @@ def analytic_optimum(case: str, objective: str = "gamma23") -> OptimumReport:
     roles of state 1 and the equal pair) and shares the same corner.
     """
     obj = _objective_fn(objective)
-    g = case_gram(case)
-    flags = FlagOverlaps(**CORNER_FLAGS[case])
+    flags = FlagOverlaps(*fz.case_params(case).signs)
     q, s = reduce(flags, case)
     g_small, g_big = gamma2_on_slice(q, s, case)
     if objective == "gamma23":
@@ -98,7 +96,7 @@ def analytic_optimum(case: str, objective: str = "gamma23") -> OptimumReport:
         gammas = (g_big, g_small, g_small)
     value = obj(gammas)
     eff = EfficiencyVector(gammas)
-    cert = build_matrix(g, eff, flags)
+    cert = build_matrix(case, eff, flags)
     if not is_psd(cert):
         raise AssertionError("analytic optimum failed its own feasibility certificate")
     return OptimumReport(
@@ -176,8 +174,7 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
     obj = _objective_fn(objective)
-    g = case_gram(case)
-    kernel = fz.ArrowKernel(g)
+    kernel = fz.ArrowKernel(case)
 
     gamma_axis = [i / (resolution - 1) for i in range(resolution)]
     flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]
@@ -216,7 +213,7 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
 
     flags = FlagOverlaps(p12=best_point[3], p13=best_point[4])
     eff = EfficiencyVector(best_point[:3])
-    cert = build_matrix(g, eff, flags)
+    cert = build_matrix(case, eff, flags)
     return OptimumReport(
         case=case, objective=objective, mode="numeric",
         value=float(best_val), gammas=tuple(float(x) for x in best_point[:3]),
@@ -320,11 +317,10 @@ def equal_gamma_optimum(case: str) -> OptimumReport:
     the corner q = -q_bound, s = s_cap(q) that ``CORNER_FLAGS`` realise:
     (6 - 2*sqrt(2))/7 for 2-bit and (124 - 24*sqrt(2))/127 for 3-bit.
     """
-    g = case_gram(case)
-    flags = FlagOverlaps(**CORNER_FLAGS[case])
+    flags = FlagOverlaps(*fz.case_params(case).signs)
     q, s = reduce(flags, case)
     x0 = float(intersection_x0(q, s, case))
-    cert = build_matrix(g, EfficiencyVector((x0, x0, x0)), flags)
+    cert = build_matrix(case, EfficiencyVector((x0, x0, x0)), flags)
     if not is_psd(cert):
         raise AssertionError("equal-efficiency optimum failed its feasibility certificate")
     return OptimumReport(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from typing import Sequence
 
 from .funcspace import BooleanFunction, family
@@ -76,42 +76,29 @@ def overlap2(u: StateVector, v: StateVector) -> Fraction:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Hermitian matrix of pairwise inner products.
+    """Symmetric matrix of the exact pairwise inner products of real states.
 
-    Entries may be exact, float or complex, since ``build_matrix`` takes
-    general Grams; ``gram`` of states is always exact. Entries are
-    compared exactly, with no tolerance: a square matrix with
-    ``G[j][i] != conj(G[i][j])`` for some i, j is rejected, so every
-    route that reads M off one triangle sees the same matrix.
+    Entries are ints or Fractions (``gram`` and ``case_gram`` build no
+    other) and are compared exactly: a float or complex entry, or a
+    matrix with ``G[j][i] != G[i][j]`` for some i, j, is rejected.
     """
 
-    entries: tuple[tuple[object, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
         n = len(self.entries)
         if any(len(row) != n for row in self.entries):
             raise ValueError("gram must be square")
+        if any(type(e) not in (int, Fraction) for row in self.entries for e in row):
+            raise ValueError(f"gram entries must be exact ints or Fractions: {self.entries!r}")
         for i in range(n):
             for j in range(i, n):
-                if self.entries[j][i] != self.entries[i][j].conjugate():
-                    raise ValueError(f"gram is not Hermitian at ({i + 1}, {j + 1}): "
+                if self.entries[j][i] != self.entries[i][j]:
+                    raise ValueError(f"gram is not symmetric at ({i + 1}, {j + 1}): "
                                      f"{self.entries[i][j]!r} and {self.entries[j][i]!r}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def is_exact(self) -> bool:
-        return all(isinstance(e, (int, Fraction)) for row in self.entries for e in row)
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]
-
-    @cached_property
-    def as_complex(self) -> tuple[tuple[complex, ...], ...]:
-        """The entries as complex floats, converted once per matrix."""
-        return tuple(tuple(complex(e) for e in row) for row in self.entries)
 
     def is_identity(self) -> bool:
         """True when every entry equals the identity's, compared exactly."""
@@ -119,11 +106,7 @@ class GramMatrix:
                    for i, row in enumerate(self.entries) for j, e in enumerate(row))
 
     def to_lists(self) -> list[list[float]]:
-        out = []
-        for row in self.entries:
-            out.append([float(e) if isinstance(e, (int, Fraction)) else complex(e).real
-                        for e in row])
-        return out
+        return [[float(e) for e in row] for row in self.entries]
 
 
 def gram(states: Sequence[StateVector]) -> GramMatrix:

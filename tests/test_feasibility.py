@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from probclone import feasibility
 from probclone._exact import exact_sqrt
 from probclone.funcspace import CASES
-from probclone.phasestate import GramMatrix
+from probclone.phasestate import case_gram
 from probclone.feasibility import (EfficiencyVector, FlagOverlaps,
                                    ReducedCoordinates, build_matrix,
                                    case_params, gamma2_on_slice, gammas_from_xy,
@@ -20,7 +20,7 @@ from probclone.feasibility import (EfficiencyVector, FlagOverlaps,
                                    reduce, s_cap, stationary_x1,
                                    vw_boundary, V_CORNER, Q_CORNER,
                                    _stationary_point)
-from probclone.optimize import CORNER_FLAGS, analytic_optimum, case_gram
+from probclone.optimize import CORNER_FLAGS, analytic_optimum
 
 OPT3 = EfficiencyVector((F(7, 127), F(112, 127), F(112, 127)))
 OPT2 = EfficiencyVector((F(1, 7), F(4, 7), F(4, 7)))
@@ -40,7 +40,7 @@ def random_flag_pair(rng):
 # ---------------------------------------------------------------------------
 
 def test_build_matrix_three_bit_optimum_exact():
-    point = build_matrix(case_gram("3bit"), OPT3, FLAGS3)
+    point = build_matrix("3bit", OPT3, FLAGS3)
     assert point.is_exact
     want = [[F(120, 127), F(-30, 127), F(30, 127)],
             [F(-30, 127), F(15, 127), F(0)],
@@ -51,7 +51,7 @@ def test_build_matrix_three_bit_optimum_exact():
 
 
 def test_build_matrix_two_bit_optimum_exact():
-    point = build_matrix(case_gram("2bit"), OPT2, FLAGS2)
+    point = build_matrix("2bit", OPT2, FLAGS2)
     assert point.is_exact
     want = [[F(6, 7), F(-3, 7), F(-3, 7)],
             [F(-3, 7), F(3, 7), F(0)],
@@ -63,7 +63,7 @@ def test_build_matrix_two_bit_optimum_exact():
 
 def test_build_matrix_zero_efficiencies_recovers_gram():
     g = case_gram("3bit")
-    point = build_matrix(g, EfficiencyVector((0, 0, 0)), FlagOverlaps(p12=1, p13=1))
+    point = build_matrix("3bit", EfficiencyVector((0, 0, 0)), FlagOverlaps(p12=1, p13=1))
     for i in range(3):
         for j in range(3):
             assert point.exact_matrix[i][j] == (F(g.entry(i, j)), 0)
@@ -71,7 +71,7 @@ def test_build_matrix_zero_efficiencies_recovers_gram():
 
 def test_build_matrix_falls_back_to_float():
     # 1/2 * 1/3 is not a perfect rational square
-    point = build_matrix(case_gram("3bit"),
+    point = build_matrix("3bit",
                          EfficiencyVector((F(1, 2), F(1, 3), F(1, 3))),
                          FLAGS3)
     assert not point.is_exact
@@ -79,8 +79,20 @@ def test_build_matrix_falls_back_to_float():
         -0.25 + math.sqrt(1 / 6) / 16)
 
 
+def test_a_float_p23_keeps_the_exact_route():
+    # P23 multiplies G_23 = 0, so a float P23 cannot send a rational point
+    # to the float route, and it changes nothing but its own echo
+    flags = dict(p12=(F(1, 2), F(1, 2)), p13=(0, F(-1, 2)))
+    echoed = build_matrix("2bit", OPT2, FlagOverlaps(**flags, p23=(0.3, -0.4)))
+    plain = build_matrix("2bit", OPT2, FlagOverlaps(**flags))
+    assert echoed.is_exact and plain.is_exact
+    got, want = echoed.to_json(), plain.to_json()
+    assert got.pop("P23") == [0.3, -0.4] and want.pop("P23") == [0.0, 0.0]
+    assert got == want
+
+
 def test_build_matrix_hermitian_with_complex_flags():
-    point = build_matrix(case_gram("3bit"),
+    point = build_matrix("3bit",
                          EfficiencyVector((F(1, 4), F(1, 4), F(1, 4))),
                          FlagOverlaps(p12=(F(1, 2), F(1, 2)), p13=(0, F(-1, 2))))
     assert point.is_exact
@@ -149,36 +161,29 @@ def test_non_finite_flags_are_rejected(name, val):
 # ---------------------------------------------------------------------------
 
 def test_boundary_certificates_have_zero_determinant():
-    for g, eff, flags in ((case_gram("3bit"), OPT3, FLAGS3),
-                          (case_gram("2bit"), OPT2, FLAGS2)):
-        point = build_matrix(g, eff, flags)
+    for case, eff, flags in (("3bit", OPT3, FLAGS3), ("2bit", OPT2, FLAGS2)):
+        point = build_matrix(case, eff, flags)
         assert point.is_exact
         assert point.det() == 0
         assert is_psd(point)
 
 
 def test_full_efficiency_infeasible():
-    point = build_matrix(case_gram("3bit"), EfficiencyVector((1, 1, 1)),
+    point = build_matrix("3bit", EfficiencyVector((1, 1, 1)),
                          FlagOverlaps())
     assert not is_psd(point)
     # leading 2x2 minor is exactly -(1/4)^2
     assert point.leading_minors()[1] == F(-1, 16)
 
 
-def test_identity_is_psd():
-    point = build_matrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-                         EfficiencyVector((0, 0, 0)), FlagOverlaps())
-    assert is_psd(point)
-
-
 def test_closed_form_eigenvalues_match_numpy():
     rng = random.Random(9)
     for _ in range(500):
         d = [rng.uniform(-2, 2) for _ in range(3)]
-        z = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
+        z = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
         m = ((complex(d[0]), z[0], z[1]),
-             (z[0].conjugate(), complex(d[1]), z[2]),
-             (z[1].conjugate(), z[2].conjugate(), complex(d[2])))
+             (z[0].conjugate(), complex(d[1]), 0j),
+             (z[1].conjugate(), 0j, complex(d[2])))
         got = hermitian3_eigvals(m)
         want = np.linalg.eigvalsh(np.array(m))
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
@@ -192,6 +197,8 @@ def test_closed_form_eigenvalues_degenerate_spectra():
         np.diag([1.0, 1.0, 3.0]),
         np.zeros((3, 3)),
         np.array([[1, 1, 0], [1, 1, 0], [0, 0, 2.0]]),
+        # p^2 > 0 here, but p^2 / 6 underflows to zero
+        np.diag([0.0, 0.0, 4.608370102923686e-162]),
     ]
     for m in cases:
         got = hermitian3_eigvals(tuple(tuple(complex(x) for x in row) for row in m))
@@ -206,9 +213,9 @@ def reference_eigvals(m):
     p1 = abs(m[0][1]) ** 2 + abs(m[0][2]) ** 2 + abs(m[1][2]) ** 2
     q = (a11 + a22 + a33) / 3.0
     p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
-    if p2 <= 0.0:
-        return (q, q, q)
     p = math.sqrt(p2 / 6.0)
+    if p == 0.0:
+        return (q, q, q)
     b = [[(m[i][j] - (q if i == j else 0.0)) / p for j in range(3)] for i in range(3)]
     r = max(-1.0, min(1.0, reference_det(b) / 2.0))
     phi = math.acos(r) / 3.0
@@ -227,12 +234,11 @@ def reference_det(m):
 
 
 def hermitian(d, z):
-    """The Hermitian matrix with diagonal d and upper triangle z, its lower
-    triangle written as ``_float_matrix`` writes it."""
+    """The Hermitian arrow matrix with diagonal d, first row z = (M_12, M_13)
+    and M_23 = 0, written as ``_float_matrix`` writes it."""
     return ((complex(d[0]), z[0], z[1]),
-            (complex(z[0].real, 0.0 - z[0].imag), complex(d[1]), z[2]),
-            (complex(z[1].real, 0.0 - z[1].imag), complex(z[2].real, 0.0 - z[2].imag),
-             complex(d[2])))
+            (complex(z[0].real, 0.0 - z[0].imag), complex(d[1]), 0j),
+            (complex(z[1].real, 0.0 - z[1].imag), 0j, complex(d[2])))
 
 
 _PART = st.one_of(st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -1.0)),
@@ -241,18 +247,20 @@ _ENTRY = st.one_of(_PART.map(complex), st.builds(complex, _PART, _PART))
 
 
 @settings(max_examples=2000, deadline=None)
-@given(d=st.tuples(_PART, _PART, _PART), z=st.tuples(_ENTRY, _ENTRY, _ENTRY))
-@example(d=(0.0, 0.5, 1.0), z=(complex(-0.5), complex(0.25, -0.0), 0j))
-@example(d=(0.0, 0.0, 0.0), z=(complex(-1.0), 1j, complex(0.5)))
-@example(d=(1.0, 1.0, 1.0), z=(0j, complex(-0.0, -0.0), 0j))
+@given(d=st.tuples(_PART, _PART, _PART), z=st.tuples(_ENTRY, _ENTRY))
+@example(d=(0.0, 0.5, 1.0), z=(complex(-0.5), complex(0.25, -0.0)))
+@example(d=(0.0, 0.0, -0.0), z=(0j, 0.5j))
+@example(d=(1.0, 1.0, 1.0), z=(0j, complex(-0.0, -0.0)))
+@example(d=(0.0, 0.0, 4.608370102923686e-162), z=(0j, 0j))
 def test_closed_forms_keep_their_digits(d, z):
     m = hermitian(d, z)
     assert repr(hermitian3_eigvals(m)) == repr(reference_eigvals(m))
     det = feasibility.FeasibilityPoint(None, None, None, m, None).det()
     want = reference_det(m)
     # ``_det3`` conjugates the upper triangle, which gives -0.0 where the
-    # stored lower entry has +0.0: that can flip the sign of an exactly
-    # zero determinant (the second example), and changes no other digit
+    # stored lower entry has +0.0, and skips the zero M_23 terms: that can
+    # flip the sign of an exactly zero determinant (the second example),
+    # and changes no other digit
     assert repr(det) == repr(want) if want else det == 0
 
 
@@ -268,7 +276,7 @@ def test_case_gram_points_keep_every_digit(case, gammas, flags):
     # has its reference determinant bit for bit, zero signs included
     a, b, c, d = flags
     assume(a * a + b * b <= 1 and c * c + d * d <= 1)
-    point = build_matrix(case_gram(case), EfficiencyVector(gammas),
+    point = build_matrix(case, EfficiencyVector(gammas),
                          FlagOverlaps(p12=(a, b), p13=(c, d)))
     assert repr(point.det()) == repr(reference_det(point.matrix))
     assert repr(point.min_eigenvalue()) == repr(reference_eigvals(point.matrix)[0])
@@ -279,11 +287,10 @@ def test_minor_and_eigenvalue_verdicts_agree():
     tol = feasibility.DEFAULT_TOL
     checked = 0
     for case in ("2bit", "3bit"):
-        g = case_gram(case)
         for _ in range(5000):
             eff = EfficiencyVector(tuple(rng.uniform(0, 1) for _ in range(3)))
             flags = FlagOverlaps(p12=random_flag_pair(rng), p13=random_flag_pair(rng))
-            point = build_matrix(g, eff, flags)
+            point = build_matrix(case, eff, flags)
             # skip knife-edge points where tol placement decides the verdict
             if abs(point.min_eigenvalue()) < 10 * tol:
                 continue
@@ -342,13 +349,12 @@ def test_slice_constants_match_the_determinant():
     exact points, for random exact real flags and rational x, y."""
     rng = random.Random(41)
     for case in ("2bit", "3bit"):
-        g = case_gram(case)
         for _ in range(200):
             a, c = (F(rng.randint(-8, 8), 8) for _ in range(2))
             k, m = rng.randint(0, 6), rng.randint(0, 6)
             g1, g2 = F(k, 7) ** 2, F(m, 7) ** 2
             flags = FlagOverlaps(p12=a, p13=c)
-            point = build_matrix(g, EfficiencyVector((g1, g2, g2)), flags)
+            point = build_matrix(case, EfficiencyVector((g1, g2, g2)), flags)
             q, s = reduce(flags, case)
             x, y = F(k * m, 49), g1 + g2
             want = (1 - g2) * (s * x * x - q * x + case_params(case).c0 - y)
@@ -562,14 +568,13 @@ def test_slice_chain_matches_psd():
     c0 - q*x + s*x^2 >= y >= 2*x (away from the knife edge)."""
     rng = random.Random(47)
     for case in ("2bit", "3bit"):
-        g = case_gram(case)
         c0 = float(case_params(case).c0)
         agree = 0
         for _ in range(4000):
             g1, g2 = rng.uniform(0, 1), rng.uniform(0, 1)
             flags = FlagOverlaps(p12=random_flag_pair(rng),
                                  p13=random_flag_pair(rng))
-            point = build_matrix(g, EfficiencyVector((g1, g2, g2)), flags)
+            point = build_matrix(case, EfficiencyVector((g1, g2, g2)), flags)
             q, s = reduce(flags, case)
             x, y = math.sqrt(g1 * g2), g1 + g2
             margin = c0 - q * x + s * x * x - y
@@ -654,7 +659,7 @@ def test_reduced_coordinates_bundle():
 
 
 def test_feasibility_point_json():
-    point = build_matrix(case_gram("3bit"), OPT3, FLAGS3)
+    point = build_matrix("3bit", OPT3, FLAGS3)
     data = point.to_json()
     assert data["psd"] is True
     assert data["exact"] is True
@@ -678,23 +683,14 @@ def test_to_json_computes_each_verdict_once(monkeypatch):
     monkeypatch.setattr(point_cls, "det", counted("det", point_cls.det))
     monkeypatch.setattr(feasibility, "hermitian3_eigvals",
                         counted("eig", feasibility.hermitian3_eigvals))
-    exact = build_matrix(case_gram("3bit"), OPT3, FLAGS3)
-    approx = build_matrix(case_gram("3bit"), EfficiencyVector((0.1, 0.2, 0.3)), FLAGS3)
+    exact = build_matrix("3bit", OPT3, FLAGS3)
+    approx = build_matrix("3bit", EfficiencyVector((0.1, 0.2, 0.3)), FLAGS3)
     for point in (exact, approx):
         want = {"psd": is_psd(point), "min_eigenvalue": point.min_eigenvalue()}
         calls.update(principal=0, det=0, eig=0)
         data = point.to_json()
         assert calls == {"principal": 1, "det": 1, "eig": 1}
         assert {k: data[k] for k in want} == want
-
-
-def test_build_matrix_rejects_non_hermitian_gram():
-    # both routes read the upper triangle and mirror it: a non-Hermitian
-    # Gram has no single M to build
-    g = [[1, F(1, 4), F(1, 4)], [F(1, 4), 1, 0], [F(-1, 4), 0, 1]]
-    for eff in (OPT3, EfficiencyVector((0.1, 0.2, 0.3))):
-        with pytest.raises(ValueError):
-            build_matrix(g, eff, FLAGS3)
 
 
 # ---------------------------------------------------------------------------
@@ -734,8 +730,8 @@ def test_sign_flags_are_feasible_wherever_any_flags_are(setup):
     # which are CORNER_FLAGS, every principal minor and lambda_min is at
     # least its value at any flags, so exact PSD carries over
     case, eff, flags = setup
-    drawn = build_matrix(case_gram(case), eff, flags)
-    corner = build_matrix(case_gram(case), eff, FlagOverlaps(**CORNER_FLAGS[case]))
+    drawn = build_matrix(case, eff, flags)
+    corner = build_matrix(case, eff, FlagOverlaps(**CORNER_FLAGS[case]))
     assert drawn.is_exact and corner.is_exact
     if is_psd(drawn):
         assert is_psd(corner)
@@ -774,7 +770,7 @@ def test_corner_flags_psd_iff_schur_form(setup):
     # a*sqrt(gamma_j) = g*sqrt(gamma1 gamma_j) rational on these points
     case, eff, _ = setup
     gram = case_gram(case)
-    corner = build_matrix(gram, eff, FlagOverlaps(**CORNER_FLAGS[case]))
+    corner = build_matrix(case, eff, FlagOverlaps(**CORNER_FLAGS[case]))
     assert corner.is_exact
     g1, g2, g3 = (F(x) for x in eff)
     g = abs(F(gram.entry(0, 1)))
@@ -812,8 +808,8 @@ def test_symmetrising_never_loses_feasibility(setup):
     assert gbar == (gammas[1] + gammas[2]) / 2
     gram = case_gram(case)
     flags = FlagOverlaps(**CORNER_FLAGS[case])
-    before = build_matrix(gram, EfficiencyVector(gammas), flags)
-    after = build_matrix(gram, EfficiencyVector((gammas[0], gbar, gbar)), flags)
+    before = build_matrix(case, EfficiencyVector(gammas), flags)
+    after = build_matrix(case, EfficiencyVector((gammas[0], gbar, gbar)), flags)
     assert before.is_exact and after.is_exact
     if is_psd(before):
         assert is_psd(after)
@@ -831,24 +827,9 @@ def test_symmetrising_never_loses_feasibility(setup):
 # integer route against a Fraction reference
 # ---------------------------------------------------------------------------
 
-def rational_grams():
-    """A case Gram, or a general rational symmetric Gram with G_23 != 0.
-
-    The case Grams have G_23 = 0, which zeroes det's triple-product term,
-    so only the general Grams exercise it.
-    """
-    part = st.fractions(-1, 1, max_denominator=12)
-    general = st.tuples(st.fractions(0, 2, max_denominator=12), part,
-                        part.filter(lambda x: x != 0)).map(
-        lambda t: GramMatrix(((1 + t[0], t[1], -t[1] / 2),
-                              (t[1], 2 - t[0], t[2]),
-                              (-t[1] / 2, t[2], t[0]))))
-    return st.one_of(st.sampled_from(CASES).map(case_gram), general)
-
-
 @st.composite
 def integer_route_points(draw):
-    """(gram, gammas, flags, roots) with every sqrt(gamma_i gamma_j) rational.
+    """(case, gammas, flags, roots) with every sqrt(gamma_i gamma_j) rational.
 
     gamma_i = t * u_i^2, so roots[i][j] = t * u_i * u_j is known exactly.
     """
@@ -857,7 +838,7 @@ def integer_route_points(draw):
     zero = st.just((F(0), F(0)))
     flags = draw(st.tuples(*[st.one_of(rational_flags(), zero)] * 3))
     roots = [[t * a * b for b in u] for a in u]
-    return draw(rational_grams()), tuple(t * a * a for a in u), flags, roots
+    return draw(st.sampled_from(CASES)), tuple(t * a * a for a in u), flags, roots
 
 
 def _cmul(u, v):
@@ -902,10 +883,10 @@ def float_bits(x):
 @settings(max_examples=300, deadline=None)
 @given(setup=integer_route_points())
 def test_integer_route_matches_the_fraction_reference(setup):
-    gram, gammas, flags, roots = setup
-    point = build_matrix(gram, EfficiencyVector(gammas), FlagOverlaps(*flags))
+    case, gammas, flags, roots = setup
+    point = build_matrix(case, EfficiencyVector(gammas), FlagOverlaps(*flags))
     assert point.is_exact
-    m = reference_matrix(gram, gammas, flags, roots)
+    m = reference_matrix(case_gram(case), gammas, flags, roots)
     minors = reference_minors(m)
     assert [list(row) for row in point.exact_matrix] == m
     assert point.principal_minors() == minors
@@ -932,12 +913,13 @@ def is_rational_square(x):
 
 
 @settings(max_examples=300, deadline=None)
-@given(gram=rational_grams(),
+@given(case=st.sampled_from(CASES),
        gammas=st.tuples(*[st.sampled_from((F(0), F(1), F(1, 2), F(1, 4), F(2, 9),
                                            F(8, 9), F(3, 4), F(1, 3), F(4, 9)))] * 3),
        flags=st.tuples(*[st.one_of(rational_flags(), st.just((F(0), F(0))))] * 3))
-def test_exact_route_iff_every_needed_root_is_rational(gram, gammas, flags):
-    point = build_matrix(gram, EfficiencyVector(gammas), FlagOverlaps(*flags))
+def test_exact_route_iff_every_needed_root_is_rational(case, gammas, flags):
+    point = build_matrix(case, EfficiencyVector(gammas), FlagOverlaps(*flags))
+    gram = case_gram(case)
     # a root is needed unless G_ij^2 P_ij is a structural zero
     needed = [(i, j) for (i, j), p in zip(((0, 1), (0, 2), (1, 2)), flags)
               if gram.entry(i, j) != 0 and p != (0, 0)]

@@ -19,9 +19,8 @@ from probclone import feasibility
 from probclone.feasibility import (DEFAULT_TOL, ArrowKernel,
                                    EfficiencyVector, FlagOverlaps, build_matrix,
                                    hermitian3_eigvals)
-from probclone.optimize import (CORNER_FLAGS, _objective_fn, case_gram,
-                                numeric_search)
-from probclone.phasestate import GramMatrix
+from probclone.optimize import CORNER_FLAGS, _objective_fn, numeric_search
+from probclone.phasestate import case_gram
 
 CASES = ("3bit", "2bit")
 
@@ -72,7 +71,7 @@ def corner(case):
 @pytest.mark.parametrize("case", CASES)
 def test_real_grid_verdicts_match_closed_form(case, resolution):
     gf = float_gram(case)
-    kernel = ArrowKernel(case_gram(case))
+    kernel = ArrowKernel(case)
     for p in grid_points(resolution):
         assert (kernel.slack(p) is not None) == reference_ok(gf, p), p
 
@@ -86,7 +85,7 @@ def test_sign_flag_lemma_on_the_grid(case, resolution, tol, monkeypatch):
     # every grid flag pair. The monotonicity behind it does not depend on
     # the shift, so it is checked at a wider tolerance than the search's too
     monkeypatch.setattr(feasibility, "DEFAULT_TOL", tol)
-    kernel = ArrowKernel(case_gram(case))
+    kernel = ArrowKernel(case)
     gamma_axis, flag_axis = axes(resolution)
     assert all(f in flag_axis for f in corner(case))
     rejected = 0
@@ -106,7 +105,7 @@ def test_sign_flag_lemma_off_the_grid(case, gammas, flags):
     # the computed determinant is monotone in |M_12| and |M_13|, whose
     # computed values are smallest at the corner flags, so the lemma
     # holds for the float verdict at every point, not only on the grid
-    kernel = ArrowKernel(case_gram(case))
+    kernel = ArrowKernel(case)
     if kernel.slack(gammas + corner(case)) is None:
         assert kernel.slack(gammas + flags) is None
 
@@ -116,7 +115,7 @@ def test_sign_flag_lemma_off_the_grid(case, gammas, flags):
 def test_grid_phase_finds_the_exhaustive_grid_maximum(case, resolution):
     # with no refine, the search returns the largest (objective, point)
     # over every grid point the kernel finds feasible
-    kernel = ArrowKernel(case_gram(case))
+    kernel = ArrowKernel(case)
     feasible = [p for p in grid_points(resolution) if kernel.slack(p) is not None]
     for objective in ("gamma23", "gamma1"):
         obj = _objective_fn(objective)
@@ -142,26 +141,16 @@ def boundary_points(case):
 @pytest.mark.parametrize("case", CASES)
 def test_slack_on_the_boundary(case):
     gf = float_gram(case)
-    kernel = ArrowKernel(case_gram(case))
+    kernel = ArrowKernel(case)
     for p in boundary_points(case):
         ref = reference_min_eig(gf, p)
         assert kernel.slack(p) == (ref if ref >= -DEFAULT_TOL else None)
-
-
-def test_kernel_rejects_grams_outside_its_bound():
-    with pytest.raises(ValueError):
-        ArrowKernel(GramMatrix(((1, F(1, 4), F(1, 4)), (F(1, 4), 1, F(1, 8)),
-                                (F(1, 4), F(1, 8), 1))))
-    with pytest.raises(ValueError):
-        ArrowKernel(GramMatrix(((1, F(3, 4), F(1, 4)), (F(3, 4), 1, 0),
-                                (F(1, 4), 0, 1))))
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_closed_form_error_against_lapack(case):
     # the closed form every float certificate uses, measured against
     # LAPACK over the search box
-    g = case_gram(case)
     rng = random.Random(f"eig-err:{case}")
     worst = 0.0
     for _ in range(3000):
@@ -170,7 +159,7 @@ def test_closed_form_error_against_lapack(case):
         t12, t13 = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
         flags = FlagOverlaps(p12=(r12 * math.cos(t12), r12 * math.sin(t12)),
                              p13=(r13 * math.cos(t13), r13 * math.sin(t13)))
-        m = build_matrix(g, EfficiencyVector(gammas), flags).matrix
+        m = build_matrix(case, EfficiencyVector(gammas), flags).matrix
         want = np.linalg.eigvalsh(np.array(m))[0]
         worst = max(worst, abs(hermitian3_eigvals(m)[0] - want))
     assert worst < 2 ** -18 / 1000

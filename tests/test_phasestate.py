@@ -126,7 +126,7 @@ def test_candidate_gram_exact():
     expected = ((1, Fraction(-1, 4), Fraction(1, 4)),
                 (Fraction(-1, 4), 1, 0),
                 (Fraction(1, 4), 0, 1))
-    assert g.is_exact
+    assert all(type(e) in (int, Fraction) for row in g.entries for e in row)
     assert g.entries == expected
 
     fam2 = family("2bit")
@@ -157,19 +157,26 @@ def test_gram_empty_error():
 
 
 def test_gram_rejects_non_hermitian_entries():
-    # exact comparison: the next float after 1/4 is already rejected
+    # exact comparison: 1/4 against 1/3 is rejected, however close
     bad = [
         ((1, Fraction(1, 4)), (Fraction(1, 3), 1)),
-        ((1, 0.25), (0.25000000000000006, 1)),
-        ((1, 0.5j), (0.5j, 1)),
-        ((1j, 0), (0, 1)),
+        ((1, Fraction(1, 4)), (Fraction(1, 4) + Fraction(1, 10**20), 1)),
         ((1, 0, 0), (0, 1)),
     ]
     for entries in bad:
         with pytest.raises(ValueError):
             GramMatrix(entries)
-    GramMatrix(((1, 0.5j), (-0.5j, 1)))
-    GramMatrix(((1, Fraction(-1, 4)), (-0.25, 1.0)))
+    GramMatrix(((1, Fraction(-1, 4)), (Fraction(-1, 4), 1)))    # exact and symmetric
+
+
+@pytest.mark.parametrize("entries", [((1, 0.5j), (-0.5j, 1)),
+                                     ((1, Fraction(-1, 4)), (-0.25, 1.0)),
+                                     ((1.0, 0), (0, 1)),
+                                     ((1j, 0), (0, 1))])
+def test_gram_rejects_float_and_complex_entries(entries):
+    # a Gram is exact: float and complex entries are refused, symmetric or not
+    with pytest.raises(ValueError, match="must be exact"):
+        GramMatrix(entries)
 
 
 def test_gram_of_states_is_hermitian():
@@ -178,7 +185,7 @@ def test_gram_of_states_is_hermitian():
         for fset in (fam.s_f0, fam.s1, fam.s2, fam.s_f12):
             g = gram([phase_state(f) for f in fset])
             n = len(fset)
-            assert g.is_exact
+            assert all(type(e) in (int, Fraction) for row in g.entries for e in row)
             assert all(g.entry(j, i) == g.entry(i, j).conjugate()
                        for i in range(n) for j in range(n))
 
