@@ -108,7 +108,9 @@ from ._exact import exact_sqrt, surd_text
 from .funcspace import CASES
 from .phasestate import GramMatrix, case_gram
 
-#: the fixed margin of every float PSD verdict: lambda_min(M) >= -DEFAULT_TOL
+#: the fixed margin of every float PSD verdict: lambda_min(M) >= -DEFAULT_TOL.
+#: The numeric search's ``ArrowKernel`` uses half of it, strictly inside
+#: this margin, so that every optimum it reports passes this verdict.
 DEFAULT_TOL = 1e-9
 
 
@@ -480,20 +482,22 @@ class ArrowKernel:
     sign-flag lemma (module docstring) no complex flag can widen the
     feasible set, so the kernel takes real flags only. M is assembled
     as in ``_float_matrix``, the assembly of ``build_matrix``'s float
-    route, and tol is the fixed ``DEFAULT_TOL``.
+    route.
 
-    M is an arrow matrix (G_23 = 0). Let A = M + tol*I and d_i = A_ii =
-    1 - gamma_i + tol. Because d2, d3 > 0, Cauchy interlacing puts
-    lambda_2(A) in [min(d2, d3), max(d2, d3)], so
+    M is an arrow matrix (G_23 = 0). Let t = ``DEFAULT_TOL`` / 2, A = M + t*I
+    and d_i = A_ii = 1 - gamma_i + t. Because d2, d3 > 0, Cauchy interlacing
+    puts lambda_2(A) in [min(d2, d3), max(d2, d3)], so
 
         det A = d1*d2*d3 - M_12^2 * d3 - M_13^2 * d2
 
-    has the sign of lambda_1(A) = lambda_min(M) + tol: one Schur-complement
+    has the sign of lambda_1(A) = lambda_min(M) + t: one Schur-complement
     test replaces the eigenvalues, and the computed determinant is the
     verdict. Each rounding step of it is monotone in |M_12| and |M_13|,
     and the computed |M_1j| is smallest at sign(G_1j), so the sign-flag
-    lemma holds for the computed verdict too. It stays inline, as it runs
-    at every search point; moves are ranked by the closed form ``_eig3``.
+    lemma holds for the computed verdict too. The margin t is half of the
+    certificate's, so a point the kernel accepts passes ``is_psd``, whose
+    closed-form lambda_min rounds by about 2.5e-16 near 0. t is read at
+    call time, from the module's ``DEFAULT_TOL``.
     """
 
     def __init__(self, case: str):
@@ -501,23 +505,27 @@ class ArrowKernel:
         self._s12, self._s13 = self._g12 * self._g12, self._g13 * self._g13
 
     def slack(self, point) -> float | None:
-        """lambda_min(M) at a real point where det(M + tol*I) >= 0, else None.
+        """The Schur complement det(A) / (d2*d3) of A = M + t*I at a real
+        point where det A >= 0, else None.
 
-        The value is ``_eig3`` of M's real entries, so it equals
-        ``hermitian3_eigvals(M)[0]``; the search ranks moves by it. Flags
-        with modulus above 1 are rejected outright.
+        It is f(0) for the secular function
+        f(lam) = (d1 - lam) - M_12^2/(d2 - lam) - M_13^2/(d3 - lam), which
+        is strictly decreasing below min(d2, d3) and vanishes at
+        lambda_min(A), so it has the sign of lambda_min(M) + t; the search
+        ranks moves by it. Flags with modulus above 1 are rejected outright.
         """
         g1, g2, g3, a, c = point
         if a * a > 1.0 or c * c > 1.0:
             return None
+        t = DEFAULT_TOL / 2
         t12 = math.sqrt(g1 * g2) * self._s12
         t13 = math.sqrt(g1 * g3) * self._s13
         u, w = self._g12 - t12 * a, self._g13 - t13 * c
-        a11, a22, a33 = 1.0 - g1, 1.0 - g2, 1.0 - g3
-        d2, d3 = a22 + DEFAULT_TOL, a33 + DEFAULT_TOL
-        if (a11 + DEFAULT_TOL) * d2 * d3 - u * u * d3 - w * w * d2 < 0:
+        d2, d3 = 1.0 - g2 + t, 1.0 - g3 + t
+        det = (1.0 - g1 + t) * d2 * d3 - u * u * d3 - w * w * d2
+        if det < 0:
             return None
-        return _eig3(a11, a22, a33, u, w)[0]
+        return det / (d2 * d3)
 
 
 # ---------------------------------------------------------------------------

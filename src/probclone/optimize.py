@@ -135,7 +135,9 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     Every verdict, on the grid and in the refine, is one
     ``feasibility.ArrowKernel.slack`` call: M is an arrow matrix
     (G_23 = 0), so the PSD verdict is the sign of one determinant of
-    M + tol*I at the fixed ``feasibility.DEFAULT_TOL``.
+    M + t*I, with t half of the fixed ``feasibility.DEFAULT_TOL``. The
+    reported optimum is checked with ``is_psd`` at the full margin, as
+    ``analytic_optimum`` checks its own.
 
     Only the verdicts that can change the result are computed. This rests
     on one fact: the objective depends only on the point, and on the grid
@@ -165,9 +167,10 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
 
     The objective is flat in every coordinate except gamma2/gamma3 (or
     gamma1), so the pattern search ranks moves by (objective, PSD slack)
-    lexicographically: flat coordinates walk towards larger smallest
-    eigenvalue, which opens room for the next objective step. Refinement
-    starts from the best grid point at each gamma1 level.
+    lexicographically, the slack being the kernel's Schur complement:
+    flat coordinates walk towards a larger one, away from the boundary
+    where it is 0, which opens room for the next objective step.
+    Refinement starts from the best grid point at each gamma1 level.
     """
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
@@ -214,6 +217,8 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     flags = FlagOverlaps(p12=best_point[3], p13=best_point[4])
     eff = EfficiencyVector(best_point[:3])
     cert = build_matrix(case, eff, flags)
+    if not is_psd(cert):
+        raise AssertionError("numeric optimum failed its own feasibility certificate")
     return OptimumReport(
         case=case, objective=objective, mode="numeric",
         value=float(best_val), gammas=tuple(float(x) for x in best_point[:3]),
@@ -225,15 +230,16 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
 def _compass_refine(start, obj, slack, lo, hi, cell, iterations, tails=None):
     """Coordinate-wise pattern search, step halving on stall.
 
-    ``slack(point)`` gives ``ArrowKernel.slack``: lambda_min(M) at a
-    feasible point, else None. A move is accepted when it improves the objective,
-    or keeps it equal while strictly improving the PSD slack (flat
-    coordinates would be frozen otherwise). Both orders strictly
-    increase, so no cycling. The chosen move is the feasible candidate
-    with the largest (objective, slack, point); candidates with a lower
-    objective than the current point can never be accepted, so they get
-    no verdict, and the objective levels above it are visited from the
-    top, asking for slack only until one level has a feasible member.
+    ``slack(point)`` gives ``ArrowKernel.slack``: the Schur complement of
+    M + t*I at a feasible point, else None. A move is accepted when it
+    improves the objective, or keeps it equal while strictly improving
+    the PSD slack (flat coordinates would be frozen otherwise). Both
+    orders strictly increase, so no cycling. The chosen move is the
+    feasible candidate with the largest (objective, slack, point);
+    candidates with a lower objective than the current point can never
+    be accepted, so they get no verdict, and the objective levels above
+    it are visited from the top, asking for slack only until one level
+    has a feasible member.
 
     ``tails`` maps a state (point, shrinks) at the start of a sweep to
     the rest of a walk from it: (value, point, evals, sweeps). Share one

@@ -198,8 +198,10 @@ def test_optimize_stdout_matches_golden(capsys, name, argv):
     # per-point eigensolver, the "numeric" runs before the search pruned
     # its grid scan and memoised its refine verdicts (CPython 3.11, x86-64
     # Linux, glibc libm), each with the numeric report's echoed "seed" and
-    # meta "complex_flags" deleted since; the digits of the float fields
-    # depend on the platform's libm
+    # meta "complex_flags" deleted since. Every numeric report was
+    # regenerated when the kernel's margin became DEFAULT_TOL / 2 and its
+    # slack the Schur complement; the digits of the float fields depend on
+    # the platform's libm
     code, out, err = run_cli(capsys, "optimize", *argv)
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.json").read_text()
@@ -351,7 +353,7 @@ def test_run_config_invariants(capsys):
 def test_regression_sentinel_trips_past_its_margin(capsys, monkeypatch, case,
                                                    objective, overshoot, code):
     # a numeric value past the analytic bound by more than REGRESSION_MARGIN
-    # exits 1; within it, 0. The search itself lands at most 3.4e-9 past.
+    # exits 1; within it, 0. The search itself lands at most 1.71e-9 past.
     bound = optimize.analytic_optimum(case, objective).value
     search = optimize.numeric_search
 

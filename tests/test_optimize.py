@@ -17,6 +17,7 @@ from probclone._exact import surd_text
 from probclone.optimize import (CORNER_FLAGS, _clamp, _compass_refine, _objective_fn,
                                 analytic_optimum, equal_gamma_optimum, numeric_search)
 from probclone.phasestate import case_gram
+from test_kernel import check_slack
 
 
 def test_case_gram_matches_display():
@@ -130,6 +131,34 @@ def test_numeric_deterministic():
     assert a.to_json() == b.to_json()
 
 
+#: (resolution, iterations, case, objective) whose numeric optimum, found by
+#: a kernel that accepted det(M + DEFAULT_TOL*I) >= 0, sat at closed-form
+#: lambda_min -1.0000001e-9 and failed its own certificate
+CERTIFICATE_EDGE_SEARCHES = [
+    (resolution, iterations, "3bit", "gamma23")
+    for resolution in (8, 9, 13) for iterations in (50, 60, 80)
+] + [(12, iterations, "3bit", "gamma1") for iterations in (50, 60, 80)] + [
+    (13, iterations, "2bit", "gamma23") for iterations in (50, 60, 80)]
+
+
+@pytest.mark.parametrize("resolution, iterations, case, objective",
+                         CERTIFICATE_EDGE_SEARCHES)
+def test_numeric_optimum_passes_its_certificate(resolution, iterations, case, objective):
+    # the kernel's margin is half the certificate's, so the closed form's
+    # rounding near lambda_min = -t cannot fail the reported optimum
+    r = numeric_search(case, objective, resolution=resolution, iterations=iterations)
+    assert is_psd(r.certificate)
+    assert r.to_json()["certificate"]["psd"] is True
+
+
+def test_numeric_search_checks_its_certificate(monkeypatch):
+    # a kernel that accepts every point leads the grid to Gamma = (1, 1, 1),
+    # where M has a zero diagonal and nonzero M_12: the search must not report it
+    monkeypatch.setattr(ArrowKernel, "slack", lambda self, point: 0.0)
+    with pytest.raises(AssertionError, match="numeric optimum failed"):
+        numeric_search("3bit", resolution=8, iterations=0)
+
+
 OPT3 = (F(7, 127), F(112, 127), F(112, 127))
 
 CASE_ENTRIES = {
@@ -171,10 +200,11 @@ def test_numeric_resolution_floor():
         numeric_search("2bit", resolution=4)
 
 
-def test_fast_eigenvalue_path_matches_point_api():
-    # the refine eigenvalue is bit-identical to the point API's closed form,
-    # at uniform points, at points with a zero flag component or an
-    # efficiency of 0 or 1, and at refine-sized steps off the resolution-9 grid
+def test_slack_is_the_schur_complement_of_the_point_api_matrix():
+    # the kernel's slack is the Schur complement of the point API's float M
+    # plus t*I and its verdict is the point API's closed form against -t, at
+    # uniform points, at points with a zero flag component or an efficiency
+    # of 0 or 1, and at refine-sized steps off the resolution-9 grid
     import random
     rng = random.Random(13)
     grid = [i / 8 for i in range(9)]
@@ -194,11 +224,12 @@ def test_fast_eigenvalue_path_matches_point_api():
             p[d] += rng.choice((1.0, -1.0)) / 8 / 2 ** rng.randrange(40)
             p[d] = min(max(p[d], 0.0 if d < 3 else -1.0), 1.0)
             points.append(tuple(p))
+        checked = 0
         for p in points:
             point = build_matrix(case, EfficiencyVector(p[:3]),
                                  FlagOverlaps(p12=p[3], p13=p[4]))
-            want = point.min_eigenvalue()
-            assert kernel.slack(p) == (want if want >= -1e-9 else None)
+            checked += check_slack(kernel, p, point.matrix)
+        assert checked == len(points)    # no point lies in the 1e-12 band
 
 
 def exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations):
