@@ -186,8 +186,7 @@ def _curve_payload(args) -> dict:
     if n < 2:
         raise ValueError("--points must be at least 2")
     rows = []
-    v_hi = float(fz.V_CORNER[args.case])
-    q_lo = float(fz.Q_CORNER[args.case])
+    q_lo, _, v_hi = (float(x) for x in fz.corner(args.case))
     for i in range(n):
         v = v_hi * i / (n - 1)
         pv, pw = fz.vw_boundary(args.case, "max_s", v)

@@ -36,19 +36,20 @@ gamma2 = gamma3 < 1, where d1*d2 = 1 - y + x^2 and
 m_j^2 = g^2 * |1 - x*G_1j*P_1j|^2, so det M >= 0 is y <= c0 - q*x + s*x^2:
 
     c0 = 1 - 2*g^2,
-    q  = -2*g^3 * (sigma_2*a + sigma_3*c) = (a + q_sign*c) / q_den,
-         q_sign = sigma_2*sigma_3, q_den = -sigma_2 / (2*g^3),
-    s  = 1 - g^4 * |P|^2 = 1 - |P|^2 / s_den,  s_den = 1/g^4.
+    q  = (a + sigma_2*sigma_3*c) * (-2*sigma_2*g^3),
+    s  = 1 - g^4 * |P|^2.
 
 |q| <= q_bound = 4*g^3, and q = -q_bound only at P_1j = sigma_j, where
 |P|^2 = 2 gives the least s, s_floor = 1 - 2*g^4. At fixed q, |P|^2 is
-least at b = d = 0, a = q_sign*c: s <= s_cap(q) = 1 - cap_coeff*q^2 with
-cap_coeff = 1/(8*g^2). The region's corner is (Q_CORNER, s_floor) =
-(-q_bound, s_cap(-q_bound)); V_CORNER = stationary_x1(Q_CORNER, s_floor).
+least at b = d = 0, a = sigma_2*sigma_3*c: s <= s_cap(q) = 1 - q^2/(8*g^2).
+The region's corner ``corner(case)`` is q = -q_bound, s = s_floor =
+s_cap(q) and v = stationary_x1(q, s), realised by the flags
+P_1j = sigma_j, ``case_params(case).signs``. Both are derived from the
+case Gram on first use and cached.
 
 Sign-flag lemma. For every Gamma in [0, 1]^3 and all flags with
 |P_12|, |P_13| <= 1 (P23 arbitrary), M at the real flags P_1j = sigma_j,
-which are ``optimize.CORNER_FLAGS``, has every principal minor, and
+which are ``case_params(case).signs``, has every principal minor, and
 lambda_min, at least as large as M at the given flags. So no complex or
 other real flag ever enlarges the feasible set of Gamma.
 
@@ -105,7 +106,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from ._exact import exact_sqrt, surd_text
-from .funcspace import CASES
 from .phasestate import GramMatrix, case_gram
 
 #: the fixed margin of every float PSD verdict: lambda_min(M) >= -DEFAULT_TOL.
@@ -116,14 +116,11 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class _CaseParams:
+    g: Fraction           # |G_12| = |G_13|
+    signs: tuple          # (sign(G_12), sign(G_13)), the corner flags
     c0: Fraction          # constant term of the slice parabola
     q_bound: Fraction     # |q| <= q_bound
     s_floor: Fraction     # minimum s
-    q_den: Fraction       # q = (a + q_sign*c) / q_den
-    q_sign: int
-    s_den: Fraction       # s = 1 - (a^2+b^2+c^2+d^2) / s_den
-    cap_coeff: Fraction   # s <= 1 - cap_coeff * q^2
-    signs: tuple          # (sign(G_12), sign(G_13)), the corner flags
 
 
 @cache
@@ -131,16 +128,22 @@ def case_params(case: str) -> _CaseParams:
     """The slice constants of ``case``, read off its exact Gram (module docstring)."""
     g12, g13 = case_gram(case).entries[0][1:]
     g = abs(g12)
-    sigma2, sigma3 = (1 if x > 0 else -1 for x in (g12, g13))
-    return _CaseParams(c0=1 - 2 * g ** 2, q_bound=4 * g ** 3, s_floor=1 - 2 * g ** 4,
-                       q_den=-sigma2 / (2 * g ** 3), q_sign=sigma2 * sigma3,
-                       s_den=1 / g ** 4, cap_coeff=1 / (8 * g ** 2),
-                       signs=(sigma2, sigma3))
+    return _CaseParams(g=g, signs=tuple(1 if x > 0 else -1 for x in (g12, g13)),
+                       c0=1 - 2 * g ** 2, q_bound=4 * g ** 3, s_floor=1 - 2 * g ** 4)
+
+
+@cache
+def corner(case: str) -> tuple:
+    """The region corner (q, s, v) = (-q_bound, s_floor, stationary_x1(q, s)),
+    realised by the flags ``case_params(case).signs`` (module docstring)."""
+    cp = case_params(case)
+    q = -cp.q_bound
+    return q, cp.s_floor, stationary_x1(q, cp.s_floor, case)
 
 
 def s_cap(q, case: str):
     """Maximum attainable s for a given q (flags real, balanced)."""
-    return 1 - case_params(case).cap_coeff * q * q
+    return 1 - q * q / (8 * case_params(case).g ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -219,22 +222,6 @@ class FlagOverlaps:
             if mod2 > 1 and (isinstance(mod2, Fraction) or not math.isclose(mod2, 1)):
                 raise ValueError(f"|{name}| exceeds 1: |{name}|^2 = {mod2}")
             object.__setattr__(self, name, pair)
-
-    @property
-    def a(self):
-        return self.p12[0]
-
-    @property
-    def b(self):
-        return self.p12[1]
-
-    @property
-    def c(self):
-        return self.p13[0]
-
-    @property
-    def d(self):
-        return self.p13[1]
 
     @property
     def is_exact(self) -> bool:
@@ -425,8 +412,19 @@ def _det3(a11, a22, a33, m12, m13):
     return (a11 * (a22 * a33) - m12 * (m21 * a33) - m13 * (a22 * m31)).real
 
 
-def _eig3(a11, a22, a33, m12, m13) -> tuple[float, float, float]:
-    """``hermitian3_eigvals`` of the matrix ``_det3`` takes."""
+def hermitian3_eigvals(m) -> tuple[float, float, float]:
+    """Ascending eigenvalues of a Hermitian arrow 3x3 (M_23 = 0, not read).
+
+    The trigonometric closed form of the characteristic cubic (Smith,
+    "Eigenvalues of a symmetric 3x3 matrix", CACM 4(4), 1961), computed
+    from the real diagonal and the upper triangle: with
+    q = tr(m)/3, p^2 = |m - q*I|_F^2 / 6 and phi = acos(det((m - q*I)/p)/2)/3,
+    the eigenvalues are q + 2*p*cos(phi + 2*pi*k/3). Deterministic and
+    dependency-free, accurate to ~1e-14 at this fixed size except near a
+    double root, where acos turns the rounding of its argument into a
+    square-root-sized error.
+    """
+    a11, a22, a33, m12, m13 = m[0][0].real, m[1][1].real, m[2][2].real, m[0][1], m[0][2]
     p1 = abs(m12) ** 2 + abs(m13) ** 2
     q = (a11 + a22 + a33) / 3.0
     p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * p1
@@ -441,21 +439,6 @@ def _eig3(a11, a22, a33, m12, m13) -> tuple[float, float, float]:
     e_lo = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
     e_mid = 3.0 * q - e_hi - e_lo
     return tuple(sorted((e_lo, e_mid, e_hi)))
-
-
-def hermitian3_eigvals(m) -> tuple[float, float, float]:
-    """Ascending eigenvalues of a Hermitian arrow 3x3 (M_23 = 0, not read).
-
-    The trigonometric closed form of the characteristic cubic (Smith,
-    "Eigenvalues of a symmetric 3x3 matrix", CACM 4(4), 1961), computed
-    by ``_eig3`` from the real diagonal and the upper triangle: with
-    q = tr(m)/3, p^2 = |m - q*I|_F^2 / 6 and phi = acos(det((m - q*I)/p)/2)/3,
-    the eigenvalues are q + 2*p*cos(phi + 2*pi*k/3). Deterministic and
-    dependency-free, accurate to ~1e-14 at this fixed size except near a
-    double root, where acos turns the rounding of its argument into a
-    square-root-sized error.
-    """
-    return _eig3(m[0][0].real, m[1][1].real, m[2][2].real, m[0][1], m[0][2])
 
 
 def is_psd(point: FeasibilityPoint) -> bool:
@@ -535,9 +518,10 @@ class ArrowKernel:
 def reduce(flags: FlagOverlaps, case: str):
     """Flag components to (q, s); exact when the components are rational."""
     cp = case_params(case)
-    a, b, c, d = flags.a, flags.b, flags.c, flags.d
-    q = (a + cp.q_sign * c) / cp.q_den
-    s = 1 - (a * a + b * b + c * c + d * d) / cp.s_den
+    (a, b), (c, d) = flags.p12, flags.p13
+    sigma2, sigma3 = cp.signs
+    q = (a + sigma2 * sigma3 * c) * (-2 * sigma2 * cp.g ** 3)
+    s = 1 - cp.g ** 4 * (a * a + b * b + c * c + d * d)
     return q, s
 
 
@@ -674,44 +658,43 @@ class ReducedCoordinates:
 # boundary curves of the (v, w) region
 # ---------------------------------------------------------------------------
 
-#: q at the region corner where the min-s and max-s curves meet
-Q_CORNER = {case: -case_params(case).q_bound for case in CASES}
-#: v at that corner
-V_CORNER = {case: stationary_x1(Q_CORNER[case], case_params(case).s_floor, case)
-            for case in CASES}
-
 BRANCHES = ("max_s", "min_s")
 
 
 def vw_boundary(case: str, branch: str, parameter):
     """A point on a boundary curve of the (v, w) = (x1, y1) region.
 
-    ``max_s`` is parametrised by v in [0, v_corner] and follows the
-    closed form along s = s_cap(q); ``min_s`` is parametrised by
-    q in [q_corner, 0] and evaluates (x1, y1) at s = s_floor.
+    With ``corner(case)`` = (q_corner, s_floor, v_corner), ``max_s`` is
+    parametrised by v in [0, v_corner] and follows the closed form along
+    s = s_cap(q); ``min_s`` is parametrised by q in [q_corner, 0] and evaluates (x1, y1) at s = s_floor. The
+    curves meet at the region corner; at q = 0, ``min_s`` gives the
+    x = 0 endpoint (0, c0) as floats for a float q, exactly otherwise.
 
     The closed form: (v, w) lies on the parabola, w = c0 - q*v + s*v^2,
     and gamma2 is stationary there, 2*w*y' = 4*v + v*y'^2 with
     y' = -q + 2*s*v. Eliminating q (a resultant) at s = s_cap(q) leaves,
     besides the factor w - 1 - v^2,
     2*g^2*w^2 + c0^2*w - (2 - c0)^2*v^2 - c0^2 = 0, whose positive root,
-    with 2*g^2 = 1 - c0 and 8*g^2 = 1/cap_coeff, is
+    with 2*g^2 = 1 - c0, is
 
-        w = ((2 - c0) * sqrt(c0^2 + v^2/cap_coeff) - c0^2) / (2*(1 - c0)).
+        w = ((2 - c0) * sqrt(c0^2 + 8*g^2*v^2) - c0^2) / (2*(1 - c0)).
     """
     cp = case_params(case)
+    q_corner, _, v_corner = corner(case)
     if branch == "max_s":
         v = parameter
-        if not 0 <= v <= V_CORNER[case]:
-            raise ValueError(f"v = {float(v)} outside [0, {float(V_CORNER[case])}]")
+        if not 0 <= v <= v_corner:
+            raise ValueError(f"v = {float(v)} outside [0, {float(v_corner)}]")
         c0 = cp.c0
-        root = _sqrt_any(c0 * c0 + v * v / cp.cap_coeff)
+        root = _sqrt_any(c0 * c0 + 8 * cp.g ** 2 * (v * v))
         return v, ((2 - c0) * root - c0 * c0) / (2 * (1 - c0))
     if branch == "min_s":
         qv = parameter
-        if not Q_CORNER[case] <= qv <= 0:
-            raise ValueError(f"q = {float(qv)} outside [{float(Q_CORNER[case])}, 0]")
+        if not q_corner <= qv <= 0:
+            raise ValueError(f"q = {float(qv)} outside [{float(q_corner)}, 0]")
         if qv == 0:
+            if isinstance(qv, float):
+                return 0.0, float(cp.c0)
             return Fraction(0), cp.c0
         return _stationary_point(qv, cp.s_floor, case)
     raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")

@@ -147,16 +147,16 @@ def score_no_clone_exact(case: str) -> Fraction:
 
 
 def score_clone_exact(eff, case: str):
-    """Published cloning score, linear in gamma2 + gamma3.
+    """Published cloning score, linear in gamma2 + gamma3:
+    (1 + 2c)/3 + (1 - c)/3 * (g2 + g3), c the claimed chance term.
 
-    3-bit: (22 + 21*(g2+g3)) / 64;  2-bit: (6 + 5*(g2+g3)) / 16.
-    Exact when the efficiencies are rational.
+    That is (22 + 21*(g2+g3)) / 64 for 3-bit and (6 + 5*(g2+g3)) / 16
+    for 2-bit. Exact when the efficiencies are rational.
     """
     eff = _as_eff(eff)
-    s = eff[1] + eff[2]
-    if family(case).arity == 3:
-        return (22 + 21 * s) / 64
-    return (6 + 5 * s) / 16
+    family(case)    # rejects an unknown case
+    c = CLAIMED_GUESS_CHANCE[case]
+    return (1 + 2 * c) / 3 + (1 - c) / 3 * (eff[1] + eff[2])
 
 
 def clone_intermediates(eff) -> dict:

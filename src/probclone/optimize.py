@@ -11,11 +11,11 @@ The numeric route is an independent check: a coarse grid over
 test, refined by coordinate-wise pattern search with shrinking steps.
 Both are reported side by side. The slice value is the optimum over all
 efficiencies and flags: by the sign-flag and symmetrisation lemmas in
-``feasibility``, no flags beat ``CORNER_FLAGS`` and no unequal
-gamma2, gamma3 beat their mean, so the search is an independent check.
-``CORNER_FLAGS`` is sign(G_1j) by construction, read off the exact case
-Gram, and real flags lose nothing: by the sign-flag lemma, these flags
-are feasible wherever any complex flags are.
+``feasibility``, no flags beat the corner flags P_1j = sign(G_1j)
+(``feasibility.case_params(case).signs``, read off the exact case Gram)
+and no unequal gamma2, gamma3 beat their mean, so the search is an
+independent check. Real flags lose nothing: by the sign-flag lemma, the
+corner flags are feasible wherever any complex flags are.
 """
 from __future__ import annotations
 
@@ -28,17 +28,12 @@ from operator import itemgetter
 from . import feasibility as fz
 from .feasibility import (EfficiencyVector, FeasibilityPoint, FlagOverlaps,
                           build_matrix, gamma2_on_slice, intersection_x0,
-                          intersection_x0_text, is_psd, reduce)
-from .funcspace import CASES
+                          intersection_x0_text, is_psd)
 
 OBJECTIVES = ("gamma23", "gamma1")
 
 #: sweeps after which a pattern-search walk stops, whatever its shrinks
 MAX_SWEEPS = 20000
-
-#: flags realising the slice-optimal corner of the (q, s) region: sign(G_1j)
-CORNER_FLAGS = {case: dict(zip(("p12", "p13"), fz.case_params(case).signs))
-                for case in CASES}
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,7 @@ def analytic_optimum(case: str, objective: str = "gamma23") -> OptimumReport:
     """
     obj = _objective_fn(objective)
     flags = FlagOverlaps(*fz.case_params(case).signs)
-    q, s = reduce(flags, case)
+    q, s, _ = fz.corner(case)
     g_small, g_big = gamma2_on_slice(q, s, case)
     if objective == "gamma23":
         gammas = (g_small, g_big, g_big)
@@ -145,7 +140,7 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     first (g2, g3) block, in descending (objective, gammas) order, that
     has a feasible flag, paired with that block's largest feasible flag.
     By the sign-flag lemma, a block has a feasible flag iff it is
-    feasible at the grid flags ``CORNER_FLAGS``, so each block gets one
+    feasible at the corner flags sign(G_1j), so each block gets one
     verdict there; the first feasible block's flags are then tried in
     descending lexicographic order. Later blocks and flags get no
     verdict. The lemma holds for the computed determinant too, since the
@@ -183,7 +178,7 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]
     evaluations = resolution ** 5
 
-    corner = (float(CORNER_FLAGS[case]["p12"]), float(CORNER_FLAGS[case]["p13"]))
+    corner_flags = tuple(float(x) for x in fz.case_params(case).signs)
     flag_pairs = list(product(flag_axis[::-1], repeat=2))    # descending
     slack = functools.cache(kernel.slack)
 
@@ -194,7 +189,7 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
         # is feasible at the corner flags, paired with its largest flags
         blocks = sorted(((g1, g2, g3) for g2 in gamma_axis for g3 in gamma_axis),
                         key=lambda gammas: (obj(gammas), gammas), reverse=True)
-        gammas = next((b for b in blocks if slack(b + corner) is not None), None)
+        gammas = next((b for b in blocks if slack(b + corner_flags) is not None), None)
         if gammas is not None:
             top = next(f for f in flag_pairs if slack(gammas + f) is not None)
             slab_best.append((obj(gammas), gammas + top))
@@ -320,11 +315,12 @@ def equal_gamma_optimum(case: str) -> OptimumReport:
     optimum lies on the cap s = s_cap(q) = 1 - k*q^2, along which
     dx0/dq = x0 * (1 + 2*k*q*x0) / f'(x0) < 0 because 2*k*q_bound < 1
     (1/4 for 3-bit, 1/2 for 2-bit) and x0 <= 1. The maximum is therefore
-    the corner q = -q_bound, s = s_cap(q) that ``CORNER_FLAGS`` realise:
-    (6 - 2*sqrt(2))/7 for 2-bit and (124 - 24*sqrt(2))/127 for 3-bit.
+    the corner q = -q_bound, s = s_cap(q), ``feasibility.corner(case)``,
+    that the flags sign(G_1j) realise: (6 - 2*sqrt(2))/7 for 2-bit and
+    (124 - 24*sqrt(2))/127 for 3-bit.
     """
     flags = FlagOverlaps(*fz.case_params(case).signs)
-    q, s = reduce(flags, case)
+    q, s, _ = fz.corner(case)
     x0 = float(intersection_x0(q, s, case))
     cert = build_matrix(case, EfficiencyVector((x0, x0, x0)), flags)
     if not is_psd(cert):

@@ -15,8 +15,7 @@ from probclone.funcspace import family
 from probclone.gamesim import (score_clone_exact, score_no_clone_exact,
                                clone_intermediates, simulate_clone,
                                simulate_no_clone)
-from probclone.optimize import (CORNER_FLAGS, analytic_optimum, equal_gamma_optimum,
-                                numeric_search)
+from probclone.optimize import analytic_optimum, equal_gamma_optimum, numeric_search
 from probclone.phasestate import gram, phase_state
 
 OPT3 = EfficiencyVector((F(7, 127), F(112, 127), F(112, 127)))
@@ -42,7 +41,7 @@ def test_criterion_1_exact_optima():
 def test_criterion_2_boundary_certification():
     ok = True
     for case, eff in (("3bit", OPT3), ("2bit", OPT2)):
-        flags = FlagOverlaps(**CORNER_FLAGS[case])
+        flags = FlagOverlaps(*case_params(case).signs)
         point = build_matrix(case, eff, flags)
         ok &= point.is_exact and point.det() == 0 and is_psd(point)
         bumped = EfficiencyVector((float(eff[0]), float(eff[1]) + 1e-4,

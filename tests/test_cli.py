@@ -54,6 +54,23 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.stdout == out != ""
 
 
+def test_importing_builds_nothing():
+    # every derived case constant waits for its first use, so a fresh
+    # ``import probclone.cli`` leaves the family, case-Gram, slice-constant
+    # and corner caches empty
+    src = str(Path(probclone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import probclone.cli\n"
+            "from probclone import feasibility, funcspace, phasestate\n"
+            "print(*(f.cache_info().currsize for f in (funcspace.family,"
+            " phasestate.case_gram, feasibility.case_params, feasibility.corner)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0", "0"]
+
+
 def test_states_sf_basis_identity(capsys):
     for case, dim in (("3bit", 8), ("2bit", 4)):
         data = run_json(capsys, "states", "--case", case, "--basis", "sf")

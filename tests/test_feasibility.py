@@ -18,9 +18,8 @@ from probclone.feasibility import (EfficiencyVector, FlagOverlaps,
                                    case_params, gamma2_on_slice, gammas_from_xy,
                                    hermitian3_eigvals, intersection_x0, is_psd,
                                    reduce, s_cap, stationary_x1,
-                                   vw_boundary, V_CORNER, Q_CORNER,
-                                   _stationary_point)
-from probclone.optimize import CORNER_FLAGS, analytic_optimum
+                                   vw_boundary, _sqrt_any, _stationary_point)
+from probclone.optimize import analytic_optimum
 
 OPT3 = EfficiencyVector((F(7, 127), F(112, 127), F(112, 127)))
 OPT2 = EfficiencyVector((F(1, 7), F(4, 7), F(4, 7)))
@@ -129,7 +128,7 @@ def test_flag_validation():
     with pytest.raises(ValueError):
         FlagOverlaps(p13=(1, 1))
     f = FlagOverlaps(p12=(F(3, 5), F(4, 5)))
-    assert f.a == F(3, 5) and f.b == F(4, 5)
+    assert f.p12[0] == F(3, 5) and f.p12[1] == F(4, 5)
 
 
 def test_exact_flags_are_checked_exactly():
@@ -140,8 +139,8 @@ def test_exact_flags_are_checked_exactly():
             FlagOverlaps(p13=val)
     assert FlagOverlaps(p12=F(1), p13=(F(-3, 5), F(4, 5))).p12 == (1, 0)
     # a float flag keeps its roundoff slack, and no more
-    assert FlagOverlaps(p12=1 + 1e-13).a == 1 + 1e-13
-    assert FlagOverlaps(p13=(0.6, 0.8 + 1e-13)).d == 0.8 + 1e-13
+    assert FlagOverlaps(p12=1 + 1e-13).p12[0] == 1 + 1e-13
+    assert FlagOverlaps(p13=(0.6, 0.8 + 1e-13)).p13[1] == 0.8 + 1e-13
     with pytest.raises(ValueError, match="exceeds 1"):
         FlagOverlaps(p12=1 + 1e-8)
 
@@ -308,14 +307,12 @@ def test_minor_and_eigenvalue_verdicts_agree():
 #: the slice constants as literals, the reference for their derivation
 #: from the case Gram
 LITERAL_PARAMS = {
-    "3bit": dict(c0=F(7, 8), q_bound=F(1, 16), s_floor=F(127, 128), q_den=32,
-                 q_sign=-1, s_den=256, cap_coeff=F(2)),
-    "2bit": dict(c0=F(1, 2), q_bound=F(1, 2), s_floor=F(7, 8), q_den=4,
-                 q_sign=+1, s_den=16, cap_coeff=F(1, 2)),
+    "3bit": dict(g=F(1, 4), c0=F(7, 8), q_bound=F(1, 16), s_floor=F(127, 128)),
+    "2bit": dict(g=F(1, 2), c0=F(1, 2), q_bound=F(1, 2), s_floor=F(7, 8)),
 }
 LITERAL_CORNERS = {
-    "3bit": dict(v=F(28, 127), q=F(-1, 16), flags={"p12": -1, "p13": 1}),
-    "2bit": dict(v=F(2, 7), q=F(-1, 2), flags={"p12": -1, "p13": -1}),
+    "3bit": dict(v=F(28, 127), q=F(-1, 16), flags=(-1, 1)),
+    "2bit": dict(v=F(2, 7), q=F(-1, 2), flags=(-1, -1)),
 }
 
 
@@ -325,23 +322,24 @@ def test_case_params_derived_from_the_gram_equal_the_literals(case):
     for name, want in LITERAL_PARAMS[case].items():
         got = getattr(cp, name)
         assert isinstance(got, (int, F)) and got == want, name
-    corner = LITERAL_CORNERS[case]
-    assert isinstance(V_CORNER[case], F) and V_CORNER[case] == corner["v"]
-    assert isinstance(Q_CORNER[case], F) and Q_CORNER[case] == corner["q"]
-    assert CORNER_FLAGS[case] == corner["flags"]
-    assert all(type(x) is int for x in CORNER_FLAGS[case].values())
+    want = LITERAL_CORNERS[case]
+    got = feasibility.corner(case)
+    assert all(isinstance(x, F) for x in got)
+    assert got == (want["q"], cp.s_floor, want["v"])
+    assert cp.signs == want["flags"]
+    assert all(type(x) is int for x in cp.signs)
 
 
 @pytest.mark.parametrize("case", ["3bit", "2bit"])
 def test_corner_geometry_is_consistent(case):
     cp = case_params(case)
     g = case_gram(case)
-    assert CORNER_FLAGS[case] == {"p12": 1 if g.entry(0, 1) > 0 else -1,
-                                  "p13": 1 if g.entry(0, 2) > 0 else -1}
-    assert reduce(FlagOverlaps(**CORNER_FLAGS[case]), case) == (Q_CORNER[case], cp.s_floor)
-    assert s_cap(Q_CORNER[case], case) == cp.s_floor
+    q, s, v = feasibility.corner(case)
+    assert cp.signs == tuple(1 if g.entry(0, j) > 0 else -1 for j in (1, 2))
+    assert reduce(FlagOverlaps(*cp.signs), case) == (q, s) == (q, cp.s_floor)
+    assert s_cap(q, case) == cp.s_floor
     gammas = [F(x) for x in analytic_optimum(case).gammas_exact]
-    assert V_CORNER[case] ** 2 == gammas[0] * gammas[1]
+    assert v ** 2 == gammas[0] * gammas[1]
 
 
 def test_slice_constants_match_the_determinant():
@@ -359,6 +357,71 @@ def test_slice_constants_match_the_determinant():
             x, y = F(k * m, 49), g1 + g2
             want = (1 - g2) * (s * x * x - q * x + case_params(case).c0 - y)
             assert point.det() == want
+
+
+#: the slice constants' earlier alias forms, q = (a + q_sign*c) / q_den,
+#: s = 1 - |P|^2 / s_den and s_cap = 1 - cap_coeff*q^2: the references for
+#: the forms in g and the signs, which must keep every digit
+ALIAS_PARAMS = {
+    "3bit": dict(q_den=F(32), q_sign=-1, s_den=F(256), cap_coeff=F(2)),
+    "2bit": dict(q_den=F(4), q_sign=+1, s_den=F(16), cap_coeff=F(1, 2)),
+}
+
+
+def alias_reduce(a, b, c, d, case):
+    al = ALIAS_PARAMS[case]
+    return ((a + al["q_sign"] * c) / al["q_den"],
+            1 - (a * a + b * b + c * c + d * d) / al["s_den"])
+
+
+def alias_s_cap(q, case):
+    return 1 - ALIAS_PARAMS[case]["cap_coeff"] * q * q
+
+
+def alias_max_s(v, case):
+    c0 = case_params(case).c0
+    root = _sqrt_any(c0 * c0 + v * v / ALIAS_PARAMS[case]["cap_coeff"])
+    return v, ((2 - c0) * root - c0 * c0) / (2 * (1 - c0))
+
+
+def same_digits(got, want):
+    """Equal Fractions, or floats with the same repr (zero signs included)."""
+    if isinstance(want, F):
+        return isinstance(got, F) and got == want
+    return type(got) is float and repr(got) == repr(want)
+
+
+_TINY = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310)
+_UNIT = st.one_of(st.sampled_from(_TINY + (1.0, -1.0, 0.5, -0.5)), st.floats(-1.0, 1.0),
+                  st.fractions(-1, 1, max_denominator=10**6))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=st.sampled_from(("3bit", "2bit")), parts=st.tuples(_UNIT, _UNIT, _UNIT, _UNIT),
+       tie=st.sampled_from((None, 1, -1)))
+@example(case="3bit", parts=(0.5, 0.0, 0.5, 0.0), tie=None)
+@example(case="2bit", parts=(-0.0, -0.0, -0.0, 0.0), tie=None)
+def test_reduce_and_s_cap_keep_every_digit(case, parts, tie):
+    a, b, c, d = parts
+    if tie is not None:
+        c = tie * a     # a = c (or a = -c) cancels in q for one sign product
+    assume(a * a + b * b <= 1 and c * c + d * d <= 1)
+    flags = FlagOverlaps(p12=(a, b), p13=(c, d))
+    q, s = reduce(flags, case)
+    want_q, want_s = alias_reduce(*flags.p12, *flags.p13, case)
+    assert same_digits(q, want_q) and same_digits(s, want_s)
+    assert same_digits(s_cap(q, case), alias_s_cap(q, case))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=st.sampled_from(("3bit", "2bit")),
+       t=st.one_of(st.sampled_from(_TINY[:3] + (1.0, 0.5)), st.floats(0.0, 1.0),
+                   st.fractions(0, 1, max_denominator=10**6)))
+def test_vw_max_s_keeps_every_digit(case, t):
+    v_corner = feasibility.corner(case)[2]
+    v = t * (v_corner if isinstance(t, F) else float(v_corner))
+    got, want = vw_boundary(case, "max_s", v), alias_max_s(v, case)
+    assert all(map(same_digits, got, want))
 
 
 def test_reduce_examples():
@@ -599,8 +662,9 @@ def test_vw_max_s_examples():
 
 def test_vw_corners_coincide_exactly():
     for case in ("2bit", "3bit"):
-        v_max, w_max = vw_boundary(case, "max_s", V_CORNER[case])
-        v_min, w_min = vw_boundary(case, "min_s", Q_CORNER[case])
+        q, _, v = feasibility.corner(case)
+        v_max, w_max = vw_boundary(case, "max_s", v)
+        v_min, w_min = vw_boundary(case, "min_s", q)
         assert (v_max, w_max) == (v_min, w_min)
         v0_max, w0_max = vw_boundary(case, "max_s", 0)
         v0_min, w0_min = vw_boundary(case, "min_s", 0)
@@ -608,8 +672,8 @@ def test_vw_corners_coincide_exactly():
 
 
 def test_vw_corner_values():
-    assert vw_boundary("3bit", "max_s", V_CORNER["3bit"]) == (F(28, 127), F(119, 127))
-    assert vw_boundary("2bit", "max_s", V_CORNER["2bit"]) == (F(2, 7), F(5, 7))
+    for case, want in (("3bit", (F(28, 127), F(119, 127))), ("2bit", (F(2, 7), F(5, 7)))):
+        assert vw_boundary(case, "max_s", feasibility.corner(case)[2]) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -620,17 +684,30 @@ def test_vw_corner_values():
 def test_vw_max_s_closed_form_matches_direct_evaluation(case, t):
     """Oracle: on s = s_cap(q) the curve, derived from case_params alone,
     must equal (x1, y1) evaluated directly from the stationary-point
-    formulas, for q = t * Q_CORNER in [Q_CORNER, 0)."""
-    q = t * Q_CORNER[case]
+    formulas, for q = t * q_corner in [q_corner, 0)."""
+    q_corner, _, v_corner = feasibility.corner(case)
+    q = t * q_corner
     assume(q < 0)
     v, w = _stationary_point(q, s_cap(q, case), case)
-    assume(v <= V_CORNER[case])
+    assume(v <= v_corner)
     v_curve, w_curve = vw_boundary(case, "max_s", v)
     assert v_curve == v
     if isinstance(w, F) and isinstance(w_curve, F):
         assert w_curve == w
     else:
         assert float(w_curve) == pytest.approx(float(w), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["3bit", "2bit"])
+def test_vw_min_s_endpoint_keeps_the_parameter_type(case):
+    c0 = case_params(case).c0
+    exact = vw_boundary(case, "min_s", F(0))
+    assert exact == (0, c0) and all(isinstance(x, F) for x in exact)
+    for q in (0.0, -0.0):
+        approx = vw_boundary(case, "min_s", q)
+        assert approx == (0.0, float(c0)) and all(type(x) is float for x in approx)
+    # the float curve is continuous in type at its endpoint
+    assert all(type(x) is float for x in vw_boundary(case, "min_s", -1e-3))
 
 
 def test_vw_parameter_range_errors():
@@ -727,11 +804,11 @@ def exact_lemma_points(draw):
 @given(setup=exact_lemma_points())
 def test_sign_flags_are_feasible_wherever_any_flags_are(setup):
     # the sign-flag lemma in the feasibility docstring: at P_1j = sign(G_1j),
-    # which are CORNER_FLAGS, every principal minor and lambda_min is at
+    # which are case_params(case).signs, every principal minor and lambda_min is at
     # least its value at any flags, so exact PSD carries over
     case, eff, flags = setup
     drawn = build_matrix(case, eff, flags)
-    corner = build_matrix(case, eff, FlagOverlaps(**CORNER_FLAGS[case]))
+    corner = build_matrix(case, eff, FlagOverlaps(*case_params(case).signs))
     assert drawn.is_exact and corner.is_exact
     if is_psd(drawn):
         assert is_psd(corner)
@@ -770,7 +847,7 @@ def test_corner_flags_psd_iff_schur_form(setup):
     # a*sqrt(gamma_j) = g*sqrt(gamma1 gamma_j) rational on these points
     case, eff, _ = setup
     gram = case_gram(case)
-    corner = build_matrix(case, eff, FlagOverlaps(**CORNER_FLAGS[case]))
+    corner = build_matrix(case, eff, FlagOverlaps(*case_params(case).signs))
     assert corner.is_exact
     g1, g2, g3 = (F(x) for x in eff)
     g = abs(F(gram.entry(0, 1)))
@@ -807,7 +884,7 @@ def test_symmetrising_never_loses_feasibility(setup):
     case, gammas, gbar = setup
     assert gbar == (gammas[1] + gammas[2]) / 2
     gram = case_gram(case)
-    flags = FlagOverlaps(**CORNER_FLAGS[case])
+    flags = FlagOverlaps(*case_params(case).signs)
     before = build_matrix(case, EfficiencyVector(gammas), flags)
     after = build_matrix(case, EfficiencyVector((gammas[0], gbar, gbar)), flags)
     assert before.is_exact and after.is_exact

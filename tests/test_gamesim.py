@@ -50,6 +50,30 @@ def test_clone_exact_at_optimum():
     assert score_clone_exact(OPT2, "2bit") == F(41, 56)
 
 
+def literal_score_clone(eff, case):
+    """The published cloning scores as the per-case literals they reduce to."""
+    s = eff[1] + eff[2]
+    return (22 + 21 * s) / 64 if case == "3bit" else (6 + 5 * s) / 16
+
+
+_GAMMA = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310,
+                                    0.5, 1.0)),
+                   st.floats(0.0, 1.0), st.fractions(0, 1, max_denominator=10**6))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=st.sampled_from(("3bit", "2bit")), gammas=st.tuples(_GAMMA, _GAMMA, _GAMMA))
+def test_clone_exact_keeps_every_digit(case, gammas):
+    # the score from the chance term equals the literal form: the same
+    # Fraction, or a float with the same repr
+    eff = EfficiencyVector(gammas)
+    got, want = score_clone_exact(eff, case), literal_score_clone(eff, case)
+    if isinstance(want, F):
+        assert isinstance(got, F) and got == want
+    else:
+        assert type(got) is float and repr(got) == repr(want)
+
+
 def test_clone_exact_edge_cases():
     assert score_clone_exact(EfficiencyVector((0, 0, 0)), "3bit") == F(11, 32)
     assert score_clone_exact(EfficiencyVector((1, 1, 1)), "3bit") == 1

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from probclone import feasibility
 from probclone.feasibility import (ArrowKernel, EfficiencyVector, FlagOverlaps,
-                                   build_matrix, hermitian3_eigvals)
-from probclone.optimize import CORNER_FLAGS, _objective_fn, numeric_search
+                                   build_matrix, case_params, hermitian3_eigvals)
+from probclone.optimize import _objective_fn, numeric_search
 from probclone.phasestate import case_gram
 
 CASES = ("3bit", "2bit")
@@ -91,8 +91,8 @@ def grid_points(resolution):
     return itertools.product(gamma_axis, gamma_axis, gamma_axis, flag_axis, flag_axis)
 
 
-def corner(case):
-    return tuple(float(CORNER_FLAGS[case][k]) for k in ("p12", "p13"))
+def corner_flags(case):
+    return tuple(float(x) for x in case_params(case).signs)
 
 
 @pytest.mark.parametrize("resolution", [8, 9, 10])
@@ -115,10 +115,10 @@ def test_sign_flag_lemma_on_the_grid(case, resolution, tol, monkeypatch):
     monkeypatch.setattr(feasibility, "DEFAULT_TOL", tol)
     kernel = ArrowKernel(case)
     gamma_axis, flag_axis = axes(resolution)
-    assert all(f in flag_axis for f in corner(case))
+    assert all(f in flag_axis for f in corner_flags(case))
     rejected = 0
     for gammas in itertools.product(gamma_axis, repeat=3):
-        if kernel.slack(gammas + corner(case)) is None:
+        if kernel.slack(gammas + corner_flags(case)) is None:
             rejected += 1
             for flags in itertools.product(flag_axis, repeat=2):
                 assert kernel.slack(gammas + flags) is None, (gammas, flags)
@@ -134,7 +134,7 @@ def test_sign_flag_lemma_off_the_grid(case, gammas, flags):
     # computed values are smallest at the corner flags, so the lemma
     # holds for the float verdict at every point, not only on the grid
     kernel = ArrowKernel(case)
-    if kernel.slack(gammas + corner(case)) is None:
+    if kernel.slack(gammas + corner_flags(case)) is None:
         assert kernel.slack(gammas + flags) is None
 
 
@@ -157,7 +157,7 @@ def test_grid_phase_finds_the_exhaustive_grid_maximum(case, resolution):
 def boundary_points(case):
     """Points on and within 1e-9 of the analytic optimum's boundary."""
     gam = {"3bit": (F(7, 127), F(112, 127)), "2bit": (F(1, 7), F(4, 7))}[case]
-    a, c = corner(case)
+    a, c = corner_flags(case)
     pts = []
     for scale in (1 - 1e-9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-9):
         g1, g2 = float(gam[0]), min(1.0, float(gam[1]) * scale)

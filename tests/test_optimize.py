@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from probclone import gamesim, optimize
 from probclone.feasibility import (ArrowKernel, EfficiencyVector, FlagOverlaps,
-                                   build_matrix, case_params, intersection_x0,
-                                   is_psd, reduce, s_cap, vw_boundary)
+                                   build_matrix, case_params, corner,
+                                   intersection_x0, is_psd, reduce, s_cap,
+                                   vw_boundary)
 from probclone._exact import surd_text
-from probclone.optimize import (CORNER_FLAGS, _clamp, _compass_refine, _objective_fn,
+from probclone.optimize import (_clamp, _compass_refine, _objective_fn,
                                 analytic_optimum, equal_gamma_optimum, numeric_search)
 from probclone.phasestate import case_gram
 from test_kernel import check_slack
@@ -65,7 +66,7 @@ def test_optimum_sits_on_feasibility_boundary():
     # bumping the two large efficiencies by epsilon breaks feasibility
     for case, gam in (("3bit", (F(7, 127), F(112, 127), F(112, 127))),
                       ("2bit", (F(1, 7), F(4, 7), F(4, 7)))):
-        flags = FlagOverlaps(**CORNER_FLAGS[case])
+        flags = FlagOverlaps(*case_params(case).signs)
         for eps in (1e-4, 1e-3):
             bumped = EfficiencyVector((float(gam[0]), float(gam[1]) + eps,
                                        float(gam[2]) + eps))
@@ -77,7 +78,7 @@ def test_monotone_tradeoff_along_boundary():
     # along the slice parabola, pushing gamma2 up forces gamma1 down
     from probclone.feasibility import gammas_from_xy, reduce as reduce_qs
     for case in ("2bit", "3bit"):
-        flags = FlagOverlaps(**CORNER_FLAGS[case])
+        flags = FlagOverlaps(*case_params(case).signs)
         q, s = reduce_qs(flags, case)
         c0 = case_params(case).c0
         xs = [0.02 + 0.9 * float(intersection_x0(q, s, case)) * i / 30
@@ -170,6 +171,7 @@ CASE_ENTRIES = {
                                               FlagOverlaps()),
     "ArrowKernel": ArrowKernel,
     "case_params": case_params,
+    "corner": corner,
     "reduce": functools.partial(reduce, FlagOverlaps()),
     "vw_boundary_max_s": lambda case: vw_boundary(case, "max_s", 0),
     "vw_boundary_min_s": lambda case: vw_boundary(case, "min_s", 0),
