@@ -23,7 +23,7 @@ from . import feasibility as fz
 from . import gamesim, optimize
 from ._exact import parse_rational
 from .funcspace import CASES, family
-from .phasestate import gram, phase_state
+from .phasestate import case_gram, gram, phase_state
 
 #: how far ``optimize --mode both`` lets the numeric value exceed the
 #: analytic bound before it reports a regression. The search's fixed PSD
@@ -156,7 +156,7 @@ def cmd_states(args) -> tuple[dict, int]:
             {"name": f.name, "signs": st.sign_string(),
              "amps": [[a.real, a.imag] for a in st.amps]}
             for f, st in zip(fam.s_f0, states)]
-        payload["candidate_gram"] = gram(states).to_lists()
+        payload["candidate_gram"] = case_gram(args.case).to_lists()
     if args.basis in ("sf", "all"):
         basis = [phase_state(f) for f in fam.s2]
         g = gram(basis)

@@ -264,8 +264,13 @@ class FeasibilityPoint:
         return (d1, d2, d3, d1 * d2 - n12, d1 * d3 - n13, d2 * d3,
                 d1 * d2 * d3 - d2 * n13 - d3 * n12)
 
-    def min_eigenvalue(self) -> float:
+    @cached_property
+    def _min_eig(self) -> float:
         return hermitian3_eigvals(self.matrix)[0]
+
+    def min_eigenvalue(self) -> float:
+        """lambda_min(M) by ``hermitian3_eigvals``, computed once per point."""
+        return self._min_eig
 
     def leading_minors(self) -> list:
         """The three leading principal minors (exact when possible)."""
@@ -295,21 +300,16 @@ class FeasibilityPoint:
         return _det3(m[0][0].real, m[1][1].real, m[2][2].real, m[0][1], m[0][2])
 
     def to_json(self) -> dict:
-        principal = self.principal_minors()
-        minors = [principal[0], principal[3], principal[6]]    # the last is det M
-        min_eig = self.min_eigenvalue()
-        # is_psd's verdict, from the values above
-        psd = (all(x >= 0 for x in principal) if self.is_exact
-               else min_eig >= -DEFAULT_TOL)
+        minors = self.leading_minors()    # the last is det M
         out = {
             "gram": self.gram.to_lists(),
             "gammas": [float(g) for g in self.eff],
             "P12": [float(self.flags.p12[0]), float(self.flags.p12[1])],
             "P13": [float(self.flags.p13[0]), float(self.flags.p13[1])],
             "P23": [float(self.flags.p23[0]), float(self.flags.p23[1])],
-            "psd": psd,
+            "psd": is_psd(self),
             "minors": [float(x) for x in minors],
-            "min_eigenvalue": min_eig,
+            "min_eigenvalue": self.min_eigenvalue(),
             "M": [[[z.real, z.imag] for z in row] for row in self.matrix],
             "det": float(minors[2]),
             "exact": self.is_exact,
@@ -442,7 +442,8 @@ def hermitian3_eigvals(m) -> tuple[float, float, float]:
 
 
 def is_psd(point: FeasibilityPoint) -> bool:
-    """Positive semidefiniteness of M.
+    """Positive semidefiniteness of M: the one PSD verdict of a point,
+    which ``FeasibilityPoint.to_json`` reports as ``psd``.
 
     Exact points use Sylvester's criterion for PSD (all seven principal
     minors nonnegative, not only the leading three); float points test
@@ -525,10 +526,20 @@ def reduce(flags: FlagOverlaps, case: str):
     return q, s
 
 
+def _is_exact(q, s) -> bool:
+    """(q, s) are exact iff both are ints or Fractions: floats iff either is a float."""
+    return isinstance(q, (int, Fraction)) and isinstance(s, (int, Fraction))
+
+
+def _slice_endpoint(q, s, case: str):
+    """The slice's x = 0 endpoint (gamma1, gamma2) = (0, c0), typed by ``_is_exact``."""
+    c0 = case_params(case).c0
+    return (Fraction(0), c0) if _is_exact(q, s) else (0.0, float(c0))
+
+
 def _check_qs(q, s, case: str):
     cp = case_params(case)
-    # rational inputs are checked exactly; floats get roundoff slack
-    slack = 0 if isinstance(q, Fraction) and isinstance(s, Fraction) else 1e-12
+    slack = 0 if _is_exact(q, s) else 1e-12    # roundoff slack for floats only
     if (abs(q) > cp.q_bound + slack or s < cp.s_floor - slack
             or s > s_cap(q, case) + slack):
         raise ValueError(f"(q, s) = ({float(q)}, {float(s)}) outside the {case} region")
@@ -603,8 +614,8 @@ def gamma2_on_slice(q, s, case: str):
     (gamma1, gamma2); exact rationals propagate all the way through when
     the discriminants are perfect squares.
 
-    For q >= 0 it is the x = 0 endpoint (gamma1, gamma2) = (0, c0), as
-    Fractions when q and s are Fractions and as floats otherwise. Along
+    For q >= 0 it is the x = 0 endpoint (gamma1, gamma2) = (0, c0),
+    ``_slice_endpoint``: floats when q or s is a float, else exact. Along
     the parabola, g2(x) = (y + sqrt(y^2 - 4x^2))/2 has g2'(0) = -q <= 0.
     With a = 4*c0*s + q^2 - 4 < 0 (c0 <= 7/8, s <= 1, q^2 <= 1/4), both
     stationary roots (a +- sqrt(a^2 - 16*c0*s*q^2)) / (4*s*q) are <= 0
@@ -614,10 +625,7 @@ def gamma2_on_slice(q, s, case: str):
     _check_qs(q, s, case)
     if q < 0:
         return gammas_from_xy(*_stationary_point(q, s, case))
-    c0 = case_params(case).c0
-    if isinstance(q, Fraction) and isinstance(s, Fraction):
-        return Fraction(0), c0
-    return 0.0, float(c0)
+    return _slice_endpoint(q, s, case)
 
 
 @dataclass(frozen=True)
@@ -668,7 +676,7 @@ def vw_boundary(case: str, branch: str, parameter):
     parametrised by v in [0, v_corner] and follows the closed form along
     s = s_cap(q); ``min_s`` is parametrised by q in [q_corner, 0] and evaluates (x1, y1) at s = s_floor. The
     curves meet at the region corner; at q = 0, ``min_s`` gives the
-    x = 0 endpoint (0, c0) as floats for a float q, exactly otherwise.
+    x = 0 endpoint ``_slice_endpoint``, floats for a float q, exact otherwise.
 
     The closed form: (v, w) lies on the parabola, w = c0 - q*v + s*v^2,
     and gamma2 is stationary there, 2*w*y' = 4*v + v*y'^2 with
@@ -693,8 +701,6 @@ def vw_boundary(case: str, branch: str, parameter):
         if not q_corner <= qv <= 0:
             raise ValueError(f"q = {float(qv)} outside [{float(q_corner)}, 0]")
         if qv == 0:
-            if isinstance(qv, float):
-                return 0.0, float(cp.c0)
-            return Fraction(0), cp.c0
+            return _slice_endpoint(qv, cp.s_floor, case)
         return _stationary_point(qv, cp.s_floor, case)
     raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")

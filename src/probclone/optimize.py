@@ -16,6 +16,9 @@ efficiencies and flags: by the sign-flag and symmetrisation lemmas in
 and no unequal gamma2, gamma3 beat their mean, so the search is an
 independent check. Real flags lose nothing: by the sign-flag lemma, the
 corner flags are feasible wherever any complex flags are.
+
+Every report comes from one certified path, ``_certified``: it builds M at
+the reported efficiencies and flags and raises unless ``is_psd`` accepts it.
 """
 from __future__ import annotations
 
@@ -74,6 +77,19 @@ def _exact_str(x) -> str:
     return str(x) if isinstance(x, Fraction) else repr(float(x))
 
 
+def _certified(case: str, objective: str, mode: str, gammas, flags: FlagOverlaps,
+               **fields) -> OptimumReport:
+    """The report of an optimum at ``gammas`` and ``flags``, with M built on
+    ``case`` as its certificate; raises AssertionError unless ``is_psd``."""
+    cert = build_matrix(case, EfficiencyVector(gammas), flags)
+    if not is_psd(cert):
+        raise AssertionError(f"{mode} optimum failed its own feasibility certificate "
+                             f"({objective})")
+    return OptimumReport(case=case, objective=objective, mode=mode,
+                         gammas=tuple(float(g) for g in gammas), flags=flags,
+                         certificate=cert, **fields)
+
+
 def analytic_optimum(case: str, objective: str = "gamma23") -> OptimumReport:
     """Exact slice optimum at the corner (q, s) with its realizing flags.
 
@@ -85,23 +101,13 @@ def analytic_optimum(case: str, objective: str = "gamma23") -> OptimumReport:
     flags = FlagOverlaps(*fz.case_params(case).signs)
     q, s, _ = fz.corner(case)
     g_small, g_big = gamma2_on_slice(q, s, case)
-    if objective == "gamma23":
-        gammas = (g_small, g_big, g_big)
-    else:
-        gammas = (g_big, g_small, g_small)
+    gammas = ((g_small, g_big, g_big) if objective == "gamma23"
+              else (g_big, g_small, g_small))
     value = obj(gammas)
-    eff = EfficiencyVector(gammas)
-    cert = build_matrix(case, eff, flags)
-    if not is_psd(cert):
-        raise AssertionError("analytic optimum failed its own feasibility certificate")
-    return OptimumReport(
-        case=case, objective=objective, mode="analytic",
-        value=float(value), value_exact=_exact_str(value),
-        gammas=tuple(float(g) for g in gammas),
-        gammas_exact=tuple(_exact_str(g) for g in gammas),
-        flags=flags, certificate=cert,
-        meta={"q": _exact_str(q), "s": _exact_str(s)},
-    )
+    return _certified(case, objective, "analytic", gammas, flags,
+                      value=float(value), value_exact=_exact_str(value),
+                      gammas_exact=tuple(_exact_str(g) for g in gammas),
+                      meta={"q": _exact_str(q), "s": _exact_str(s)})
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +137,8 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     ``feasibility.ArrowKernel.slack`` call: M is an arrow matrix
     (G_23 = 0), so the PSD verdict is the sign of one determinant of
     M + t*I, with t half of the fixed ``feasibility.DEFAULT_TOL``. The
-    reported optimum is checked with ``is_psd`` at the full margin, as
-    ``analytic_optimum`` checks its own.
+    reported optimum is certified with ``is_psd`` at the full margin, as
+    every reported optimum is (``_certified``).
 
     Only the verdicts that can change the result are computed. This rests
     on one fact: the objective depends only on the point, and on the grid
@@ -209,17 +215,10 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
         if val > best_val or (val == best_val and point > best_point):
             best_val, best_point = val, point
 
-    flags = FlagOverlaps(p12=best_point[3], p13=best_point[4])
-    eff = EfficiencyVector(best_point[:3])
-    cert = build_matrix(case, eff, flags)
-    if not is_psd(cert):
-        raise AssertionError("numeric optimum failed its own feasibility certificate")
-    return OptimumReport(
-        case=case, objective=objective, mode="numeric",
-        value=float(best_val), gammas=tuple(float(x) for x in best_point[:3]),
-        flags=flags, certificate=cert, evaluations=evaluations,
-        meta={"resolution": resolution, "iterations": iterations},
-    )
+    return _certified(case, objective, "numeric", best_point[:3],
+                      FlagOverlaps(p12=best_point[3], p13=best_point[4]),
+                      value=float(best_val), evaluations=evaluations,
+                      meta={"resolution": resolution, "iterations": iterations})
 
 
 def _compass_refine(start, obj, slack, lo, hi, cell, iterations, tails=None):
@@ -322,12 +321,6 @@ def equal_gamma_optimum(case: str) -> OptimumReport:
     flags = FlagOverlaps(*fz.case_params(case).signs)
     q, s, _ = fz.corner(case)
     x0 = float(intersection_x0(q, s, case))
-    cert = build_matrix(case, EfficiencyVector((x0, x0, x0)), flags)
-    if not is_psd(cert):
-        raise AssertionError("equal-efficiency optimum failed its feasibility certificate")
-    return OptimumReport(
-        case=case, objective="equal", mode="analytic",
-        value=x0, value_exact=intersection_x0_text(q, s, case),
-        gammas=(x0, x0, x0), flags=flags, certificate=cert,
-        meta={"q": float(q), "s": float(s)},
-    )
+    return _certified(case, "equal", "analytic", (x0, x0, x0), flags,
+                      value=x0, value_exact=intersection_x0_text(q, s, case),
+                      meta={"q": float(q), "s": float(s)})

@@ -617,6 +617,18 @@ def test_gamma2_on_slice_is_the_endpoint_for_nonnegative_q(case, exact, u, t):
         assert gap >= 0 and max(y * y - 4 * x * x, 0) <= gap * gap
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_gamma2_on_slice_endpoint_is_exact_on_int_inputs(case):
+    # floats iff q or s is a float: an int is as exact as a Fraction
+    c0 = case_params(case).c0
+    for q, s in ((0, F(1)), (F(0), 1), (0, 1)):
+        endpoint = gamma2_on_slice(q, s, case)
+        assert endpoint == (F(0), c0) and all(type(x) is F for x in endpoint)
+    for q, s in ((0.0, F(1)), (F(0), 1.0), (0, 1.0)):
+        endpoint = gamma2_on_slice(q, s, case)
+        assert endpoint == (0.0, float(c0)) and all(type(x) is float for x in endpoint)
+
+
 def test_gamma2_on_slice_continuous_at_q_zero():
     for case in ("2bit", "3bit"):
         c0 = float(case_params(case).c0)
@@ -747,6 +759,8 @@ def test_feasibility_point_json():
 
 
 def test_to_json_computes_each_verdict_once(monkeypatch):
+    # is_psd is the one verdict and to_json reads it; lambda_min is computed
+    # once per point, however many of is_psd, min_eigenvalue and to_json ask
     calls = {"principal": 0, "det": 0, "eig": 0}
     point_cls = feasibility.FeasibilityPoint
 
@@ -763,8 +777,8 @@ def test_to_json_computes_each_verdict_once(monkeypatch):
     exact = build_matrix("3bit", OPT3, FLAGS3)
     approx = build_matrix("3bit", EfficiencyVector((0.1, 0.2, 0.3)), FLAGS3)
     for point in (exact, approx):
-        want = {"psd": is_psd(point), "min_eigenvalue": point.min_eigenvalue()}
         calls.update(principal=0, det=0, eig=0)
+        want = {"psd": is_psd(point), "min_eigenvalue": point.min_eigenvalue()}
         data = point.to_json()
         assert calls == {"principal": 1, "det": 1, "eig": 1}
         assert {k: data[k] for k in want} == want

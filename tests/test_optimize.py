@@ -160,6 +160,18 @@ def test_numeric_search_checks_its_certificate(monkeypatch):
         numeric_search("3bit", resolution=8, iterations=0)
 
 
+@pytest.mark.parametrize("construct", [
+    analytic_optimum, equal_gamma_optimum,
+    functools.partial(numeric_search, resolution=8, iterations=0)])
+def test_every_optimum_checks_its_certificate(monkeypatch, construct):
+    # each constructor reports through the one certified path, so a failing
+    # verdict raises whatever the route
+    monkeypatch.setattr(optimize, "is_psd", lambda point: False)
+    with pytest.raises(AssertionError,
+                       match="optimum failed its own feasibility certificate"):
+        construct("3bit")
+
+
 OPT3 = (F(7, 127), F(112, 127), F(112, 127))
 
 CASE_ENTRIES = {
