@@ -40,7 +40,10 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=None, help="write output to this path")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs about as much
+    as a one-point feasibility verdict, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="probclone",
         description="Oracle phase states, cloning feasibility, and task scores.")
@@ -89,13 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="efficiencies for the clone strategy (p/q,p/q,p/q)")
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: building it costs about as much
-    as a one-point feasibility verdict, and parsing leaves it unchanged."""
-    return build_parser()
 
 
 #: options whose value may start with "-" ("-1/2", "-0.5,0.25")

@@ -274,6 +274,9 @@ class FeasibilityPoint:
 
     def leading_minors(self) -> list:
         """The three leading principal minors (exact when possible)."""
+        if self.is_exact:
+            d, nums = self.scaled[1], self._minor_numerators
+            return [Fraction(nums[0], d), Fraction(nums[3], d ** 2), self.det()]
         minors = self.principal_minors()
         return [minors[0], minors[3], minors[6]]
 

@@ -3,7 +3,9 @@
 Two strategies are evaluated. Without cloning: assume the secret function
 is one of the two S2-compatible ones, identify which by a single classical
 query at input 0, then measure the two candidate phase states in the S2
-basis and read off the pair-set guesses. With cloning: probabilistically
+basis and read off the pair-set guesses. That query assumes the XOR
+oracle |x>|y> -> |x>|y ^ f(x)>: a pure phase oracle returns only a
+global phase on |0>, which reveals nothing. With cloning: probabilistically
 clone the secret's phase state (success probability gamma per secret);
 on success both branches are queried and measured in the pair-set
 representative basis, which never errs; on failure guess the S1-side

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import groupby, product
 from operator import itemgetter
 
@@ -73,10 +72,6 @@ class OptimumReport:
         return out
 
 
-def _exact_str(x) -> str:
-    return str(x) if isinstance(x, Fraction) else repr(float(x))
-
-
 def _certified(case: str, objective: str, mode: str, gammas, flags: FlagOverlaps,
                **fields) -> OptimumReport:
     """The report of an optimum at ``gammas`` and ``flags``, with M built on
@@ -105,9 +100,9 @@ def analytic_optimum(case: str, objective: str = "gamma23") -> OptimumReport:
               else (g_big, g_small, g_small))
     value = obj(gammas)
     return _certified(case, objective, "analytic", gammas, flags,
-                      value=float(value), value_exact=_exact_str(value),
-                      gammas_exact=tuple(_exact_str(g) for g in gammas),
-                      meta={"q": _exact_str(q), "s": _exact_str(s)})
+                      value=float(value), value_exact=str(value),
+                      gammas_exact=tuple(str(g) for g in gammas),
+                      meta={"q": str(q), "s": str(s)})
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +148,15 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     computed |M_1j| is smallest at sign(G_1j) and rounding is monotone.
     Refine candidates whose objective is below the current point's are
     never accepted and get no verdict either (see ``_compass_refine``).
-    Verdicts are memoised by point for the length of one call: the
-    grid's verdicts include the refine's start points, and refines
-    started in different slabs join the same trajectories. Those
-    trajectories are shared too: the walk from a refine state
-    (point, shrinks) is a pure function of that state, so each walk that
-    ends on its shrink budget leaves its tail at every state it swept,
-    and a later slab's walk that reaches one of them takes the tail's
-    result instead of walking it again. Nothing is kept between calls.
-    ``evaluations`` counts the points the search considers, each grid
-    point and each refine candidate that differs from its current point,
-    not the kernel calls; a reused tail adds the candidates its walk
-    considered, so the count is that of walking every slab in full.
+    Each call keeps two memos, and nothing is kept between calls: the
+    verdicts by point (the grid's verdicts include the refine's start
+    points), and the refine's sweeps by state (point, shrinks), since
+    refines started in different slabs join the same trajectories (see
+    ``_compass_refine``). ``evaluations`` counts the points the search
+    considers, each grid point and each refine candidate that differs
+    from its current point, not the kernel calls; a replayed sweep counts
+    its candidates again, so the count is that of walking every slab in
+    full.
 
     The objective is flat in every coordinate except gamma2/gamma3 (or
     gamma1), so the pattern search ranks moves by (objective, PSD slack)
@@ -207,10 +199,10 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     cell = [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * 2
 
     best_val, best_point = max(slab_best)
-    tails = {}
+    sweeps = {}
     for _, start in sorted(slab_best, reverse=True):
         val, point, n_ev = _compass_refine(start, obj, slack, lo, hi, cell,
-                                           iterations, tails)
+                                           iterations, sweeps)
         evaluations += n_ev
         if val > best_val or (val == best_val and point > best_point):
             best_val, best_point = val, point
@@ -221,7 +213,7 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
                       meta={"resolution": resolution, "iterations": iterations})
 
 
-def _compass_refine(start, obj, slack, lo, hi, cell, iterations, tails=None):
+def _compass_refine(start, obj, slack, lo, hi, cell, iterations, sweeps=None):
     """Coordinate-wise pattern search, step halving on stall.
 
     ``slack(point)`` gives ``ArrowKernel.slack``: the Schur complement of
@@ -235,15 +227,17 @@ def _compass_refine(start, obj, slack, lo, hi, cell, iterations, tails=None):
     it are visited from the top, asking for slack only until one level
     has a feasible member.
 
-    ``tails`` maps a state (point, shrinks) at the start of a sweep to
-    the rest of a walk from it: (value, point, evals, sweeps). Share one
-    dict only among calls with the same ``obj``, ``slack``, box
-    (``lo``, ``hi``, ``cell``) and ``iterations``, because the rest of a
-    walk depends on those and on the state alone. A walk stores the
-    tails of the states it swept only when it ended on the shrink
-    budget, and reuses a tail only when the tail fits in its remaining
-    ``MAX_SWEEPS`` budget; otherwise it walks on, as it would without
-    the dict. Without ``tails`` the call keeps its own.
+    ``sweeps`` memoises single sweeps: it maps the state (point, shrinks)
+    at the start of a sweep to the state after it, (point, shrinks,
+    value, slack, candidates considered). A sweep is a pure function of
+    its state, since the steps are ``cell`` halved ``shrinks`` times, so
+    one dict may be shared by any calls with the same ``obj``, ``slack``
+    and box (``lo``, ``hi``, ``cell``); unlike the rest of a walk, a
+    sweep depends on neither ``iterations`` nor ``MAX_SWEEPS``. A sweep
+    found in the dict is replayed: it adds its candidates to the count
+    and counts against ``MAX_SWEEPS`` as a computed one does, so every
+    walk returns what it would without the dict. Without ``sweeps`` the
+    call keeps its own.
     """
     point = tuple(start)
     value = obj(point)
@@ -253,51 +247,43 @@ def _compass_refine(start, obj, slack, lo, hi, cell, iterations, tails=None):
     # paired gamma2/gamma3 moves walk the symmetric ridge directly
     moves += [((1, s2), (2, s3)) for s2 in (1.0, -1.0) for s3 in (1.0, -1.0)]
     level = itemgetter(0)
-    if tails is None:
-        tails = {}
-    swept = []      # (point, shrinks, evals, sweeps) at the start of each sweep
+    if sweeps is None:
+        sweeps = {}
     shrinks = 0
     evals = 0
-    sweeps = 0
-    while shrinks < iterations and sweeps < MAX_SWEEPS:
-        tail = tails.get((point, shrinks))
-        if tail is not None and sweeps + tail[3] <= MAX_SWEEPS:
-            value, point, tail_evals, tail_sweeps = tail
-            evals += tail_evals
-            sweeps += tail_sweeps
-            shrinks = iterations    # the tail ended on the shrink budget
-            break
-        swept.append((point, shrinks, evals, sweeps))
-        sweeps += 1
-        ranked = []     # (objective, cand) for candidates not below value
-        for move in moves:
-            cand = list(point)
-            for d, sgn in move:
-                cand[d] = _clamp(cand[d] + sgn * steps[d], lo[d], hi[d])
-            cand = tuple(cand)
-            if cand == point:
-                continue
-            evals += 1
-            v = obj(cand)
-            if v >= value:
-                ranked.append((v, cand))
-        ranked.sort(key=level, reverse=True)
-        accepted = False
-        for v, group in groupby(ranked, key=level):
-            feasible = [(e, cand) for _, cand in group if (e := slack(cand)) is not None]
-            if feasible:
-                e, cand = max(feasible)
-                if v > value or e > point_slack + 1e-15:
-                    point, value, point_slack = cand, v, e
-                    accepted = True
-                break
-        if not accepted:
+    walked = 0
+    while shrinks < iterations and walked < MAX_SWEEPS:
+        walked += 1
+        after = sweeps.get((point, shrinks))
+        if after is None:
+            ranked = []     # (objective, cand) for candidates not below value
+            considered = 0
+            for move in moves:
+                cand = list(point)
+                for d, sgn in move:
+                    cand[d] = _clamp(cand[d] + sgn * steps[d], lo[d], hi[d])
+                cand = tuple(cand)
+                if cand == point:
+                    continue
+                considered += 1
+                v = obj(cand)
+                if v >= value:
+                    ranked.append((v, cand))
+            ranked.sort(key=level, reverse=True)
+            after = (point, shrinks + 1, value, point_slack, considered)    # a stall
+            for v, group in groupby(ranked, key=level):
+                feasible = [(e, cand) for _, cand in group if (e := slack(cand)) is not None]
+                if feasible:
+                    e, cand = max(feasible)
+                    if v > value or e > point_slack + 1e-15:
+                        after = (cand, shrinks, v, e, considered)
+                    break
+            sweeps[point, shrinks] = after
+        point, next_shrinks, value, point_slack, considered = after
+        evals += considered
+        if next_shrinks > shrinks:
             steps = [s_ / 2.0 for s_ in steps]
-            shrinks += 1
-    if shrinks >= iterations:
-        for state_point, state_shrinks, state_evals, state_sweeps in swept:
-            tails[state_point, state_shrinks] = (value, point, evals - state_evals,
-                                                 sweeps - state_sweeps)
+            shrinks = next_shrinks
     return value, point, evals
 
 

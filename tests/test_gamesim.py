@@ -6,7 +6,7 @@ from functools import lru_cache
 from math import nextafter, sqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probclone import gamesim
@@ -113,21 +113,27 @@ def test_clone_enumerated():
 
 @settings(max_examples=300, deadline=None)
 @given(case=st.sampled_from(("2bit", "3bit")),
-       gammas=st.tuples(*[st.fractions(0, 1, max_denominator=1000)] * 3))
-def test_cloning_breaks_even_at_unit_gamma_sum(case, gammas):
+       gammas=st.tuples(*[st.fractions(0, 1, max_denominator=1000)] * 3),
+       margins=st.none())
+@example(case="3bit", gammas=tuple(OPT3), margins=(F(2037, 8128), F(8245, 32512)))
+@example(case="2bit", gammas=tuple(OPT2), margins=(F(5, 112), F(5, 112)))
+def test_cloning_breaks_even_at_unit_gamma_sum(case, gammas, margins):
     """Both score pairs differ by (1 - c)(s - 1)/3, s = gamma2 + gamma3, with
     c the pair's both-guesses chance: gamma1 drops out, and cloning wins
-    iff gamma2 + gamma3 > 1."""
+    iff gamma2 + gamma3 > 1. At the optimum the (published, enumerated)
+    margins are ``margins``."""
     eff = EfficiencyVector(gammas)
     s = gammas[1] + gammas[2]
     c = CLAIMED_GUESS_CHANCE[case]
-    assert (score_clone_exact(eff, case) - score_no_clone_exact(case)
-            == (1 - c) * (s - 1) / 3)
+    published = score_clone_exact(eff, case) - score_no_clone_exact(case)
+    assert published == (1 - c) * (s - 1) / 3
     no_clone = score_no_clone_enumerated(case)
     c_measured = 3 * no_clone - 2
     assert c_measured == {"3bit": F(1, 256), "2bit": F(1, 16)}[case]
-    assert (score_clone_enumerated(eff, case) - no_clone
-            == (1 - c_measured) * (s - 1) / 3)
+    enumerated = score_clone_enumerated(eff, case) - no_clone
+    assert enumerated == (1 - c_measured) * (s - 1) / 3
+    if margins is not None:
+        assert (published, enumerated) == margins
 
 
 def test_wrong_branch_chance_measured_not_claimed():

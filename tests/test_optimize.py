@@ -342,16 +342,16 @@ def test_pruned_search_matches_exhaustive(setup):
 
 
 def _walk_with_shared_tails(setup):
-    # one tails dict and one verdict memo for every walk, as numeric_search
+    # one sweep memo and one verdict memo for every walk, as numeric_search
     # shares them across its slabs; each walk must find what a lone
     # exhaustive walk from its start does, evaluation count included
     kernel, obj, starts, (lo, hi, cell), iterations = setup
     slack = functools.cache(kernel.slack)
-    tails = {}
+    sweeps = {}
     for start in starts:
         want = exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations)
         assert _compass_refine(start, obj, slack, lo, hi, cell, iterations,
-                               tails) == want
+                               sweeps) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -363,25 +363,50 @@ def test_shared_tails_match_exhaustive(setup):
 @settings(max_examples=60, deadline=None)
 @given(setup=refine_setups(), data=st.data())
 def test_shared_tails_keep_the_sweep_cap(setup, data):
-    # the walk from start passes a later state before its first shrink and
-    # ends on the shrink budget after `total` sweeps. Under a cap below
-    # `total`, walking the later state first stores a tail that the walk
-    # from start reaches with too few sweeps left, so it must walk on to
-    # the cap; walking start first stops it on the cap, so it must store
-    # no tail for the later state's walk to reuse
+    # one shared sweep memo must neither stretch a walk past MAX_SWEEPS nor
+    # stop it early. The walk from start takes `total` sweeps and passes a
+    # later state before its first shrink. Under a cap up to `total`, the
+    # walk that goes second replays sweeps the first one stored, and each
+    # must still find what a lone exhaustive walk does under that cap. The
+    # later walk draws its own shrink budget: a sweep does not depend on it
     kernel, obj, start, (lo, hi, cell), iterations = setup
     trail = {}
     _compass_refine(start, obj, kernel.slack, lo, hi, cell, iterations, trail)
-    # a walk stopped by the cap stores no tail, so it has no `total`: from
-    # some off-grid starts the walk reaches the cap before the shrink budget
-    assume((start, 0) in trail)
-    total = trail[start, 0][3]
+    total = len(trail)      # a walk never sweeps one state twice
     later = [point for point, shrinks in trail if shrinks == 0 and point != start]
     assume(later)
-    starts = data.draw(st.permutations([start, data.draw(st.sampled_from(later))]))
+    walks = [(start, iterations),
+             (data.draw(st.sampled_from(later)), data.draw(st.integers(1, 40)))]
+    slack = functools.cache(kernel.slack)
+    sweeps = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "MAX_SWEEPS", data.draw(st.integers(1, total)))
-        _walk_with_shared_tails((kernel, obj, starts, (lo, hi, cell), iterations))
+        for point, budget in data.draw(st.permutations(walks)):
+            want = exhaustive_refine(point, obj, kernel, lo, hi, cell, budget)
+            assert _compass_refine(point, obj, slack, lo, hi, cell, budget,
+                                   sweeps) == want
+
+
+@pytest.mark.parametrize("case", ("3bit", "2bit"))
+@pytest.mark.parametrize("objective", optimize.OBJECTIVES)
+def test_shared_sweeps_leave_the_search_report_unchanged(case, objective,
+                                                          monkeypatch):
+    # numeric_search shares one sweep memo among its slabs' walks; searches
+    # whose walks each keep their own memo report the same JSON, the
+    # evaluation count included
+    runs = [(r, i) for r in (8, 9, 10) for i in (0, 1, 40)]
+
+    def reports():
+        return [numeric_search(case, objective, resolution=r, iterations=i).to_json()
+                for r, i in runs]
+    shared = reports()
+    refine = optimize._compass_refine
+
+    def unshared(*args):
+        assert isinstance(args[7], dict)
+        return refine(*args[:7], None)
+    monkeypatch.setattr(optimize, "_compass_refine", unshared)
+    assert reports() == shared
 
 
 # ---------------------------------------------------------------------------
