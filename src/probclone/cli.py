@@ -58,14 +58,14 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p_feas)
     p_feas.add_argument("--gammas", default=None,
                         help="three efficiencies, e.g. 7/127,112/127,112/127")
-    p_feas.add_argument("--p12", default="0", help="flag overlap P12 as re[,im]")
-    p_feas.add_argument("--p13", default="0", help="flag overlap P13 as re[,im]")
-    p_feas.add_argument("--p23", default="0",
+    p_feas.add_argument("--p12", default=None, help="flag overlap P12 as re[,im]")
+    p_feas.add_argument("--p13", default=None, help="flag overlap P13 as re[,im]")
+    p_feas.add_argument("--p23", default=None,
                         help="flag overlap P23 as re[,im], echoed only: P23 multiplies "
                              "G_23 = 0 in both cases, so it cannot change M")
     p_feas.add_argument("--curve", choices=("vw",), default=None,
                         help="emit boundary curve points instead of a verdict")
-    p_feas.add_argument("--points", type=int, default=64,
+    p_feas.add_argument("--points", type=int, default=None,
                         help="points per curve branch (default: 64)")
 
     p_opt = sub.add_parser("optimize", help="optimal efficiencies")
@@ -163,13 +163,19 @@ def cmd_states(args) -> tuple[dict, int]:
 
 
 def cmd_feasibility(args) -> tuple[dict, int]:
+    # the point options default to None, so that an empty value is rejected too
+    flag_texts = (args.p12, args.p13, args.p23)
     if args.curve:
+        if any(x is not None for x in (args.gammas, *flag_texts)):
+            raise ValueError("--gammas, --p12, --p13 and --p23 apply to a single point, "
+                             "not to --curve")
         return _curve_payload(args), 0
+    if args.points is not None:
+        raise ValueError("--points applies to --curve only")
     if args.gammas is None:
         raise ValueError("--gammas is required (or use --curve)")
     eff = _parse_gammas(args.gammas)
-    flags = fz.FlagOverlaps(p12=_parse_flag(args.p12), p13=_parse_flag(args.p13),
-                            p23=_parse_flag(args.p23))
+    flags = fz.FlagOverlaps(*(_parse_flag("0" if f is None else f) for f in flag_texts))
     point = fz.build_matrix(args.case, eff, flags)
     payload = {"case": args.case}
     payload.update(point.to_json())
@@ -178,7 +184,7 @@ def cmd_feasibility(args) -> tuple[dict, int]:
 
 
 def _curve_payload(args) -> dict:
-    n = args.points
+    n = 64 if args.points is None else args.points
     if n < 2:
         raise ValueError("--points must be at least 2")
     rows = []
@@ -206,29 +212,16 @@ def cmd_optimize(args) -> tuple[dict, int]:
                          "use --mode analytic or both")
     payload: dict = {"case": args.case, "objective": args.objective,
                      "mode": args.mode, "tol": fz.DEFAULT_TOL}
-    reports = []
-    analytic = numeric = None
-    if args.objective == "equal":
-        report = optimize.equal_gamma_optimum(args.case)
-        reports.append(report)
-        analytic = report
-    else:
-        if args.mode in ("analytic", "both"):
-            analytic = optimize.analytic_optimum(args.case, args.objective)
-            reports.append(analytic)
-        if args.mode in ("numeric", "both"):
-            numeric = optimize.numeric_search(
-                args.case, args.objective, resolution=args.resolution,
-                iterations=args.iterations)
-            reports.append(numeric)
-    payload["reports"] = [r.to_json() for r in reports]
-    code = 0
+    analytic = None if args.mode == "numeric" else (
+        optimize.equal_gamma_optimum(args.case) if args.objective == "equal"
+        else optimize.analytic_optimum(args.case, args.objective))
+    numeric = None if args.mode == "analytic" or args.objective == "equal" else (
+        optimize.numeric_search(args.case, args.objective, resolution=args.resolution,
+                                iterations=args.iterations))
+    payload["reports"] = [r.to_json() for r in (analytic, numeric) if r is not None]
     if analytic is not None and numeric is not None:
-        regression = numeric.value > analytic.value + REGRESSION_MARGIN
-        payload["regression"] = regression
-        if regression:
-            code = 1
-    return payload, code
+        payload["regression"] = numeric.value > analytic.value + REGRESSION_MARGIN
+    return payload, 1 if payload.get("regression") else 0
 
 
 def cmd_simulate(args) -> tuple[dict, int]:

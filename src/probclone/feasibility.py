@@ -469,7 +469,10 @@ class ArrowKernel:
     sign-flag lemma (module docstring) no complex flag can widen the
     feasible set, so the kernel takes real flags only. M is assembled
     as in ``_float_matrix``, the assembly of ``build_matrix``'s float
-    route.
+    route. Every point lies in the search box, each gamma in [0, 1] and
+    both flags in [-1, 1]: the grid's flag axis ends at exactly -1 and 1
+    and the refine clamps every flag to that range, so the kernel does
+    not check the flags' modulus.
 
     M is an arrow matrix (G_23 = 0). Let t = ``DEFAULT_TOL`` / 2, A = M + t*I
     and d_i = A_ii = 1 - gamma_i + t. Because d2, d3 > 0, Cauchy interlacing
@@ -499,11 +502,10 @@ class ArrowKernel:
         f(lam) = (d1 - lam) - M_12^2/(d2 - lam) - M_13^2/(d3 - lam), which
         is strictly decreasing below min(d2, d3) and vanishes at
         lambda_min(A), so it has the sign of lambda_min(M) + t; the search
-        ranks moves by it. Flags with modulus above 1 are rejected outright.
+        ranks moves by it. The point must lie in the search box (class
+        docstring).
         """
         g1, g2, g3, a, c = point
-        if a * a > 1.0 or c * c > 1.0:
-            return None
         t = DEFAULT_TOL / 2
         t12 = math.sqrt(g1 * g2) * self._s12
         t13 = math.sqrt(g1 * g3) * self._s13

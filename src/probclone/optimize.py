@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import groupby, product
-from operator import itemgetter
+from itertools import product
 
 from . import feasibility as fz
 from .feasibility import (EfficiencyVector, FeasibilityPoint, FlagOverlaps,
@@ -198,14 +197,11 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     hi = [1.0] * 5
     cell = [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * 2
 
-    best_val, best_point = max(slab_best)
     sweeps = {}
-    for _, start in sorted(slab_best, reverse=True):
-        val, point, n_ev = _compass_refine(start, obj, slack, lo, hi, cell,
-                                           iterations, sweeps)
-        evaluations += n_ev
-        if val > best_val or (val == best_val and point > best_point):
-            best_val, best_point = val, point
+    ends = [_compass_refine(start, obj, slack, lo, hi, cell, iterations, sweeps)
+            for _, start in sorted(slab_best, reverse=True)]
+    evaluations += sum(n_ev for _, _, n_ev in ends)
+    best_val, best_point = max(slab_best + [end[:2] for end in ends])
 
     return _certified(case, objective, "numeric", best_point[:3],
                       FlagOverlaps(p12=best_point[3], p13=best_point[4]),
@@ -221,23 +217,23 @@ def _compass_refine(start, obj, slack, lo, hi, cell, iterations, sweeps=None):
     improves the objective, or keeps it equal while strictly improving
     the PSD slack (flat coordinates would be frozen otherwise). Both
     orders strictly increase, so no cycling. The chosen move is the
-    feasible candidate with the largest (objective, slack, point);
-    candidates with a lower objective than the current point can never
-    be accepted, so they get no verdict, and the objective levels above
-    it are visited from the top, asking for slack only until one level
-    has a feasible member.
+    feasible candidate with the largest (objective, slack, point), a
+    running max over one pass of the candidates; candidates with a lower
+    objective than the current point can never be accepted, so they get
+    no verdict.
 
     ``sweeps`` memoises single sweeps: it maps the state (point, shrinks)
-    at the start of a sweep to the state after it, (point, shrinks,
-    value, slack, candidates considered). A sweep is a pure function of
-    its state, since the steps are ``cell`` halved ``shrinks`` times, so
-    one dict may be shared by any calls with the same ``obj``, ``slack``
-    and box (``lo``, ``hi``, ``cell``); unlike the rest of a walk, a
-    sweep depends on neither ``iterations`` nor ``MAX_SWEEPS``. A sweep
-    found in the dict is replayed: it adds its candidates to the count
-    and counts against ``MAX_SWEEPS`` as a computed one does, so every
-    walk returns what it would without the dict. Without ``sweeps`` the
-    call keeps its own.
+    at the start of a sweep to the walk's whole state after it, (point,
+    shrinks, steps, value, slack, candidates considered), the steps
+    halved only after a stall. A sweep is a pure function of its state,
+    since the steps are ``cell`` halved ``shrinks`` times, so one dict
+    may be shared by any calls with the same ``obj``, ``slack`` and box
+    (``lo``, ``hi``, ``cell``); unlike the rest of a walk, a sweep
+    depends on neither ``iterations`` nor ``MAX_SWEEPS``. A sweep found
+    in the dict is replayed: it adds its candidates to the count and
+    counts against ``MAX_SWEEPS`` as a computed one does, so every walk
+    returns what it would without the dict. Without ``sweeps`` the call
+    keeps its own.
     """
     point = tuple(start)
     value = obj(point)
@@ -246,7 +242,6 @@ def _compass_refine(start, obj, slack, lo, hi, cell, iterations, sweeps=None):
     moves = [((d, sgn),) for d in range(len(point)) for sgn in (1.0, -1.0)]
     # paired gamma2/gamma3 moves walk the symmetric ridge directly
     moves += [((1, s2), (2, s3)) for s2 in (1.0, -1.0) for s3 in (1.0, -1.0)]
-    level = itemgetter(0)
     if sweeps is None:
         sweeps = {}
     shrinks = 0
@@ -256,7 +251,9 @@ def _compass_refine(start, obj, slack, lo, hi, cell, iterations, sweeps=None):
         walked += 1
         after = sweeps.get((point, shrinks))
         if after is None:
-            ranked = []     # (objective, cand) for candidates not below value
+            # the largest feasible (objective, slack, cand) not below value;
+            # () compares below every such triple
+            best = ()
             considered = 0
             for move in moves:
                 cand = list(point)
@@ -267,23 +264,17 @@ def _compass_refine(start, obj, slack, lo, hi, cell, iterations, sweeps=None):
                     continue
                 considered += 1
                 v = obj(cand)
-                if v >= value:
-                    ranked.append((v, cand))
-            ranked.sort(key=level, reverse=True)
-            after = (point, shrinks + 1, value, point_slack, considered)    # a stall
-            for v, group in groupby(ranked, key=level):
-                feasible = [(e, cand) for _, cand in group if (e := slack(cand)) is not None]
-                if feasible:
-                    e, cand = max(feasible)
-                    if v > value or e > point_slack + 1e-15:
-                        after = (cand, shrinks, v, e, considered)
-                    break
+                if v >= value and (e := slack(cand)) is not None and (v, e, cand) > best:
+                    best = v, e, cand
+            if best and (best[0] > value or best[1] > point_slack + 1e-15):
+                v, e, cand = best
+                after = (cand, shrinks, steps, v, e, considered)
+            else:           # a stall
+                after = (point, shrinks + 1, [s_ / 2.0 for s_ in steps],
+                         value, point_slack, considered)
             sweeps[point, shrinks] = after
-        point, next_shrinks, value, point_slack, considered = after
+        point, shrinks, steps, value, point_slack, considered = after
         evals += considered
-        if next_shrinks > shrinks:
-            steps = [s_ / 2.0 for s_ in steps]
-            shrinks = next_shrinks
     return value, point, evals
 
 

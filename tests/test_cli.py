@@ -166,6 +166,24 @@ def test_feasibility_curve(capsys):
     assert first["v"] == 0.0 and first["w"] == 0.5
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--curve", "vw", "--points", "2", "--gammas", "1/2,1/2,1/2", "--p12", "1"), "--curve"),
+    (("--curve", "vw", "--gammas", "0,0,0"), "--curve"),
+    (("--curve", "vw", "--p12", "1/2"), "--curve"),
+    (("--curve", "vw", "--p13=-1"), "--curve"),
+    (("--curve", "vw", "--p23", "0"), "--curve"),
+    (("--curve", "vw", "--p12", ""), "--curve"),
+    (("--gammas", "1/2,1/4,1/4", "--points", "7"), "--points applies to --curve only"),
+    (("--gammas", "0,0,0", "--p12", ""), "error: "),
+])
+def test_feasibility_rejects_options_it_would_not_use(capsys, extra, message):
+    # a curve reads no point, and a point reads no --points: an explicit
+    # value, even a default or an empty one, exits 2 rather than being ignored
+    code, out, err = run_cli(capsys, "feasibility", "--case", "2bit", *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 # ---------------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------------

@@ -174,6 +174,10 @@ def test_secret_split_matches_candidate_sets():
         fam = family(case)
         assert fam.s1_f0 in fam.s1
         assert fam.candidates(fam.s1_f0) is fam.s1
+        # Gamma is indexed with the S1-side secret first (clone_intermediates,
+        # score_clone_exact, the gamma1 and gamma23 objectives), while
+        # gamesim._run finds that secret through s1_f0: the two must agree
+        assert fam.s_f0[0] is fam.s1_f0
         for v, f in fam.s2_f0_by_query.items():
             assert f.evaluate(0) == v
             assert fam.candidates(f) is fam.s2

@@ -154,6 +154,28 @@ def test_grid_phase_finds_the_exhaustive_grid_maximum(case, resolution):
         assert r.evaluations == resolution ** 5
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_search_asks_only_about_points_in_the_box(case, monkeypatch):
+    # the kernel does not check the flags' modulus: every point the search
+    # hands it, on the grid and in the refine, has each gamma in [0, 1]
+    # and both flags in [-1, 1]
+    slack = ArrowKernel.slack
+    asked = 0
+
+    def in_box(self, point):
+        nonlocal asked
+        asked += 1
+        assert all(0.0 <= g <= 1.0 for g in point[:3]), point
+        assert all(-1.0 <= f <= 1.0 for f in point[3:]), point
+        return slack(self, point)
+
+    monkeypatch.setattr(ArrowKernel, "slack", in_box)
+    for objective in ("gamma23", "gamma1"):
+        for resolution, iterations in ((8, 0), (9, 40), (12, 80)):
+            numeric_search(case, objective, resolution=resolution, iterations=iterations)
+    assert asked > 0
+
+
 def boundary_points(case):
     """Points on and within 1e-9 of the analytic optimum's boundary."""
     gam = {"3bit": (F(7, 127), F(112, 127)), "2bit": (F(1, 7), F(4, 7))}[case]

@@ -341,7 +341,7 @@ def test_pruned_search_matches_exhaustive(setup):
                            lo, hi, cell, iterations) == want
 
 
-def _walk_with_shared_tails(setup):
+def _walk_with_shared_sweeps(setup):
     # one sweep memo and one verdict memo for every walk, as numeric_search
     # shares them across its slabs; each walk must find what a lone
     # exhaustive walk from its start does, evaluation count included
@@ -356,13 +356,13 @@ def _walk_with_shared_tails(setup):
 
 @settings(max_examples=60, deadline=None)
 @given(setup=shared_refine_setups())
-def test_shared_tails_match_exhaustive(setup):
-    _walk_with_shared_tails(setup)
+def test_shared_sweeps_match_exhaustive(setup):
+    _walk_with_shared_sweeps(setup)
 
 
 @settings(max_examples=60, deadline=None)
 @given(setup=refine_setups(), data=st.data())
-def test_shared_tails_keep_the_sweep_cap(setup, data):
+def test_shared_sweeps_keep_the_sweep_cap(setup, data):
     # one shared sweep memo must neither stretch a walk past MAX_SWEEPS nor
     # stop it early. The walk from start takes `total` sweeps and passes a
     # later state before its first shrink. Under a cap up to `total`, the
