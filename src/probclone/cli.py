@@ -190,7 +190,8 @@ def _curve_payload(args) -> dict:
     rows = []
     q_lo, _, v_hi = (float(x) for x in fz.corner(args.case))
     for i in range(n):
-        v = v_hi * i / (n - 1)
+        # v_hi * (n-1) / (n-1) can round one ulp past vw_boundary's exact range
+        v = min(v_hi, v_hi * i / (n - 1))
         pv, pw = fz.vw_boundary(args.case, "max_s", v)
         rows.append({"branch": "max_s", "parameter": v, "v": float(pv), "w": float(pw)})
     for i in range(n):

@@ -22,7 +22,6 @@ the reported efficiencies and flags and raises unless ``is_psd`` accepts it.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -147,15 +146,15 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     computed |M_1j| is smallest at sign(G_1j) and rounding is monotone.
     Refine candidates whose objective is below the current point's are
     never accepted and get no verdict either (see ``_compass_refine``).
-    Each call keeps two memos, and nothing is kept between calls: the
-    verdicts by point (the grid's verdicts include the refine's start
-    points), and the refine's sweeps by state (point, shrinks), since
-    refines started in different slabs join the same trajectories (see
-    ``_compass_refine``). ``evaluations`` counts the points the search
-    considers, each grid point and each refine candidate that differs
-    from its current point, not the kernel calls; a replayed sweep counts
-    its candidates again, so the count is that of walking every slab in
-    full.
+    Each call keeps one memo, and nothing is kept between calls: the
+    refine's sweeps by state (point, shrinks), since refines started in
+    different slabs join the same trajectories (``_compass_refine``).
+    Verdicts are recomputed: a memo of them by point would hit on 9-19%
+    of its lookups, cost more than it saves, and grow as resolution**3.
+    ``evaluations`` counts the points the search considers, each grid
+    point and each refine candidate that differs from its current point,
+    not the kernel calls; a replayed sweep counts its candidates again,
+    so the count is that of walking every slab in full.
 
     The objective is flat in every coordinate except gamma2/gamma3 (or
     gamma1), so the pattern search ranks moves by (objective, PSD slack)
@@ -177,7 +176,6 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
 
     corner_flags = tuple(float(x) for x in fz.case_params(case).signs)
     flag_pairs = list(product(flag_axis[::-1], repeat=2))    # descending
-    slack = functools.cache(kernel.slack)
 
     slab_best = []
     for g1 in gamma_axis:
@@ -186,9 +184,9 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
         # is feasible at the corner flags, paired with its largest flags
         blocks = sorted(((g1, g2, g3) for g2 in gamma_axis for g3 in gamma_axis),
                         key=lambda gammas: (obj(gammas), gammas), reverse=True)
-        gammas = next((b for b in blocks if slack(b + corner_flags) is not None), None)
+        gammas = next((b for b in blocks if kernel.slack(b + corner_flags) is not None), None)
         if gammas is not None:
-            top = next(f for f in flag_pairs if slack(gammas + f) is not None)
+            top = next(f for f in flag_pairs if kernel.slack(gammas + f) is not None)
             slab_best.append((obj(gammas), gammas + top))
     if not slab_best:
         raise AssertionError("grid found no feasible point (gamma = 0 is always feasible)")
@@ -198,7 +196,7 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     cell = [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * 2
 
     sweeps = {}
-    ends = [_compass_refine(start, obj, slack, lo, hi, cell, iterations, sweeps)
+    ends = [_compass_refine(start, obj, kernel.slack, lo, hi, cell, iterations, sweeps)
             for _, start in sorted(slab_best, reverse=True)]
     evaluations += sum(n_ev for _, _, n_ev in ends)
     best_val, best_point = max(slab_best + [end[:2] for end in ends])

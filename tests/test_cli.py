@@ -166,6 +166,20 @@ def test_feasibility_curve(capsys):
     assert first["v"] == 0.0 and first["w"] == 0.5
 
 
+@pytest.mark.parametrize("points", (12, 23, 40))
+def test_curve_ends_exactly_at_the_corner(capsys, points):
+    # for these counts v_hi * (n-1) / (n-1) rounds one ulp above the 3-bit
+    # corner's float, which vw_boundary rejected as out of range
+    def curve(*extra):
+        return run_json(capsys, "feasibility", "--case", "3bit", "--curve", "vw",
+                        *extra)["points"]
+
+    rows = curve("--points", str(points))      # max_s rows, then min_s rows
+    assert len(rows) == 2 * points
+    assert [rows[points - 1]["branch"], rows[points]["branch"]] == ["max_s", "min_s"]
+    assert rows[points - 1] == curve()[63]       # the last max_s row at 64 points
+
+
 @pytest.mark.parametrize("extra, message", [
     (("--curve", "vw", "--points", "2", "--gammas", "1/2,1/2,1/2", "--p12", "1"), "--curve"),
     (("--curve", "vw", "--gammas", "0,0,0"), "--curve"),

@@ -2,6 +2,7 @@ import functools
 import math
 import re
 import time
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
@@ -130,6 +131,19 @@ def test_numeric_deterministic():
     numeric_search("3bit", "gamma1", resolution=8)
     b = numeric_search("2bit", "gamma23", resolution=8)
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("case", ("3bit", "2bit"))
+def test_numeric_search_keeps_no_per_point_memo(case):
+    # without refine sweeps the search's only state is its grid scan; a memo
+    # of verdicts by point grows as resolution**3 and held 5.5-6.1 MB at this size
+    tracemalloc.start()
+    try:
+        numeric_search(case, resolution=32, iterations=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 #: (resolution, iterations, case, objective) whose numeric optimum, found by
@@ -334,23 +348,21 @@ def shared_refine_setups(draw):
 @given(setup=refine_setups())
 def test_pruned_search_matches_exhaustive(setup):
     kernel, obj, start, (lo, hi, cell), iterations = setup
-    # the refine that skips verdicts and memoises them finds what the
-    # exhaustive one does, with the same evaluation count
+    # the refine that skips verdicts finds what the exhaustive one does,
+    # with the same evaluation count
     want = exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations)
-    assert _compass_refine(start, obj, functools.cache(kernel.slack),
-                           lo, hi, cell, iterations) == want
+    assert _compass_refine(start, obj, kernel.slack, lo, hi, cell, iterations) == want
 
 
 def _walk_with_shared_sweeps(setup):
-    # one sweep memo and one verdict memo for every walk, as numeric_search
-    # shares them across its slabs; each walk must find what a lone
-    # exhaustive walk from its start does, evaluation count included
+    # one sweep memo for every walk, as numeric_search shares it across its
+    # slabs; each walk must find what a lone exhaustive walk from its start
+    # does, evaluation count included
     kernel, obj, starts, (lo, hi, cell), iterations = setup
-    slack = functools.cache(kernel.slack)
     sweeps = {}
     for start in starts:
         want = exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations)
-        assert _compass_refine(start, obj, slack, lo, hi, cell, iterations,
+        assert _compass_refine(start, obj, kernel.slack, lo, hi, cell, iterations,
                                sweeps) == want
 
 
@@ -377,13 +389,12 @@ def test_shared_sweeps_keep_the_sweep_cap(setup, data):
     assume(later)
     walks = [(start, iterations),
              (data.draw(st.sampled_from(later)), data.draw(st.integers(1, 40)))]
-    slack = functools.cache(kernel.slack)
     sweeps = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "MAX_SWEEPS", data.draw(st.integers(1, total)))
         for point, budget in data.draw(st.permutations(walks)):
             want = exhaustive_refine(point, obj, kernel, lo, hi, cell, budget)
-            assert _compass_refine(point, obj, slack, lo, hi, cell, budget,
+            assert _compass_refine(point, obj, kernel.slack, lo, hi, cell, budget,
                                    sweeps) == want
 
 
