@@ -6,11 +6,25 @@ symbolic-algebra dependency is needed.
 """
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import isqrt, lcm
 
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", "-1", "0.25" (and similar) into an exact Fraction."""
+    """Parse "p/q", "-1", "0.25" (and similar) into an exact Fraction.
+
+    A decimal exponent past the int-string digit limit (4,300 by default)
+    is rejected before 10**exponent is built: work on it has no bound.
+    """
+    exponent = _EXPONENT.search(text)
+    digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+        raise ValueError(f"exponent of {text!r} exceeds {limit} in magnitude")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

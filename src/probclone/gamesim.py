@@ -1,15 +1,15 @@
 """Scores for the guessing task: closed forms and Monte Carlo simulation.
 
-Two strategies are evaluated. Without cloning: assume the secret function
-is one of the two S2-compatible ones, identify which by a single classical
-query at input 0, then measure the two candidate phase states in the S2
-basis and read off the pair-set guesses. That query assumes the XOR
-oracle |x>|y> -> |x>|y ^ f(x)>: a pure phase oracle returns only a
-global phase on |0>, which reveals nothing. With cloning: probabilistically
-clone the secret's phase state (success probability gamma per secret);
-on success both branches are queried and measured in the pair-set
-representative basis, which never errs; on failure guess the S1-side
-secret and measure in the S1 basis.
+Every branch of both strategies assumes a secret k, queries both
+candidates, measures their phase states in the basis ``candidates(k)``
+and reads off the pair-set guesses. Without cloning, k is the
+S2-compatible secret named by one classical query at input 0. That query
+assumes the XOR oracle |x>|y> -> |x>|y ^ f(x)>: a pure phase oracle
+returns only a global phase on |0>, which reveals nothing. With cloning:
+probabilistically clone the secret's phase state (success probability
+gamma per secret). A success gives perfect copies, so k is the secret
+itself and no guess errs; a failure gives nothing, and k is the S1-side
+secret.
 
 The published closed forms for both strategies rest on a claimed
 "both guesses right by chance" term for the branch where the secret
@@ -19,12 +19,13 @@ not hard-code that term: they run the actual measurement distributions.
 does (by exhaustive enumeration), so claim and measurement can be
 compared; reports flag simulations that land more than three binomial
 standard deviations from the claimed score. Both read one per-case slot
-table whose exact outcome rows come from ``phasestate.measure``: the
-enumeration sums those rows. Exactly one outcome of each slot guesses
-right, so the simulator tests one uniform against that outcome's hit
-window, its stretch of the slot's float CDF. That is the verdict a lookup
-in the whole CDF gives for the same uniform, so the random stream and
-every result are those of sampling the whole CDF.
+table keyed by (assumed secret, secret, candidate), whose exact outcome
+rows come from ``phasestate.measure``: the enumeration sums those rows.
+Exactly one outcome of each slot guesses right, so the simulator tests
+one uniform against that outcome's hit window, its stretch of the slot's
+float CDF. That is the verdict a lookup in the whole CDF gives for the
+same uniform, so the random stream and every result are those of
+sampling the whole CDF.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from math import sqrt
 from typing import NamedTuple
 
 from .feasibility import EfficiencyVector
-from .funcspace import BooleanFunction, family
+from .funcspace import family
 from .phasestate import measure, phase_state
 
 #: published chance that both wrong-branch guesses are right anyway
@@ -51,10 +52,6 @@ _BLOCK = 10_000
 # measurement model
 # ---------------------------------------------------------------------------
 
-#: the measured branches: no-cloning, clone succeeded, clone failed
-BRANCHES = ("noclone", "cloned", "failed")
-
-
 class Slot(NamedTuple):
     """One measured slot of a trial: a phase state measured in a basis."""
 
@@ -65,72 +62,55 @@ class Slot(NamedTuple):
     window: tuple[float, float]
 
 
+def _assumed(fam, f0) -> tuple[int, int, int]:
+    """The secret k each branch assumes for secret f0, as truth tables:
+    (no cloning: the one the query names, clone succeeded: f0 itself,
+    clone failed: the S1-side one)."""
+    return fam.s2_f0_by_query[f0.evaluate(0)].table, f0.table, fam.s1_f0.table
+
+
 class _SlotTable:
-    """The measurement model of both strategies, keyed by truth table.
+    """The measurement model of both strategies, keyed by assumed secret.
 
-    ``slots[branch][f0.table][f.table]`` is the slot measured for secret
-    f0 and candidate f in one branch:
-
-    * ``noclone``: f's state in the S2 basis, the secret guessed from
-      one classical query at input 0;
-    * ``cloned``: the clone of f0 passed through the second oracle, i.e.
-      the state of f0 xor f, in the S2 (pair-representative) basis;
-    * ``failed``: f's state in the S1 basis, the S1-side secret assumed.
-
-    A slot's row is ``measure`` of its state in its basis; outcome m
-    guesses the pair set of guess ^ m, which is right when that set is
-    the pair set {r, r ^ 1...1} of f0 ^ f. So the right outcomes are the
-    basis members guess ^ r and guess ^ r ^ 1...1. Complementing a truth
-    table only negates its phase state, so these two lie on one ray, and
-    an orthonormal basis holds at most one of them. That every slot holds
-    at least one is checked here: the table is not built otherwise.
-    ``hit[branch][f0.table]`` is the exact probability that one slot's
-    guess is right, averaged over the candidates of f0.
+    ``slots[k, f0][f]`` (truth tables), for all nine (assumed secret k,
+    secret f0) pairs, is candidate f's state measured in the basis
+    ``candidates(k)``; outcome m guesses the pair set of k ^ m. That is
+    right when it is the pair set {r, r ^ 1...1} of f0 ^ f, so the right
+    outcomes are the basis members k ^ r and k ^ r ^ 1...1. Complementing
+    a truth table only negates its phase state, so these two lie on one
+    ray, and an orthonormal basis holds at most one of them. That every
+    slot holds at least one is checked here: the table is not built
+    otherwise. For k = f0 each candidate is a basis member, so every
+    guess is right. ``hit[k, f0]`` is the exact chance that one slot's
+    guess is right, averaged over the candidates of f0; its square is
+    the chance that both are.
     """
 
     def __init__(self, case: str):
         fam = family(case)
-        bases = {"s1": fam.s1, "s2": fam.s2}
-        basis_states = {label: tuple(phase_state(f) for f in bset)
-                        for label, bset in bases.items()}
         labels = fam.pair_label_by_table
-        outcomes: dict[tuple[str, int], tuple] = {}
-
-        def slot(basis: str, measured: int, guess: int, truth: str) -> Slot:
-            """``measured`` in ``basis``; outcome m guesses the pair set of guess ^ m."""
-            if (basis, measured) not in outcomes:
-                row = measure(phase_state(BooleanFunction(fam.arity, measured)),
-                              basis_states[basis])
-                cum, acc = [0.0], Fraction(0)
-                for p in row:
-                    acc += p
-                    cum.append(float(acc))
-                cum[-1] = 1.0
-                outcomes[(basis, measured)] = row, cum
-            row, cum = outcomes[(basis, measured)]
-            right = [k for k, m in enumerate(bases[basis])
-                     if labels.get(guess ^ m.table) == truth]
-            if len(right) != 1:
-                raise AssertionError(f"{case} slot of {measured:#x} in {basis}: "
-                                     f"{len(right)} outcomes guess right, not 1")
-            k = right[0]
-            return Slot(row, row[k], (cum[k], cum[k + 1]))
-
-        self.slots: dict[str, dict[int, dict[int, Slot]]] = {b: {} for b in BRANCHES}
-        self.hit: dict[str, dict[int, Fraction]] = {b: {} for b in BRANCHES}
-        for f0 in fam.s_f0:
-            cand = fam.candidates(f0)
-            # (branch, basis, measured state's xor offset from f, guess offset)
-            plan = (("noclone", "s2", 0, fam.s2_f0_by_query[f0.evaluate(0)].table),
-                    ("cloned", "s2", f0.table, 0),
-                    ("failed", "s1", 0, fam.s1_f0.table))
-            for branch, basis, offset, guess in plan:
-                by_f = {f.table: slot(basis, offset ^ f.table, guess,
-                                      labels[f0.table ^ f.table])
-                        for f in cand}
-                self.slots[branch][f0.table] = by_f
-                self.hit[branch][f0.table] = (
-                    sum((s.p_hit for s in by_f.values()), Fraction(0)) / len(cand))
+        self.slots: dict[tuple[int, int], dict[int, Slot]] = {}
+        self.hit: dict[tuple[int, int], Fraction] = {}
+        for k in fam.s_f0:
+            basis = fam.candidates(k)
+            states = tuple(phase_state(m) for m in basis)
+            guesses = [labels.get(k.table ^ m.table) for m in basis]
+            for f0 in fam.s_f0:
+                by_f = {}
+                for f in fam.candidates(f0):
+                    truth = labels[f0.table ^ f.table]
+                    right = [i for i, g in enumerate(guesses) if g == truth]
+                    if len(right) != 1:
+                        raise AssertionError(f"{case} slot {k.table, f0.table, f.table}: "
+                                             f"{len(right)} outcomes guess right, not 1")
+                    i = right[0]
+                    row = measure(phase_state(f), states)
+                    # the row sums to exactly 1, so the last CDF entry is 1.0
+                    by_f[f.table] = Slot(row, row[i], (float(sum(row[:i])),
+                                                       float(sum(row[:i + 1]))))
+                self.slots[k.table, f0.table] = by_f
+                self.hit[k.table, f0.table] = (
+                    sum((s.p_hit for s in by_f.values()), Fraction(0)) / len(by_f))
 
 
 @lru_cache(maxsize=None)
@@ -186,17 +166,18 @@ def _as_eff(eff) -> EfficiencyVector:
 
 def score_no_clone_enumerated(case: str) -> Fraction:
     """Exact mean of the simulated no-cloning strategy (enumeration)."""
-    hit = _slot_table(case).hit["noclone"]
-    return sum((s * s for s in hit.values()), Fraction(0)) / len(hit)
+    fam, hit = family(case), _slot_table(case).hit
+    return sum((hit[_assumed(fam, f0)[0], f0.table] ** 2 for f0 in fam.s_f0),
+               Fraction(0)) / len(fam.s_f0)
 
 
 def score_clone_enumerated(eff, case: str):
     """Exact mean of the simulated cloning strategy for efficiencies ``eff``."""
-    fam, table = family(case), _slot_table(case)
+    fam, hit = family(case), _slot_table(case).hit
     eff = _as_eff(eff)
     total = 0
     for i, f0 in enumerate(fam.s_f0):
-        cloned, failed = table.hit["cloned"][f0.table], table.hit["failed"][f0.table]
+        _, cloned, failed = (hit[k, f0.table] for k in _assumed(fam, f0))
         total += eff[i] * cloned * cloned + (1 - eff[i]) * failed * failed
     return total / len(fam.s_f0)
 
@@ -282,7 +263,8 @@ def _run(case: str, gammas: dict[int, float] | None, trials: int,
     None runs the no-cloning strategy, which draws no cloning coin.
     Trials run in fixed-size blocks, block i seeded from
     seed + i * _SEED_STRIDE, so the result depends only on (seed, trials).
-    Each trial draws its instance, then the cloning coin, then measures
+    Each trial draws its instance, then the cloning coin, then reads the
+    slots of the secret its branch assumes (``_assumed``): it measures
     f1's slot and, only if that guess was right, f2's: one uniform per
     slot, right iff it falls in the slot's hit window. A uniform u draws
     outcome k of a CDF iff cdf[k-1] <= u < cdf[k], so the window test is
@@ -290,11 +272,14 @@ def _run(case: str, gammas: dict[int, float] | None, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    fam, table = family(case), _slot_table(case)
+    fam, slots = family(case), _slot_table(case).slots
     sample = fam.sample_instance
     s1_f0 = fam.s1_f0.table
-    cloned = table.slots["cloned"]
-    fallback = table.slots["noclone" if gammas is None else "failed"]
+    cloned, fallback = {}, {}
+    for f0 in fam.s_f0:
+        noclone, on_clone, failed = _assumed(fam, f0)
+        cloned[f0.table] = slots[on_clone, f0.table]
+        fallback[f0.table] = slots[noclone if gammas is None else failed, f0.table]
     wins = clones = s1_failures = 0
     for i, start in enumerate(range(0, trials, _BLOCK)):
         rng = random.Random((seed + i * _SEED_STRIDE) & _SEED_MASK)

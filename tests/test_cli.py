@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 import probclone
 from probclone import optimize
+from probclone._exact import parse_rational
 from probclone.cli import main
 
 
@@ -196,6 +198,28 @@ def test_feasibility_rejects_options_it_would_not_use(capsys, extra, message):
     code, out, err = run_cli(capsys, "feasibility", "--case", "2bit", *extra)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_parse_rational_bounds_the_exponent():
+    # 10**exponent is never built past the int-string digit limit, so the
+    # exact arithmetic behind a huge exponent cannot run without bound
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    assert parse_rational(f"1e-{limit}") == Fraction(1, 10 ** limit)
+    assert parse_rational(f" 25E-00{limit} ") == Fraction(25, 10 ** limit)
+    assert parse_rational("1_5e1_0") == 15 * 10 ** 10
+    for text in (f"1e-{limit + 1}", f"1E+{limit + 1}", "1e-1000000",
+                 "2.5e" + "9" * 5000, f"1e{limit}_0"):
+        with pytest.raises(ValueError, match="exponent of") as exc:
+            parse_rational(text)
+        assert repr(text) in str(exc.value)
+
+
+def test_huge_exponent_exits_promptly(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "feasibility", "--gammas", "1e-1000000,0,0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'1e-1000000'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from probclone import gamesim
 from probclone.feasibility import EfficiencyVector
 from probclone.funcspace import TaskInstance, family
-from probclone.gamesim import (BRANCHES, CLAIMED_GUESS_CHANCE, _slot_table,
+from probclone.gamesim import (CLAIMED_GUESS_CHANCE, _slot_table,
                                clone_intermediates, score_clone_enumerated,
                                score_clone_exact, score_no_clone_enumerated,
                                score_no_clone_exact, simulate_clone,
@@ -140,14 +140,15 @@ def test_wrong_branch_chance_measured_not_claimed():
     """Direct exact computation of the wrong-branch both-right probability:
     equals the claim for 2-bit, is 1/256 (not 1/64) for 3-bit."""
     for case, expected in (("2bit", F(1, 16)), ("3bit", F(1, 256))):
-        fam, slots = family(case), _slot_table(case).slots["noclone"]
+        fam = family(case)
         f0 = fam.s1_f0
         f0_hat = fam.s2_f0_by_query[f0.evaluate(0)]
+        slots = _slot_table(case).slots[f0_hat.table, f0.table]
         labels = fam.pair_label_by_table
         cand = fam.candidates(f0)
         slot = F(0)
         for f in cand:
-            row = slots[f0.table][f.table].row
+            row = slots[f.table].row
             truth = labels[f0.table ^ f.table]
             slot += sum((p for p, m in zip(row, fam.s2)
                          if labels.get(f0_hat.table ^ m.table) == truth), F(0))
@@ -268,21 +269,21 @@ def test_score_report_json():
 def test_slot_table_rows_and_cdfs():
     """Every slot row is an exact distribution, and its hit window is cut
     from the CDF of running Fraction sums rounded to float, which ends at
-    exactly 1.0; the hit outcome's mass is p_hit, and the cloned branch's
-    guesses are certain."""
+    exactly 1.0; the hit outcome's mass is p_hit, and the guesses of the
+    secret assumed right (a successful clone) are certain."""
     for case in ("2bit", "3bit"):
         table = _slot_table(case)
-        for branch in BRANCHES:
-            for by_f in table.slots[branch].values():
-                for slot in by_f.values():
-                    assert sum(slot.row) == 1
-                    cdf = [0.0] + [float(sum(slot.row[:k + 1]))
-                                   for k in range(len(slot.row) - 1)] + [1.0]
-                    hit = [k for k in range(len(slot.row))
-                           if slot.window == (cdf[k], cdf[k + 1])]
-                    assert slot.p_hit in [slot.row[k] for k in hit]
-                    if branch == "cloned":
-                        assert slot.p_hit == 1
+        assert len(table.slots) == 9
+        for (k, f0), by_f in table.slots.items():
+            for slot in by_f.values():
+                assert sum(slot.row) == 1
+                cdf = [0.0] + [float(sum(slot.row[:i + 1]))
+                               for i in range(len(slot.row) - 1)] + [1.0]
+                hit = [i for i in range(len(slot.row))
+                       if slot.window == (cdf[i], cdf[i + 1])]
+                assert slot.p_hit in [slot.row[i] for i in hit]
+                if k == f0:
+                    assert slot.p_hit == 1
 
 
 def test_slot_table_refuses_a_slot_without_one_right_outcome(monkeypatch):
@@ -360,32 +361,79 @@ def _ref_run(case, eff_floats, trials, seed):
     return wins, clones, s1_failures
 
 
+def _assert_window_is_lookup(window, cdf, hits):
+    """lo <= u < hi gives the verdict of looking u up in ``cdf``, at u = 0,
+    at every CDF entry below 1 and at their float neighbours in [0, 1)."""
+    us = {0.0} | {c for c in cdf if c < 1.0}
+    us |= {n for c in list(us) for n in (nextafter(c, 0.0), nextafter(c, 1.0))
+           if 0.0 <= n < 1.0}
+    lo, hi = window
+    for u in us:
+        assert (lo <= u < hi) == hits[bisect_right(cdf, u)], u
+
+
 def test_hit_window_is_the_cdf_lookup():
-    """For every slot of both cases, the hit window test lo <= u < hi gives
-    the verdict of looking u up in the slot's float CDF, at u = 0, at every
-    CDF entry below 1 and at their float neighbours in [0, 1); the slot's
-    row is the reference distribution of its state in its basis."""
+    """For every (k, f0) slot of both cases the row is the reference
+    distribution of f's state in the basis candidates(k), and the hit
+    window gives the verdict of looking a uniform up in its CDF. Each
+    branch's lookup gives, for every uniform, the verdict of that branch's
+    reference plan, as the three separate branches had it."""
     for case in ("2bit", "3bit"):
         fam, table = family(case), _slot_table(case)
         for f0 in fam.s_f0:
-            for branch in BRANCHES:
-                basis, shift, offset = _ref_plan(fam, f0, branch)
+            for k in fam.s_f0:
+                basis = "s1" if fam.candidates(k) is fam.s1 else "s2"
                 for f in fam.candidates(f0):
-                    slot = table.slots[branch][f0.table][f.table]
+                    slot = table.slots[k.table, f0.table][f.table]
                     cdf, acc = [], F(0)
                     for p in slot.row:
                         acc += p
                         cdf.append(float(acc))
                     cdf[-1] = 1.0
-                    assert cdf == _ref_cdfs(case)[(basis, shift ^ f.table)][0]
-                    hits = _ref_hits(fam, f0, f, basis, offset)
-                    us = {0.0} | {c for c in cdf if c < 1.0}
-                    us |= {n for c in list(us)
-                           for n in (nextafter(c, 0.0), nextafter(c, 1.0))
-                           if 0.0 <= n < 1.0}
-                    lo, hi = slot.window
-                    for u in us:
-                        assert (lo <= u < hi) == hits[bisect_right(cdf, u)], (case, u)
+                    assert cdf == _ref_cdfs(case)[(basis, f.table)][0]
+                    _assert_window_is_lookup(slot.window, cdf,
+                                             _ref_hits(fam, f0, f, basis, k.table))
+            assumed = {"noclone": fam.s2_f0_by_query[f0.evaluate(0)].table,
+                       "cloned": f0.table, "failed": fam.s1_f0.table}
+            assert gamesim._assumed(fam, f0) == tuple(assumed.values())
+            for branch, k in assumed.items():
+                basis, shift, offset = _ref_plan(fam, f0, branch)
+                for f in fam.candidates(f0):
+                    _assert_window_is_lookup(
+                        table.slots[k, f0.table][f.table].window,
+                        _ref_cdfs(case)[(basis, shift ^ f.table)][0],
+                        _ref_hits(fam, f0, f, basis, offset))
+
+
+def test_reward_is_hit_squared():
+    """R[i][k] = hit[k, f0_i]^2, the chance that both guesses are right when
+    secret i is assumed to be k, is the exact 3x3 payoff, and both
+    enumerated scores are read from it: the no-cloning strategy assumes
+    the secret the query names, a clone assumes the secret itself and a
+    failed clone the S1-side one."""
+    for case, c, eff, clone, ud in (
+            ("3bit", F(1, 256), OPT3, F(14981, 16256), F(939, 1024)),
+            ("2bit", F(1, 16), OPT2, F(41, 56), F(11, 16))):
+        fam, hit = family(case), _slot_table(case).hit
+        secrets = [f.table for f in fam.s_f0]
+        assert secrets[0] == fam.s1_f0.table
+        reward = [[hit[k, i] ** 2 for k in secrets] for i in secrets]
+        assert reward == [[1, c, c], [c, 1, 0], [c, 0, 1]]
+        named = [secrets.index(fam.s2_f0_by_query[f.evaluate(0)].table)
+                 for f in fam.s_f0]
+        no_clone = sum(reward[i][k] for i, k in enumerate(named)) / 3
+        assert no_clone == score_no_clone_enumerated(case) == F(2, 3) + c / 3
+        assert no_clone == {"3bit": F(171, 256), "2bit": F(11, 16)}[case]
+        ud_eff = EfficiencyVector((0, F(7, 8), F(7, 8)) if case == "3bit"
+                                  else (0, F(1, 2), F(1, 2)))
+        for gammas, want in ((eff, clone), (ud_eff, ud)):
+            from_reward = sum(g * reward[i][i] + (1 - g) * reward[i][0]
+                              for i, g in enumerate(gammas)) / 3
+            assert from_reward == score_clone_enumerated(gammas, case) == want
+        for k in secrets:
+            assert hit[k, k] == 1
+            assert all(slot.p_hit == 1 and slot.window == (0.0, 1.0)
+                       for slot in _slot_table(case).slots[k, k].values())
 
 
 _gamma = st.fractions(min_value=0, max_value=1, max_denominator=200)
@@ -425,14 +473,15 @@ def _both_right(slots, inst, rng):
 
 
 def test_noclone_success_deterministic_when_assumption_holds():
-    fam, slots = family("3bit"), _slot_table("3bit").slots["noclone"]
+    fam, slots = family("3bit"), _slot_table("3bit").slots
     rng = random.Random(21)
     for f0 in fam.s2_f0_by_query.values():
         cand = fam.candidates(f0)
+        k = fam.s2_f0_by_query[f0.evaluate(0)]
         for _ in range(2000):
             inst = TaskInstance(f0, cand[rng.randrange(len(cand))],
                                 cand[rng.randrange(len(cand))])
-            assert _both_right(slots[f0.table], inst, rng)
+            assert _both_right(slots[k.table, f0.table], inst, rng)
 
 
 def test_noclone_wrong_branch_rate():
@@ -441,7 +490,8 @@ def test_noclone_wrong_branch_rate():
     fam = family("3bit")
     rng, n = random.Random(29), 100_000
     f0 = fam.s1_f0
-    slots = _slot_table("3bit").slots["noclone"][f0.table]
+    k = fam.s2_f0_by_query[f0.evaluate(0)]
+    slots = _slot_table("3bit").slots[k.table, f0.table]
     cand = fam.candidates(f0)
     wins = 0
     for _ in range(n):
@@ -457,7 +507,8 @@ def test_noclone_wrong_branch_rate_two_bit_matches_claim():
     fam = family("2bit")
     rng, n = random.Random(31), 100_000
     f0 = fam.s1_f0
-    slots = _slot_table("2bit").slots["noclone"][f0.table]
+    k = fam.s2_f0_by_query[f0.evaluate(0)]
+    slots = _slot_table("2bit").slots[k.table, f0.table]
     cand = fam.candidates(f0)
     wins = sum(_both_right(slots, TaskInstance(f0, cand[rng.randrange(len(cand))],
                                                cand[rng.randrange(len(cand))]), rng)
@@ -466,12 +517,12 @@ def test_noclone_wrong_branch_rate_two_bit_matches_claim():
 
 
 def test_clone_success_branch_never_errs():
-    fam, slots = family("3bit"), _slot_table("3bit").slots["cloned"]
+    fam, slots = family("3bit"), _slot_table("3bit").slots
     rng = random.Random(37)
     for _ in range(5000):
         inst = fam.sample_instance(rng)
         assert rng.random() < 1.0          # the cloning coin at gamma = 1
-        assert _both_right(slots[inst.f0.table], inst, rng)
+        assert _both_right(slots[inst.f0.table, inst.f0.table], inst, rng)
 
 
 def test_clone_failure_posterior():
@@ -484,8 +535,8 @@ def test_clone_failure_posterior():
     for _ in range(n):
         inst = fam.sample_instance(rng)
         cloned = rng.random() < eff[fam.s_f0.index(inst.f0)]
-        _ = _both_right(table.slots["cloned" if cloned else "failed"][inst.f0.table],
-                        inst, rng)
+        k = inst.f0 if cloned else fam.s1_f0
+        _ = _both_right(table.slots[k.table, inst.f0.table], inst, rng)
         if not cloned:
             fails += 1
             s1_fails += inst.f0 == fam.s1_f0
