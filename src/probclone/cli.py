@@ -300,7 +300,14 @@ def main(argv=None) -> int:
     try:
         payload, code = _COMMANDS[args.command](args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = str(exc)
+        # the interpreter's digit-limit error names no input (P23 is echoed only)
+        if text.startswith("Exceeds the limit"):
+            given = ", ".join(f"--{name}" for name in ("gammas", "p12", "p13")
+                              if getattr(args, name, None) is not None)
+            text = (f"an exact value computed from {given} has more than "
+                    f"{sys.get_int_max_str_digits()} digits, the int-string conversion limit")
+        print(f"error: {text}", file=sys.stderr)
         return 2
     text = render(payload, args.format)
     if args.out:

@@ -10,13 +10,15 @@ overlaps P (inner products of the heralding-flag failure states,
 is positive semidefinite, where G is the candidates' Gram matrix. M is
 only ever built from the two case Grams ``case_gram(case)``, which are
 arrow matrices (below), so M_23 = 0 and only P12 and P13 enter M. This
-module builds M on one of two routes: exact whenever every input and
-every needed sqrt(gamma1 gamma_j) is rational (the certificate route,
-tested by its principal minors), else complex floats from
-``_float_matrix``, the one float assembly, tested by the closed-form
+module builds M on one of two routes, and ``_int_matrix`` alone decides
+which: exact when Gamma, P12 and P13 are rational and every needed
+sqrt(gamma1 gamma_j) is rational, a zero flag taking the root 0/1 (the
+certificate route, tested by its principal minors), else complex floats
+from ``_float_matrix``, the one float assembly, tested by the closed-form
 eigenvalues. The exact route computes in integers over one common
 denominator D (``_int_matrix``), a k x k minor being an integer over D**k
 (fraction-free, as in Bareiss's elimination), and hands out Fractions.
+Both routes take their minors from one formula, ``_arrow_minors``.
 It also implements the reduced coordinates that collapse the criterion on
 the gamma2 = gamma3 slice to
 
@@ -192,10 +194,6 @@ class EfficiencyVector:
     def __getitem__(self, i):
         return self.gammas[i]
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(g, Fraction) for g in self.gammas)
-
     def as_floats(self) -> tuple[float, float, float]:
         return tuple(float(g) for g in self.gammas)
 
@@ -223,10 +221,6 @@ class FlagOverlaps:
                 raise ValueError(f"|{name}| exceeds 1: |{name}|^2 = {mod2}")
             object.__setattr__(self, name, pair)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(x, Fraction) for x in self.p12 + self.p13)
-
 
 @dataclass(frozen=True)
 class FeasibilityPoint:
@@ -239,6 +233,7 @@ class FeasibilityPoint:
     # the exact route's integer form (A, D): M = A / D with A a 3x3 of
     # integer (re, im) pairs and D > 0; None on the float route
     scaled: tuple | None
+    _SIZES = (1, 1, 1, 2, 2, 2, 3)    # each principal minor's k, in their order
 
     @property
     def is_exact(self) -> bool:
@@ -254,15 +249,24 @@ class FeasibilityPoint:
 
     @cached_property
     def _minor_numerators(self) -> tuple:
-        """A's principal minors in ``principal_minors``' order; a k x k one is M's
-        times D**k. A is an arrow matrix (a23 = 0), so det A is
-        d1 d2 d3 - d2 |a13|^2 - d3 |a12|^2."""
+        """The seven principal minors in ``principal_minors``' order, by
+        ``_arrow_minors``, computed once per point. On the exact route they
+        are A's, integers, a k x k one being M's times D**k; on the float
+        route they are M's (D = 1), with det M by ``_det3``."""
+        if self.scaled is None:
+            m = self.matrix
+            d1, d2, d3 = (m[i][i].real for i in range(3))
+            lower = _arrow_minors(d1, d2, d3, abs(m[0][1]) ** 2, abs(m[0][2]) ** 2)[:6]
+            return (*lower, _det3(d1, d2, d3, m[0][1], m[0][2]))
         a = self.scaled[0]
-        d1, d2, d3 = a[0][0][0], a[1][1][0], a[2][2][0]
         (x12, y12), (x13, y13) = a[0][1], a[0][2]
-        n12, n13 = x12 * x12 + y12 * y12, x13 * x13 + y13 * y13
-        return (d1, d2, d3, d1 * d2 - n12, d1 * d3 - n13, d2 * d3,
-                d1 * d2 * d3 - d2 * n13 - d3 * n12)
+        return _arrow_minors(a[0][0][0], a[1][1][0], a[2][2][0],
+                             x12 * x12 + y12 * y12, x13 * x13 + y13 * y13)
+
+    def _minors(self, idx) -> list:
+        """The principal minors ``idx``: Fractions on the exact route, else floats."""
+        nums, d = self._minor_numerators, self.scaled and self.scaled[1]
+        return [Fraction(nums[i], d ** self._SIZES[i]) if d else nums[i] for i in idx]
 
     @cached_property
     def _min_eig(self) -> float:
@@ -274,33 +278,15 @@ class FeasibilityPoint:
 
     def leading_minors(self) -> list:
         """The three leading principal minors (exact when possible)."""
-        if self.is_exact:
-            d, nums = self.scaled[1], self._minor_numerators
-            return [Fraction(nums[0], d), Fraction(nums[3], d ** 2), self.det()]
-        minors = self.principal_minors()
-        return [minors[0], minors[3], minors[6]]
+        return self._minors((0, 3, 6))
 
     def principal_minors(self) -> list:
         """All seven principal minors, ordered by size then index set."""
-        if self.is_exact:
-            d, nums = self.scaled[1], self._minor_numerators
-            return ([Fraction(n, d ** k) for n, k in zip(nums, (1, 1, 1, 2, 2, 2))]
-                    + [self.det()])
-        m = self.matrix
-        d1, d2, d3 = (m[i][i].real for i in range(3))
-        return [d1, d2, d3, d1 * d2 - abs(m[0][1]) ** 2, d1 * d3 - abs(m[0][2]) ** 2,
-                d2 * d3, self.det()]
+        return self._minors(range(7))
 
     def det(self):
-        """Determinant of M (real; exact Fraction in rational mode).
-
-        The exact route reads it off the integer minors; the float route
-        takes ``_det3`` of M's diagonal and upper triangle.
-        """
-        if self.is_exact:
-            return Fraction(self._minor_numerators[6], self.scaled[1] ** 3)
-        m = self.matrix
-        return _det3(m[0][0].real, m[1][1].real, m[2][2].real, m[0][1], m[0][2])
+        """Determinant of M (real; exact Fraction in rational mode)."""
+        return self._minors((6,))[0]
 
     def to_json(self) -> dict:
         minors = self.leading_minors()    # the last is det M
@@ -328,34 +314,30 @@ class FeasibilityPoint:
 # ---------------------------------------------------------------------------
 
 def _int_matrix(g1j: tuple, eff: EfficiencyVector, flags: FlagOverlaps):
-    """(A, D) with M = A / D from rational inputs, or None for the float route.
+    """(A, D) with M = A / D, or None for the float route: the one place the
+    route is decided.
 
+    None when any component of Gamma, P12 or P13 is a float (tested first:
+    ``(0.0, 0.0) == (0, 0)``), or when a needed sqrt(gamma1 gamma_j) is
+    irrational: gamma1 gamma_j = u/v has a root iff u*v = n^2, the root
+    being n/v. A zero flag P_1j needs none and takes the root 0/1.
     ``g1j`` is the case Gram's (G_12, G_13); its diagonal is 1 and
-    G_23 = 0, so A_23 = 0. The route comes first: a zero flag P_1j needs no
-    root, and gamma1 gamma_j = u/v has one iff u*v = n^2, the root being
-    n/v. Over the lcm L of the entry denominators, dividing out the gcd of
-    L and all numerators leaves D > 0, the least common denominator.
+    G_23 = 0, so A_23 = 0. Over the lcm L of the entry denominators,
+    dividing out the gcd of L and all numerators leaves D > 0, the least
+    common denominator.
     """
-    p1j = (flags.p12, flags.p13)
-    roots = []
-    for j, p in zip((1, 2), p1j):
-        if p == (0, 0):
-            roots.append(None)
-            continue
-        v = eff[0].denominator * eff[j].denominator
-        uv = eff[0].numerator * eff[j].numerator * v
-        n = math.isqrt(uv)
-        if n * n != uv:
-            return None
-        roots.append((n, v))
+    if float in map(type, eff.gammas + flags.p12 + flags.p13):
+        return None
     ents = [(e.denominator - e.numerator, 0, e.denominator) for e in eff]
-    for g, (x, y), root in zip(g1j, p1j, roots):
-        gn, gd = g.numerator, g.denominator
-        if root is None:
-            ents.append((gn, 0, gd))
-            continue
+    for j, g, (x, y) in zip((1, 2), g1j, (flags.p12, flags.p13)):
+        rn, rd = 0, 1
+        if (x, y) != (0, 0):
+            rd = eff[0].denominator * eff[j].denominator
+            rn = math.isqrt(uv := eff[0].numerator * eff[j].numerator * rd)
+            if rn * rn != uv:
+                return None
         # G - r*G^2*(x + y*i) with r = rn/rd, over rd * gd^2 * xd * yd
-        (rn, rd), xd, yd = root, x.denominator, y.denominator
+        gn, gd, xd, yd = g.numerator, g.denominator, x.denominator, y.denominator
         t = rn * gn * gn
         ents.append((gn * rd * gd * xd * yd - t * x.numerator * yd,
                      -t * y.numerator * xd, rd * gd * gd * xd * yd))
@@ -372,18 +354,18 @@ def _int_matrix(g1j: tuple, eff: EfficiencyVector, flags: FlagOverlaps):
 def build_matrix(case: str, eff: EfficiencyVector, flags: FlagOverlaps) -> FeasibilityPoint:
     """Assemble M_ij = G_ij - sqrt(gamma_i gamma_j) G_ij^2 P_ij on ``case_gram(case)``.
 
-    Rational inputs give an exact point in integers (``_int_matrix``) whenever
-    every required sqrt(gamma1*gamma_j) is rational (a zero flag needs none);
-    its floats are the correctly rounded quotients re / D and im / D. All
-    other points get complex float entries from ``_float_matrix``.
+    ``_int_matrix`` decides the route: an exact point in integers when
+    Gamma, P12 and P13 are rational and every required sqrt(gamma1*gamma_j)
+    is rational (a zero flag takes the root 0/1), its floats being the
+    correctly rounded quotients re / D and im / D. All other points get
+    complex float entries from ``_float_matrix``.
     """
     g = case_gram(case)
     g1j = g.entries[0][1:]
-    scaled = _int_matrix(g1j, eff, flags) if eff.is_exact and flags.is_exact else None
+    scaled = _int_matrix(g1j, eff, flags)
     if scaled is None:
-        matrix = _float_matrix(*(complex(x) for x in g1j), eff.as_floats(),
-                               *(complex(float(re), float(im))
-                                 for re, im in (flags.p12, flags.p13)))
+        matrix = _float_matrix(*map(complex, g1j), eff.as_floats(),
+                               *(complex(*map(float, p)) for p in (flags.p12, flags.p13)))
     else:
         a, d = scaled
         matrix = tuple(tuple(complex(re / d, im / d) for re, im in row) for row in a)
@@ -404,6 +386,16 @@ def _float_matrix(g12: complex, g13: complex, gammas, p12: complex, p13: complex
     return ((complex(1 - g1), m12, m13),
             (complex(m12.real, 0.0 - m12.imag), complex(1 - g2), 0j),
             (complex(m13.real, 0.0 - m13.imag), 0j, complex(1 - g3)))
+
+
+def _arrow_minors(d1, d2, d3, n12, n13) -> tuple:
+    """The seven principal minors, in ``principal_minors``' order, of a
+    Hermitian arrow 3x3 (M_23 = 0) with diagonal d_i and n_1j = |M_1j|^2:
+    d_i, d1 d2 - n12, d1 d3 - n13, d2 d3 and
+    det = d1 d2 d3 - d2 n13 - d3 n12. Any ring's values serve: integers on
+    the exact route, floats on the float route."""
+    return (d1, d2, d3, d1 * d2 - n12, d1 * d3 - n13, d2 * d3,
+            d1 * d2 * d3 - d2 * n13 - d3 * n12)
 
 
 def _det3(a11, a22, a33, m12, m13):

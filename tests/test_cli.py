@@ -222,6 +222,25 @@ def test_huge_exponent_exits_promptly(capsys):
     assert err.startswith("error: ") and "'1e-1000000'" in err
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int-string digit limit is set")
+@pytest.mark.parametrize("argv, named", [
+    (("feasibility", "--gammas", f"1e-{_DIGIT_LIMIT},1,1"), "--gammas"),
+    (("simulate", "--strategy", "clone", "--gammas", f"1e-{_DIGIT_LIMIT},1,1",
+      "--trials", "100"), "--gammas"),
+    # det M's D**3 passes the limit though each value's exponent does not
+    (("feasibility", "--gammas", ",".join([f"1e-{_DIGIT_LIMIT // 3}"] * 3),
+      "--p12", "1", "--p13", "1", "--p23", "1"), "--gammas, --p12, --p13 has"),
+])
+def test_exact_output_past_the_digit_limit_names_its_options(capsys, argv, named):
+    # the interpreter's own digit-limit error names no input
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err and str(_DIGIT_LIMIT) in err
+
+
 # ---------------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------------

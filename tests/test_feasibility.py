@@ -90,6 +90,31 @@ def test_a_float_p23_keeps_the_exact_route():
     assert got == want
 
 
+def test_int_matrix_alone_decides_the_route():
+    g1j = case_gram("3bit").entries[0][1:]
+    # every gamma1 gamma_j of OPT3 is a square: only a float component of
+    # P12 or P13 sends it to the float route, even a zero that equals (0, 0)
+    for flags in (FlagOverlaps(p12=0.0, p13=1), FlagOverlaps(p12=-1, p13=(0, 0.0))):
+        assert flags.p12 == (0, 0) or flags.p13 == (0, 0)
+        assert feasibility._int_matrix(g1j, OPT3, flags) is None
+        assert not build_matrix("3bit", OPT3, flags).is_exact
+    # a Fraction zero flag needs no root: gamma1 gamma2 = 1/6 and
+    # gamma1 gamma3 = 1/8 are not squares, and the point is exact
+    eff = EfficiencyVector((F(1, 2), F(1, 3), F(1, 4)))
+    zero = FlagOverlaps(p12=F(0), p13=(F(0), F(0)))
+    a, d = feasibility._int_matrix(g1j, eff, zero)
+    assert d == 12 and a[0] == ((6, 0), (-3, 0), (3, 0))
+    assert build_matrix("3bit", eff, zero).is_exact
+    assert not build_matrix("3bit", eff, FlagOverlaps(p12=F(0), p13=1)).is_exact
+    # gamma1 gamma3 = 1/4 is a square, so a nonzero P13 beside a zero P12 is exact
+    eff = EfficiencyVector((F(1, 2), F(1, 3), F(1, 2)))
+    point = build_matrix("3bit", eff, FlagOverlaps(p12=F(0), p13=1))
+    assert point.exact_matrix[0][1:] == ((F(-1, 4), 0), (F(1, 4) - F(1, 2) / 16, 0))
+    # P23 multiplies G_23 = 0: a float P23 leaves the point exact
+    assert build_matrix("3bit", OPT3, FlagOverlaps(p12=-1, p13=1, p23=(0.3, -0.4))).is_exact
+    assert build_matrix("3bit", OPT3, FlagOverlaps(p12=-1, p13=1, p23=0.0)).is_exact
+
+
 def test_build_matrix_hermitian_with_complex_flags():
     point = build_matrix("3bit",
                          EfficiencyVector((F(1, 4), F(1, 4), F(1, 4))),
@@ -759,31 +784,38 @@ def test_feasibility_point_json():
 
 
 def test_to_json_computes_each_verdict_once(monkeypatch):
-    # is_psd is the one verdict and to_json reads it; lambda_min is computed
-    # once per point, however many of is_psd, min_eigenvalue and to_json ask
-    calls = {"principal": 0, "det": 0, "eig": 0}
-    point_cls = feasibility.FeasibilityPoint
+    # is_psd is the one verdict and to_json reads it; lambda_min and the
+    # minors are computed once per point, however many of is_psd,
+    # min_eigenvalue, the minor accessors and to_json ask
+    calls = {"eig": 0, "minors": 0, "fraction": 0}
 
     def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
         return wrapper
-    monkeypatch.setattr(point_cls, "principal_minors",
-                        counted("principal", point_cls.principal_minors))
-    monkeypatch.setattr(point_cls, "det", counted("det", point_cls.det))
     monkeypatch.setattr(feasibility, "hermitian3_eigvals",
                         counted("eig", feasibility.hermitian3_eigvals))
+    monkeypatch.setattr(feasibility, "_arrow_minors",
+                        counted("minors", feasibility._arrow_minors))
     exact = build_matrix("3bit", OPT3, FLAGS3)
     approx = build_matrix("3bit", EfficiencyVector((0.1, 0.2, 0.3)), FLAGS3)
-    # the exact route reads its three leading minors off the integer ones
-    # and builds none of the four principal minors that to_json would drop
-    for point, principal in ((exact, 0), (approx, 1)):
-        calls.update(principal=0, det=0, eig=0)
+
+    class CountedFraction(F):
+        def __new__(cls, *args):
+            calls["fraction"] += 1
+            return F(*args)
+    monkeypatch.setattr(feasibility, "Fraction", CountedFraction)
+    # the exact route builds the three leading Fractions that to_json
+    # reports and none of the four principal minors it would drop
+    for point, fractions in ((exact, 3), (approx, 0)):
+        calls.update(eig=0, minors=0, fraction=0)
         want = {"psd": is_psd(point), "min_eigenvalue": point.min_eigenvalue()}
         data = point.to_json()
-        assert calls == {"principal": principal, "det": 1, "eig": 1}
+        assert calls == {"eig": 1, "minors": 1, "fraction": fractions}
         assert {k: data[k] for k in want} == want
+        assert point.principal_minors()[6] == point.det() == point.leading_minors()[2]
+        assert calls["eig"] == calls["minors"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -998,6 +1030,25 @@ def test_integer_route_matches_the_fraction_reference(setup):
         [float_bits(float(x)) for x in leading + [minors[6]]]
     assert data["minors_exact"] == [str(x) for x in leading]
     assert data["det_exact"] == str(minors[6])
+
+
+_INT = st.integers(-10 ** 6, 10 ** 6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(d=st.tuples(_INT, _INT, _INT), a12=st.tuples(_INT, _INT), a13=st.tuples(_INT, _INT))
+@example(d=(0, 0, 0), a12=(0, 0), a13=(0, 0))
+@example(d=(-3, 2, -5), a12=(1, -1), a13=(0, 7))
+def test_arrow_minors_match_leibniz_on_any_integer_arrow(d, a12, a13):
+    # any Hermitian arrow, not only M (G - Gamma is one too): diagonals of
+    # either sign and Gaussian-integer first-row entries
+    z = (F(0), F(0))
+    m = [[(F(d[0]), F(0)), tuple(map(F, a12)), tuple(map(F, a13))],
+         [(F(a12[0]), F(-a12[1])), (F(d[1]), F(0)), z],
+         [(F(a13[0]), F(-a13[1])), z, (F(d[2]), F(0))]]
+    got = feasibility._arrow_minors(*d, a12[0] ** 2 + a12[1] ** 2, a13[0] ** 2 + a13[1] ** 2)
+    assert list(got) == reference_minors(m)
+    assert all(type(x) is int for x in got)
 
 
 def is_rational_square(x):
