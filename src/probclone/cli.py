@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from . import feasibility as fz
 from . import gamesim, optimize
@@ -41,9 +43,9 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: building it costs about as much
-    as a one-point feasibility verdict, and parsing leaves it unchanged."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its ``{command: subparser}`` map, built once per
+    process (about the cost of a one-point verdict) and unchanged by parsing."""
     parser = argparse.ArgumentParser(
         prog="probclone",
         description="Oracle phase states, cloning feasibility, and task scores.")
@@ -91,7 +93,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--gammas", default=None,
                        help="efficiencies for the clone strategy (p/q,p/q,p/q)")
 
-    return parser
+    return parser, sub.choices
 
 
 #: options whose value may start with "-" ("-1/2", "-0.5,0.25")
@@ -107,15 +109,11 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     re,im pair would otherwise be a usage error.
     """
     out = []
-    i = 0
-    while i < len(argv):
-        if (argv[i] in _SIGNED_OPTIONS and i + 1 < len(argv)
-                and _SIGNED_VALUE.match(argv[i + 1])):
-            out.append(f"{argv[i]}={argv[i + 1]}")
-            i += 2
+    for token in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and _SIGNED_VALUE.match(token):
+            out[-1] += "=" + token
         else:
-            out.append(argv[i])
-            i += 1
+            out.append(token)
     return out
 
 
@@ -187,6 +185,8 @@ def _curve_payload(args) -> dict:
     n = 64 if args.points is None else args.points
     if n < 2:
         raise ValueError("--points must be at least 2")
+    if n > 100_000:     # already seconds of work and 28 MB of JSON
+        raise ValueError("--points must be at most 100000")
     rows = []
     q_lo, _, v_hi = (float(x) for x in fz.corner(args.case))
     for i in range(n):
@@ -268,9 +268,34 @@ def _scalar(x) -> str:
     return str(x)
 
 
+def _json(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2)``, each line after the first starting with
+    ``pad``; a key that is not a str raises TypeError. With an indent json
+    encodes in pure Python; here its C encoder writes only non-finite floats
+    and unknown types."""
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items, ends = [_string(k) + ": " + _json(v, inner) for k, v in obj.items()], "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, ends = [_json(x, inner) for x in obj], "[]"
+    else:
+        return json.dumps(obj)
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
+
+
 def render(payload: dict, fmt: str) -> str:
+    """The payload as text: JSON is byte-identical to ``json.dumps(payload,
+    indent=2)`` and a newline; csv and table list its flattened keys."""
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload, "\n") + "\n"
     rows: list = []
     _flatten("", payload, rows)
     if fmt == "csv":
@@ -294,9 +319,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _parser().parse_args(_attach_signed_values(list(argv)))
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
+    parser, commands = _parser()
+    if argv and argv[0] in commands:
+        args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:               # no command: the top-level help, usage or error
+        args = parser.parse_args(argv)
     try:
         payload, code = _COMMANDS[args.command](args)
     except ValueError as exc:

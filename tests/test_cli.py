@@ -8,11 +8,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import probclone
-from probclone import optimize
+from probclone import cli, optimize
 from probclone._exact import parse_rational
-from probclone.cli import main
+from probclone.cli import main, render
 
 
 def run_cli(capsys, *argv):
@@ -434,6 +436,120 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+# ---------------------------------------------------------------------------
+# rendering and dispatch
+# ---------------------------------------------------------------------------
+
+_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600')
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+           | st.floats() | st.sampled_from([-0.0, 5e-324, -2.2e-308, float("nan"),
+                                            float("inf"), -float("inf")])
+           | _TEXT)
+_TREES = st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=4)
+                      | st.lists(kids, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT, kids, max_size=4), max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dictionaries(_TEXT, _TREES, max_size=5))
+@example({})
+@example({"a": [], "b": {}, "c": (), "d": [[], {}, [[1.5]]]})
+def test_render_json_matches_json_dumps(payload):
+    # render's own writer, byte for byte what json.dumps(indent=2) writes
+    assert render(payload, "json") == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{(1, 2): 0}, {"x": [Fraction(1, 3)]}, {"x": {"y": object()}}])
+def test_render_rejects_what_json_rejects(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2)
+    with pytest.raises(TypeError):
+        render(payload, "json")
+
+
+def test_render_never_reaches_the_pure_python_encoder(capsys, monkeypatch):
+    # json.dumps with an indent builds its pure-Python encoder here; no CLI
+    # payload may take that path
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    with pytest.raises(AssertionError):
+        json.dumps({"a": 1}, indent=2)
+    for argv in (["states"],
+                 ["feasibility", "--gammas", "7/127,112/127,112/127", "--p12=1", "--p13=-1"],
+                 ["feasibility", "--gammas", "0.3,0.5,0.5", "--p12=-0.5,0.25", "--p13=0.5"],
+                 ["feasibility", "--case", "2bit", "--curve", "vw", "--points", "5"],
+                 ["optimize", "--mode", "analytic"],
+                 ["optimize", "--objective", "equal"],
+                 ["simulate", "--strategy", "noclone", "--trials", "100"],
+                 ["simulate", "--strategy", "clone", "--gammas", "7/127,112/127,112/127",
+                  "--trials", "100"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)
+
+
+def _top_level_parse(argv):
+    # how main parsed every argv before each command got its own parse
+    parser, _ = cli._parser()
+    return vars(parser.parse_args(cli._attach_signed_values(argv)))
+
+
+def _bench_argvs():
+    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [list(op.argv) for wl in workloads.WORKLOADS.values() for op in wl.build(1)]
+
+
+def test_dispatch_parses_as_the_top_level_parser_did(capsys, monkeypatch):
+    # every golden and benchmark argv: the command's own parser gives the
+    # namespace the top-level parser gave
+    argvs = [g["argv"] for g in FEASIBILITY_GOLDEN + SIMULATE_GOLDEN]
+    argvs += [["optimize", *argv] for _, argv in OPTIMIZE_GOLDENS] + _bench_argvs()
+    seen = []
+    for command in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, command,
+                            lambda args: (seen.append(vars(args)), ({"ok": 1}, 0))[1])
+    for argv in argvs:
+        assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert len(seen) == len(argvs) > 900
+    assert seen == [_top_level_parse(list(argv)) for argv in argvs]
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--case", "2bit"]])
+def test_dispatch_without_a_command_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: probclone [-h] {states,feasibility,optimize,simulate}" in capsys.readouterr().err
+
+
+def test_dispatch_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert all(command in out for command in ("states", "feasibility", "optimize", "simulate"))
+    with pytest.raises(SystemExit) as exc:
+        main(["feasibility", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: probclone feasibility [-h]")
+
+
+def test_dispatch_rejects_unknown_options_with_the_command_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["feasibility", "--bogus"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: probclone feasibility [-h]")
+    assert err.endswith("probclone feasibility: error: unrecognized arguments: --bogus\n")
+
+
 def test_run_config_invariants(capsys):
     code, _, err = run_cli(capsys, "simulate", "--strategy", "noclone", "--trials", "0")
     assert code == 2 and "trials" in err
@@ -469,7 +585,8 @@ def test_exact_flag_outside_the_unit_disc_exits_2(capsys):
 
 
 def test_out_of_range_counts_are_rejected(capsys):
-    for n in ("0", "1", "-4"):
+    # above 100,000 points a curve would take seconds and hold every row
+    for n in ("0", "1", "-4", "100001", "100000000"):
         code, out, err = run_cli(capsys, "feasibility", "--curve", "vw", "--points", n)
         assert code == 2 and out == "" and "--points" in err
     code, out, err = run_cli(capsys, "optimize", "--mode", "numeric",
