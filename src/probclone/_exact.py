@@ -12,20 +12,31 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+_PLAIN = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", "-1", "0.25" (and similar) into an exact Fraction.
 
-    A decimal exponent past the int-string digit limit (4,300 by default)
-    is rejected before 10**exponent is built: work on it has no bound.
+    Plain ``[-+]?digits[/digits]`` text in ASCII digits, once outer
+    whitespace is stripped, takes a fast path: two ``int`` calls and one
+    ``Fraction(n, d)``. Everything else (decimals, exponents, underscores,
+    other digits, inner spaces) goes to ``Fraction(text)``. Both paths
+    reject a zero denominator, or a digit string past the int-string digit
+    limit, with the same error. A decimal exponent past that limit (4,300
+    by default) is rejected before 10**exponent is built: work on it has
+    no bound.
     """
-    exponent = _EXPONENT.search(text)
-    digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    if len(digits) > len(str(limit)) or int(digits or 0) > limit:
-        raise ValueError(f"exponent of {text!r} exceeds {limit} in magnitude")
+    plain = _PLAIN.fullmatch(text.strip())
+    if not plain:
+        exponent = _EXPONENT.search(text)
+        digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise ValueError(f"exponent of {text!r} exceeds {limit} in magnitude")
     try:
+        if plain:
+            return Fraction(int(plain[1]), int(plain[2] or 1))
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc

@@ -26,7 +26,14 @@ the gamma2 = gamma3 slice to
 
 with x = sqrt(gamma1*gamma2), y = gamma1 + gamma2, and (q, s) quadratic
 in the flag components. Closed-form boundary curves of the (q, s) and
-(v, w) regions are provided as data.
+(v, w) regions are provided as data. Like M, the reduced coordinates of
+rational inputs are computed fraction-free: (q, s), the region check,
+x = sqrt(gamma1 gamma2) and the stationary point run on integer
+numerators and denominators, and one Fraction is built per returned
+value. Where a root is irrational, each float is the correctly rounded
+int / int of the rational that the mixed Fraction-float expression would
+round, so every digit is the same. Float inputs keep their mixed
+arithmetic; the input type is the only branch.
 
 Both case Grams ``case_gram(case)`` are real with unit diagonal, G_23 = 0
 and |G_12| = |G_13| = g (1/4 for 3-bit, 1/2 for 2-bit); write
@@ -123,15 +130,29 @@ class _CaseParams:
     c0: Fraction          # constant term of the slice parabola
     q_bound: Fraction     # |q| <= q_bound
     s_floor: Fraction     # minimum s
+    q_coeff: Fraction     # -2*sigma_2*g^3: q = (a + sigma_2*sigma_3*c) * q_coeff
+    g4: Fraction          # g^4: s = 1 - g^4 * |P|^2
+    cap: Fraction         # 8*g^2: s_cap(q) = 1 - q^2 / cap
+    # floats that vw_boundary's float parameters mix with, each rounded
+    # once: c0^2, cap, 2 - c0, 2*(1 - c0) for max_s, and 4*c0*s, 16*c0*s,
+    # 4*s, c0, s at s = s_floor for min_s
+    max_s_floats: tuple
+    min_s_floats: tuple
 
 
 @cache
 def case_params(case: str) -> _CaseParams:
-    """The slice constants of ``case``, read off its exact Gram (module docstring)."""
+    """The slice constants of ``case``, read off its exact Gram (module
+    docstring), with the derived ones the reduced coordinates use, so no
+    ``Fraction ** k`` runs per call."""
     g12, g13 = case_gram(case).entries[0][1:]
     g = abs(g12)
-    return _CaseParams(g=g, signs=tuple(1 if x > 0 else -1 for x in (g12, g13)),
-                       c0=1 - 2 * g ** 2, q_bound=4 * g ** 3, s_floor=1 - 2 * g ** 4)
+    signs = tuple(1 if x > 0 else -1 for x in (g12, g13))
+    c0, s, cap = 1 - 2 * g ** 2, 1 - 2 * g ** 4, 8 * g ** 2
+    return _CaseParams(g=g, signs=signs, c0=c0, q_bound=4 * g ** 3, s_floor=s,
+                       q_coeff=-2 * signs[0] * g ** 3, g4=g ** 4, cap=cap,
+                       max_s_floats=tuple(map(float, (c0 * c0, cap, 2 - c0, 2 * (1 - c0)))),
+                       min_s_floats=tuple(map(float, (4 * c0 * s, 16 * c0 * s, 4 * s, c0, s))))
 
 
 @cache
@@ -143,14 +164,31 @@ def corner(case: str) -> tuple:
     return q, cp.s_floor, stationary_x1(q, cp.s_floor, case)
 
 
+def _cap_ints(qn: int, qd: int, cp: _CaseParams) -> tuple[int, int]:
+    """s_cap(q) = 1 - q^2 / (8*g^2) at q = qn/qd as an integer pair (n, d), d > 0."""
+    kn, kd = cp.cap.numerator, cp.cap.denominator
+    return kn * qd * qd - kd * qn * qn, kn * qd * qd
+
+
 def s_cap(q, case: str):
-    """Maximum attainable s for a given q (flags real, balanced)."""
-    return 1 - q * q / (8 * case_params(case).g ** 2)
+    """Maximum attainable s for a given q (flags real, balanced); in
+    integers at a rational q."""
+    cp = case_params(case)
+    if isinstance(q, float):
+        return 1 - q * q / cp.cap
+    return Fraction(*_cap_ints(q.numerator, q.denominator, cp))
 
 
 # ---------------------------------------------------------------------------
 # data types
 # ---------------------------------------------------------------------------
+
+_ZERO = Fraction(0)
+
+#: the relative slack a float flag's |P|^2 <= 1 is checked with
+#: (``math.isclose``'s default); ``_check_qs`` derives its float slack from it
+_FLAG_TOL = 1e-9
+
 
 def _coerce_component(x):
     """Keep ints/Fractions exact (a Fraction comes back as itself),
@@ -170,7 +208,7 @@ def _coerce_pair(p):
         if len(p) != 2:
             raise ValueError(f"expected (re, im) pair, got {p!r}")
         return (_coerce_component(p[0]), _coerce_component(p[1]))
-    return (_coerce_component(p), _coerce_component(0))
+    return (_coerce_component(p), _ZERO)
 
 
 @dataclass(frozen=True)
@@ -180,11 +218,13 @@ class EfficiencyVector:
     gammas: tuple
 
     def __init__(self, gammas):
-        gs = tuple(_coerce_component(g) for g in gammas)
+        gs = tuple(map(_coerce_component, gammas))
         if len(gs) != 3:
             raise ValueError("need exactly three efficiencies")
         for g in gs:
-            if not 0 <= g <= 1:
+            # a Fraction in integers: 0 <= n/d <= 1 iff 0 <= n <= d
+            if not (0 <= g.numerator <= g.denominator if isinstance(g, Fraction)
+                    else 0 <= g <= 1):
                 raise ValueError(f"efficiency {g} outside [0, 1]")
         object.__setattr__(self, "gammas", gs)
 
@@ -212,13 +252,18 @@ class FlagOverlaps:
 
     def __init__(self, p12=0, p13=0, p23=0):
         for name, val in (("p12", p12), ("p13", p13), ("p23", p23)):
-            pair = _coerce_pair(val)
-            if any(isinstance(x, float) and not math.isfinite(x) for x in pair):
-                raise ValueError(f"{name} must be finite, got {val!r}")
-            mod2 = pair[0] * pair[0] + pair[1] * pair[1]
-            # exact pairs are compared exactly, float pairs with isclose's 1e-9 slack
-            if mod2 > 1 and (isinstance(mod2, Fraction) or not math.isclose(mod2, 1)):
-                raise ValueError(f"|{name}| exceeds 1: |{name}|^2 = {mod2}")
+            x, y = pair = _coerce_pair(val)
+            if float in map(type, pair):
+                if any(isinstance(z, float) and not math.isfinite(z) for z in pair):
+                    raise ValueError(f"{name} must be finite, got {val!r}")
+                mod2 = x * x + y * y
+                outside = mod2 > 1 and not math.isclose(mod2, 1, rel_tol=_FLAG_TOL)
+            else:
+                # exactly, in integers: |P|^2 <= 1 iff (xn*yd)^2 + (yn*xd)^2 <= (xd*yd)^2
+                xd, yd = x.denominator, y.denominator
+                outside = (x.numerator * yd) ** 2 + (y.numerator * xd) ** 2 > (xd * yd) ** 2
+            if outside:
+                raise ValueError(f"|{name}| exceeds 1: |{name}|^2 = {x * x + y * y}")
             object.__setattr__(self, name, pair)
 
 
@@ -319,8 +364,8 @@ def _int_matrix(g1j: tuple, eff: EfficiencyVector, flags: FlagOverlaps):
 
     None when any component of Gamma, P12 or P13 is a float (tested first:
     ``(0.0, 0.0) == (0, 0)``), or when a needed sqrt(gamma1 gamma_j) is
-    irrational: gamma1 gamma_j = u/v has a root iff u*v = n^2, the root
-    being n/v. A zero flag P_1j needs none and takes the root 0/1.
+    irrational (``_product_root``). A zero flag P_1j needs none and takes
+    the root 0/1.
     ``g1j`` is the case Gram's (G_12, G_13); its diagonal is 1 and
     G_23 = 0, so A_23 = 0. Over the lcm L of the entry denominators,
     dividing out the gcd of L and all numerators leaves D > 0, the least
@@ -330,12 +375,10 @@ def _int_matrix(g1j: tuple, eff: EfficiencyVector, flags: FlagOverlaps):
         return None
     ents = [(e.denominator - e.numerator, 0, e.denominator) for e in eff]
     for j, g, (x, y) in zip((1, 2), g1j, (flags.p12, flags.p13)):
-        rn, rd = 0, 1
-        if (x, y) != (0, 0):
-            rd = eff[0].denominator * eff[j].denominator
-            rn = math.isqrt(uv := eff[0].numerator * eff[j].numerator * rd)
-            if rn * rn != uv:
-                return None
+        root = (0, 1) if (x, y) == (0, 0) else _product_root(eff[0], eff[j])
+        if root is None:
+            return None
+        rn, rd = root
         # G - r*G^2*(x + y*i) with r = rn/rd, over rd * gd^2 * xd * yd
         gn, gd, xd, yd = g.numerator, g.denominator, x.denominator, y.denominator
         t = rn * gn * gn
@@ -349,6 +392,14 @@ def _int_matrix(g1j: tuple, eff: EfficiencyVector, flags: FlagOverlaps):
          ((m12[0], -m12[1]), d2, (0, 0)),
          ((m13[0], -m13[1]), (0, 0), d3))
     return a, big // k
+
+
+def _product_root(u: Fraction, v: Fraction) -> tuple[int, int] | None:
+    """sqrt(u*v) for rationals u, v >= 0 as integers (n, d), or None when it is
+    irrational: u*v = a/b has a rational root iff a*b = n^2, the root being n/b."""
+    b = u.denominator * v.denominator
+    n = math.isqrt(ab := u.numerator * v.numerator * b)
+    return (n, b) if n * n == ab else None
 
 
 def build_matrix(case: str, eff: EfficiencyVector, flags: FlagOverlaps) -> FeasibilityPoint:
@@ -514,13 +565,21 @@ class ArrowKernel:
 # ---------------------------------------------------------------------------
 
 def reduce(flags: FlagOverlaps, case: str):
-    """Flag components to (q, s); exact when the components are rational."""
+    """Flag components to (q, s); exact when the components are rational,
+    computed in integers over their least common denominator l."""
     cp = case_params(case)
     (a, b), (c, d) = flags.p12, flags.p13
-    sigma2, sigma3 = cp.signs
-    q = (a + sigma2 * sigma3 * c) * (-2 * sigma2 * cp.g ** 3)
-    s = 1 - cp.g ** 4 * (a * a + b * b + c * c + d * d)
-    return q, s
+    sign = cp.signs[0] * cp.signs[1]
+    if float in map(type, (a, b, c, d)):
+        return (a + sign * c) * cp.q_coeff, 1 - cp.g4 * (a * a + b * b + c * c + d * d)
+    ad, bd, cd, dd = a.denominator, b.denominator, c.denominator, d.denominator
+    l = math.lcm(ad, bd, cd, dd)
+    an, bn, cn, dn = (a.numerator * (l // ad), b.numerator * (l // bd),
+                      c.numerator * (l // cd), d.numerator * (l // dd))
+    k, g4 = cp.q_coeff, cp.g4
+    den = l * l * g4.denominator
+    return (Fraction((an + sign * cn) * k.numerator, l * k.denominator),
+            Fraction(den - g4.numerator * (an * an + bn * bn + cn * cn + dn * dn), den))
 
 
 def _is_exact(q, s) -> bool:
@@ -535,10 +594,27 @@ def _slice_endpoint(q, s, case: str):
 
 
 def _check_qs(q, s, case: str):
+    """Reject (q, s) outside the region |q| <= q_bound, s_floor <= s <= s_cap(q).
+
+    Rational (q, s) are compared exactly, in integers. Floats get a slack
+    of ``_FLAG_TOL``: a float flag passes ``FlagOverlaps`` with |P_1j|^2 up
+    to about 1 + _FLAG_TOL, which moves |q| past q_bound by at most
+    q_bound * _FLAG_TOL / 2 and s below s_floor by at most
+    2*g^4 * _FLAG_TOL, both below _FLAG_TOL since q_bound, 2*g^4 <= 1/2;
+    s <= s_cap(q) holds at every flag, so only rounding moves s past it.
+    """
     cp = case_params(case)
-    slack = 0 if _is_exact(q, s) else 1e-12    # roundoff slack for floats only
-    if (abs(q) > cp.q_bound + slack or s < cp.s_floor - slack
-            or s > s_cap(q, case) + slack):
+    if _is_exact(q, s):
+        qn, qd, sn, sd = q.numerator, q.denominator, s.numerator, s.denominator
+        bound, floor = cp.q_bound, cp.s_floor
+        cap_n, cap_d = _cap_ints(qn, qd, cp)
+        outside = (abs(qn) * bound.denominator > bound.numerator * qd
+                   or sn * floor.denominator < floor.numerator * sd or sn * cap_d > cap_n * sd)
+    else:
+        slack = _FLAG_TOL
+        outside = (abs(q) > cp.q_bound + slack or s < cp.s_floor - slack
+                   or s > s_cap(q, case) + slack)
+    if outside:
         raise ValueError(f"(q, s) = ({float(q)}, {float(s)}) outside the {case} region")
 
 
@@ -574,18 +650,44 @@ def intersection_x0_text(q, s, case: str) -> str:
 
 
 def stationary_x1(q, s, case: str):
-    """The x where gamma2 is stationary along y = c0 - q*x + s*x^2.
+    """The x where gamma2 is stationary along y = c0 - q*x + s*x^2,
 
-    Singular at q = 0 (the stationary point escapes to x = 0); callers
-    use the x = 0 endpoint there.
+        x1 = (a + sqrt(disc)) / (4*s*q),  a = 4*c0*s + q^2 - 4,
+        disc = a^2 - 16*c0*s*q^2,
+
+    in integers at rational (q, s) (``_exact_x1``). Singular at q = 0
+    (the stationary point escapes to x = 0); callers use the x = 0
+    endpoint there.
     """
     if q == 0:
         raise ValueError("stationary-point formula is singular at q = 0")
     _check_qs(q, s, case)
     cp = case_params(case)
+    if _is_exact(q, s):
+        return _exact_x1(q, s, cp.c0)
     a = 4 * cp.c0 * s + q * q - 4
     disc = a * a - 16 * cp.c0 * s * q * q
     return (a + _sqrt_any(disc)) / (4 * s * q)
+
+
+def _exact_x1(q, s, c0):
+    """``stationary_x1`` at rational (q, s), in integers. Over
+    e = c0d * sd * qd^2, a = big_a / e and disc = delta / e^2, so
+    x1 = (big_a + sqrt(delta)) / (4 * c0d * qd * sn * qn): a Fraction when
+    delta is a square, else the float (float(a) + sqrt(float(disc))) /
+    float(4*s*q), each float the correctly rounded int / int of the same
+    rational."""
+    qn, qd, sn, sd = q.numerator, q.denominator, s.numerator, s.denominator
+    cn, cd = c0.numerator, c0.denominator
+    e = cd * sd * qd * qd
+    big_a = 4 * cn * sn * qd * qd + (qn * qn - 4 * qd * qd) * cd * sd
+    delta = big_a * big_a - 16 * cn * sn * qn * qn * e
+    if delta < 0:
+        raise ValueError(f"negative discriminant {delta / (e * e)}")
+    root = math.isqrt(delta)
+    if root * root == delta:
+        return Fraction(big_a + root, 4 * cd * qd * sn * qn)
+    return (big_a / e + math.sqrt(delta / (e * e))) / (4 * sn * qn / (sd * qd))
 
 
 def gammas_from_xy(x, y):
@@ -599,9 +701,16 @@ def gammas_from_xy(x, y):
 
 
 def _stationary_point(q, s, case: str):
-    """(x1, y1): the stationary point of gamma2 on y = c0 - q*x + s*x^2 (q < 0)."""
+    """(x1, y1): the stationary point of gamma2 on y = c0 - q*x + s*x^2 (q < 0).
+
+    At rational (q, s) with an irrational x1, y1 rounds c0, q and s to
+    floats, as the mixed Fraction-float expression does.
+    """
     x1 = stationary_x1(q, s, case)
-    return x1, case_params(case).c0 - q * x1 + s * x1 * x1
+    c0 = case_params(case).c0
+    if _is_exact(q, s) and isinstance(x1, float):
+        return x1, float(c0) - float(q) * x1 + float(s) * x1 * x1
+    return x1, c0 - q * x1 + s * x1 * x1
 
 
 def gamma2_on_slice(q, s, case: str):
@@ -619,9 +728,9 @@ def gamma2_on_slice(q, s, case: str):
     for q > 0, so g2 falls on all of [0, x0]. At q = 0,
     g2 ~ c0 + x^2 * (s - 1/c0) with s <= 1 < 1/c0.
     """
-    _check_qs(q, s, case)
-    if q < 0:
+    if q < 0:       # stationary_x1 checks (q, s)
         return gammas_from_xy(*_stationary_point(q, s, case))
+    _check_qs(q, s, case)
     return _slice_endpoint(q, s, case)
 
 
@@ -646,8 +755,14 @@ class ReducedCoordinates:
     def from_inputs(cls, flags: FlagOverlaps, eff: EfficiencyVector,
                     case: str) -> "ReducedCoordinates":
         q, s = reduce(flags, case)
-        x = _sqrt_any(eff[0] * eff[1])
-        y = eff[0] + eff[1]
+        g1, g2 = eff[0], eff[1]
+        if float in (type(g1), type(g2)):
+            x = _sqrt_any(g1 * g2)
+        elif root := _product_root(g1, g2):
+            x = Fraction(*root)
+        else:
+            x = math.sqrt(g1.numerator * g2.numerator / (g1.denominator * g2.denominator))
+        y = g1 + g2
         v, w = _stationary_point(q, s, case) if q < 0 else (None, None)
         return cls(case, q, s, x, y, v, w)
 
@@ -683,21 +798,49 @@ def vw_boundary(case: str, branch: str, parameter):
     with 2*g^2 = 1 - c0, is
 
         w = ((2 - c0) * sqrt(c0^2 + 8*g^2*v^2) - c0^2) / (2*(1 - c0)).
+
+    A float parameter is evaluated in floats, with the constants
+    ``case_params(case).max_s_floats`` and ``min_s_floats`` rounded where
+    the mixed Fraction-float expressions round them, and is checked
+    against ``_float_range``, which gives the exact range's verdicts.
     """
     cp = case_params(case)
     q_corner, _, v_corner = corner(case)
+    is_float = isinstance(parameter, float)
+    q_lo, v_hi = _float_range(case) if is_float else (q_corner, v_corner)
     if branch == "max_s":
         v = parameter
-        if not 0 <= v <= v_corner:
+        if not 0 <= v <= v_hi:
             raise ValueError(f"v = {float(v)} outside [0, {float(v_corner)}]")
+        if is_float:
+            c0_sq, cap, two_minus_c0, den = cp.max_s_floats
+            return v, (two_minus_c0 * math.sqrt(c0_sq + cap * (v * v)) - c0_sq) / den
         c0 = cp.c0
-        root = _sqrt_any(c0 * c0 + 8 * cp.g ** 2 * (v * v))
+        root = _sqrt_any(c0 * c0 + cp.cap * (v * v))
         return v, ((2 - c0) * root - c0 * c0) / (2 * (1 - c0))
     if branch == "min_s":
         qv = parameter
-        if not q_corner <= qv <= 0:
+        if not q_lo <= qv <= 0:
             raise ValueError(f"q = {float(qv)} outside [{float(q_corner)}, 0]")
         if qv == 0:
             return _slice_endpoint(qv, cp.s_floor, case)
-        return _stationary_point(qv, cp.s_floor, case)
+        if not is_float:
+            return _stationary_point(qv, cp.s_floor, case)
+        # stationary_x1 and _stationary_point at s = s_floor; the range
+        # check above implies _check_qs, and disc > 0 on this branch
+        c4s, c16s, s4, c0, s = cp.min_s_floats
+        a = c4s + qv * qv - 4
+        x1 = (a + math.sqrt(a * a - c16s * qv * qv)) / (s4 * qv)
+        return x1, c0 - qv * x1 + s * x1 * x1
     raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+
+
+@cache
+def _float_range(case: str) -> tuple[float, float]:
+    """(q_lo, v_hi): the least float >= the corner's q and the greatest float
+    <= its v, so a float is inside [q_corner, 0] or [0, v_corner] iff it is
+    inside [q_lo, 0] or [0, v_hi]."""
+    q_corner, _, v_corner = corner(case)
+    q_lo, v_hi = float(q_corner), float(v_corner)
+    return (q_lo if q_lo >= q_corner else math.nextafter(q_lo, math.inf),
+            v_hi if v_hi <= v_corner else math.nextafter(v_hi, -math.inf))

@@ -243,6 +243,57 @@ def test_exact_output_past_the_digit_limit_names_its_options(capsys, argv, named
     assert err.startswith("error: ") and named in err and str(_DIGIT_LIMIT) in err
 
 
+_NUMERAL = st.text(st.sampled_from("0123456789" * 4 + "_." + "\u0663\uff10"), max_size=12)
+_SPACE = st.sampled_from(("", " ", "  ", "\t", "\n", "\u2003", "\xa0"))
+
+
+@st.composite
+def rational_texts(draw):
+    """Plain p[/q] text and its near misses: signs, leading zeros, outer and
+    inner spaces, underscores, decimals, non-ASCII digits, zero denominators."""
+    text = draw(st.sampled_from(("", "-", "+", "+-"))) + draw(_NUMERAL)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(("/", "/", " /", "/ ", "//"))) + draw(_NUMERAL)
+    return draw(_SPACE) + text + draw(_SPACE)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=rational_texts())
+@example(text="1/0")
+@example(text=" -00/000 ")
+@example(text="\t+007/0010\u2003")
+@example(text="1_000/3")
+@example(text="\uff11/2")
+@example(text="1 /2")
+def test_parse_rational_matches_fraction(text):
+    # the plain-text fast path and the Fraction(text) path agree, errors included
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == f"not a rational number: {text!r}"
+    else:
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == want
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int-string digit limit is set")
+@pytest.mark.parametrize("text", ["1" * (_DIGIT_LIMIT + 1), "-1/" + "3" * (_DIGIT_LIMIT + 1),
+                                  "+" + "0" * (_DIGIT_LIMIT + 1)])
+def test_parse_rational_past_the_digit_limit_exits_2(capsys, text):
+    # the fast path's int() meets the limit where Fraction(text) does, and
+    # exits with the same message
+    with pytest.raises(ValueError):
+        Fraction(text)
+    for option in ("--gammas", "--p12"):
+        value = f"{text},0,0" if option == "--gammas" else text
+        extra = () if option == "--gammas" else ("--gammas", "0,0,0")
+        code, out, err = run_cli(capsys, "feasibility", f"{option}={value}", *extra)
+        assert code == 2 and out == ""
+        assert err == f"error: not a rational number: {text!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------------
@@ -519,6 +570,23 @@ def test_dispatch_parses_as_the_top_level_parser_did(capsys, monkeypatch):
     capsys.readouterr()
     assert len(seen) == len(argvs) > 900
     assert seen == [_top_level_parse(list(argv)) for argv in argvs]
+
+
+def test_every_certify_point_has_the_reference_reduced_block(capsys):
+    # the reduced block of each benchmark point against the alias forms,
+    # on inputs read by Fraction(text)
+    from test_feasibility import alias_reduced
+    points = [argv for argv in _bench_argvs() if argv[0] == "feasibility" and "--gammas" in argv]
+    assert len(points) > 600
+    for argv in points:
+        case, (g1, g2, _) = argv[2], map(Fraction, argv[4].split(","))
+        flags = dict(token.split("=", 1) for token in argv[5:])
+        p12, p13 = ((*map(Fraction, flags[name].split(",")), Fraction(0))[:2]
+                    for name in ("--p12", "--p13"))
+        values = alias_reduced(p12, p13, g1, g2, case)
+        want = {"case": case, **{k: None if z is None else float(z)
+                                 for k, z in zip("qsxyvw", values)}}
+        assert repr(run_json(capsys, *argv)["reduced"]) == repr(want)
 
 
 @pytest.mark.parametrize("argv", [[], ["bogus"], ["--case", "2bit"]])

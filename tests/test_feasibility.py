@@ -134,6 +134,11 @@ def test_efficiency_validation():
         EfficiencyVector((1.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         EfficiencyVector((-0.1, 0.5, 0.5))
+    # exact values are checked exactly
+    for bad in (F(8, 7), 1 + F(1, 10**30), F(-1, 10**30), 2, -1):
+        with pytest.raises(ValueError, match="outside"):
+            EfficiencyVector((F(1, 2), bad, 0))
+    assert EfficiencyVector((0, 1, F(1))).gammas == (0, 1, 1)
 
 
 def test_components_keep_their_route():
@@ -409,33 +414,84 @@ def alias_max_s(v, case):
     return v, ((2 - c0) * root - c0 * c0) / (2 * (1 - c0))
 
 
+def alias_point(q, s, case):
+    """The stationary point (x1, y1) in mixed Fraction-float arithmetic, as
+    the formulas read: the reference for the integer route and the float
+    curve, which must keep every digit."""
+    c0 = case_params(case).c0
+    a = 4 * c0 * s + q * q - 4
+    disc = a * a - 16 * c0 * s * q * q
+    x1 = (a + _sqrt_any(disc)) / (4 * s * q)
+    return x1, c0 - q * x1 + s * x1 * x1
+
+
+def alias_reduced(p12, p13, g1, g2, case):
+    """(q, s, x, y, v, w) of ``ReducedCoordinates.from_inputs`` by the alias forms."""
+    q, s = alias_reduce(*p12, *p13, case)
+    v, w = alias_point(q, s, case) if q < 0 else (None, None)
+    return q, s, _sqrt_any(g1 * g2), g1 + g2, v, w
+
+
 def same_digits(got, want):
-    """Equal Fractions, or floats with the same repr (zero signs included)."""
+    """Equal Fractions, floats with the same repr (zero signs included), or both None."""
+    if want is None:
+        return got is None
     if isinstance(want, F):
         return isinstance(got, F) and got == want
     return type(got) is float and repr(got) == repr(want)
 
 
 _TINY = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310)
-_UNIT = st.one_of(st.sampled_from(_TINY + (1.0, -1.0, 0.5, -0.5)), st.floats(-1.0, 1.0),
-                  st.fractions(-1, 1, max_denominator=10**6))
+#: float flag components just past 1 that ``FlagOverlaps`` still accepts
+#: (|P|^2 within its relative 1e-9), and one it rejects
+_PAST_ONE = (1.0000000004, -1.0000000004, 1.0000000005, -1.0000000006)
+_UNIT = st.one_of(st.sampled_from(_TINY + _PAST_ONE + (1.0, -1.0, 0.5, -0.5)),
+                  st.floats(-1.0, 1.0), st.fractions(-1, 1, max_denominator=10**6))
+_GAMMA = st.one_of(st.sampled_from((0, 0.0, -0.0, 1, 1.0, 0.5, F(1, 4))), st.floats(0.0, 1.0),
+                   st.fractions(0, 1, max_denominator=10**6))
 
 
 @settings(max_examples=1000, deadline=None)
 @given(case=st.sampled_from(("3bit", "2bit")), parts=st.tuples(_UNIT, _UNIT, _UNIT, _UNIT),
-       tie=st.sampled_from((None, 1, -1)))
-@example(case="3bit", parts=(0.5, 0.0, 0.5, 0.0), tie=None)
-@example(case="2bit", parts=(-0.0, -0.0, -0.0, 0.0), tie=None)
-def test_reduce_and_s_cap_keep_every_digit(case, parts, tie):
+       tie=st.sampled_from((None, 1, -1)), gammas=st.tuples(_GAMMA, _GAMMA),
+       ratio=st.one_of(st.none(), st.fractions(0, 1, max_denominator=10**3)))
+@example(case="3bit", parts=(0.5, 0.0, 0.5, 0.0), tie=None, gammas=(0.3, 0.5), ratio=None)
+@example(case="2bit", parts=(-0.0, -0.0, -0.0, 0.0), tie=None, gammas=(-0.0, 0), ratio=None)
+# the corners and balanced flags on the cap s = s_cap(q): square discriminants
+@example(case="3bit", parts=(-1, 0, 1, 0), tie=None, gammas=OPT3[:2], ratio=None)
+@example(case="2bit", parts=(-1, 0, -1, 0), tie=None, gammas=OPT2[:2], ratio=None)
+@example(case="3bit", parts=(F(-4, 5), 0, F(4, 5), 0), tie=None, gammas=(F(1, 3), F(1, 2)),
+         ratio=F(1, 2))
+@example(case="2bit", parts=(F(-3, 4), 0, F(-3, 4), 0), tie=None, gammas=(0, F(1, 2)),
+         ratio=None)
+# float flags past the unit disc that the constructor accepts
+@example(case="3bit", parts=(-1.0000000004, 0.0, 1.0000000004, 0.0), tie=None,
+         gammas=(0.1, 0.5), ratio=None)
+@example(case="2bit", parts=(-1.0000000004, 0.0, -1.0000000004, 0.0), tie=None,
+         gammas=(0.1, 0.5), ratio=None)
+def test_reduce_and_s_cap_keep_every_digit(case, parts, tie, gammas, ratio):
+    # reduce, s_cap, stationary_x1 and from_inputs against the alias forms;
+    # ratio makes gamma1*gamma2 a square (gamma2 = gamma1 * ratio^2)
     a, b, c, d = parts
     if tie is not None:
         c = tie * a     # a = c (or a = -c) cancels in q for one sign product
-    assume(a * a + b * b <= 1 and c * c + d * d <= 1)
-    flags = FlagOverlaps(p12=(a, b), p13=(c, d))
+    try:
+        flags = FlagOverlaps(p12=(a, b), p13=(c, d))
+    except ValueError:
+        assume(False)
     q, s = reduce(flags, case)
     want_q, want_s = alias_reduce(*flags.p12, *flags.p13, case)
     assert same_digits(q, want_q) and same_digits(s, want_s)
     assert same_digits(s_cap(q, case), alias_s_cap(q, case))
+    g1, g2 = gammas
+    if ratio is not None and isinstance(g1, F):
+        g2 = g1 * ratio * ratio
+    eff = EfficiencyVector((g1, g2, 0))
+    got = ReducedCoordinates.from_inputs(flags, eff, case)
+    want = alias_reduced(flags.p12, flags.p13, eff[0], eff[1], case)
+    assert all(map(same_digits, (got.q, got.s, got.x, got.y, got.v, got.w), want))
+    if q < 0:
+        assert same_digits(stationary_x1(q, s, case), want[4])
 
 
 @settings(max_examples=1000, deadline=None)
@@ -447,6 +503,41 @@ def test_vw_max_s_keeps_every_digit(case, t):
     v = t * (v_corner if isinstance(t, F) else float(v_corner))
     got, want = vw_boundary(case, "max_s", v), alias_max_s(v, case)
     assert all(map(same_digits, got, want))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=st.sampled_from(("3bit", "2bit")),
+       t=st.one_of(st.sampled_from(_TINY[:3] + (1.0, 0.5)), st.floats(0.0, 1.0),
+                   st.fractions(0, 1, max_denominator=10**6)))
+def test_vw_min_s_keeps_every_digit(case, t):
+    q_corner, s_floor, _ = feasibility.corner(case)
+    q = t * (q_corner if isinstance(t, F) else float(q_corner))
+    assume(q != 0)
+    got, want = vw_boundary(case, "min_s", q), alias_point(q, s_floor, case)
+    assert all(map(same_digits, got, want))
+
+
+def test_float_flags_the_constructor_accepts_have_reduced_coordinates():
+    # |P_1j|^2 = 1.0000000008 passes FlagOverlaps' relative 1e-9, which puts
+    # (q, s) just past the region's corner; _check_qs's float slack covers it
+    for case, sign in (("3bit", 1), ("2bit", -1)):
+        flags = FlagOverlaps(p12=-1.0000000004, p13=sign * 1.0000000004)
+        eff = EfficiencyVector((0.1, 0.5, 0.5))
+        build_matrix(case, eff, flags).to_json()
+        red = ReducedCoordinates.from_inputs(flags, eff, case).to_json()
+        q, s, v = feasibility.corner(case)
+        assert red["q"] < q and red["s"] < s
+        assert red["v"] == pytest.approx(float(v), rel=1e-6)
+
+
+def test_gamma2_on_slice_checks_once(monkeypatch):
+    calls = []
+    check = feasibility._check_qs
+    monkeypatch.setattr(feasibility, "_check_qs", lambda *a: (calls.append(a), check(*a)))
+    for q in (F(-1, 16), F(1, 16), -0.03):
+        calls.clear()
+        gamma2_on_slice(q, F(127, 128), "3bit")
+        assert len(calls) == 1
 
 
 def test_reduce_examples():
@@ -521,6 +612,22 @@ def test_stationary_x1_positive_for_negative_q():
 def test_stationary_x1_q_zero_is_singular():
     with pytest.raises(ValueError):
         stationary_x1(0, F(127, 128), "3bit")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_rational_region_check_is_exact(case):
+    # on the region's edges (q, s) is accepted, and a rational step of
+    # 10^-30 outward is rejected, on every edge
+    cp, eps = case_params(case), F(1, 10**30)
+    q_corner = -cp.q_bound
+    for q, s in ((q_corner, cp.s_floor), (q_corner / 2, cp.s_floor),
+                 (q_corner / 2, s_cap(q_corner / 2, case))):
+        gamma2_on_slice(q, s, case)
+    for q, s in ((q_corner - eps, cp.s_floor), (q_corner / 2, cp.s_floor - eps),
+                 (q_corner / 2, s_cap(q_corner / 2, case) + eps),
+                 (cp.q_bound + eps, F(1, 2) + cp.s_floor / 2)):
+        with pytest.raises(ValueError, match="outside the"):
+            gamma2_on_slice(q, s, case)
 
 
 def test_stationary_x1_is_the_slice_argmax():
@@ -754,6 +861,19 @@ def test_vw_parameter_range_errors():
         vw_boundary("2bit", "min_s", 0.1)
     with pytest.raises(ValueError):
         vw_boundary("2bit", "middle", 0.1)
+    # a float at a corner's end is in range iff it is exactly
+    for case in CASES:
+        q_corner, _, v_corner = feasibility.corner(case)
+        for branch, end, lo, hi in (("max_s", v_corner, 0, v_corner),
+                                    ("min_s", q_corner, q_corner, 0)):
+            near = float(end)
+            for x in (math.nextafter(near, -math.inf), near, math.nextafter(near, math.inf)):
+                try:
+                    vw_boundary(case, branch, x)
+                    inside = True
+                except ValueError:
+                    inside = False
+                assert inside == (lo <= F(x) <= hi)
 
 
 # ---------------------------------------------------------------------------
