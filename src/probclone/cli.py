@@ -79,7 +79,8 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     p_opt.add_argument("--mode", choices=("analytic", "numeric", "both"),
                        default="both")
     p_opt.add_argument("--resolution", type=int, default=9,
-                       help="grid points per axis for the numeric search")
+                       help="grid points per axis for the numeric search, "
+                            f"8 to {optimize.MAX_RESOLUTION} (default: 9)")
     p_opt.add_argument("--iterations", type=int, default=40,
                        help="pattern-search shrink count")
 
@@ -206,6 +207,8 @@ def cmd_optimize(args) -> tuple[dict, int]:
     # on whether the numeric search runs
     if args.resolution < 8:
         raise ValueError("--resolution must be at least 8")
+    if args.resolution > optimize.MAX_RESOLUTION:
+        raise ValueError(f"--resolution must be at most {optimize.MAX_RESOLUTION}")
     if args.iterations < 0:
         raise ValueError("--iterations must be non-negative")
     if args.objective == "equal" and args.mode == "numeric":
@@ -268,34 +271,81 @@ def _scalar(x) -> str:
     return str(x)
 
 
-def _json(obj, pad: str) -> str:
-    """``json.dumps(obj, indent=2)``, each line after the first starting with
-    ``pad``; a key that is not a str raises TypeError. With an indent json
-    encodes in pure Python; here its C encoder writes only non-finite floats
-    and unknown types."""
-    if isinstance(obj, float) and math.isfinite(obj):
-        return float.__repr__(obj)
-    if isinstance(obj, str):
-        return _string(obj)
-    if obj is None or isinstance(obj, bool):
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+def _json(obj, pad: str, out: list) -> None:
+    """Append ``json.dumps(obj, indent=2)`` to ``out`` in pieces, each line
+    after the first starting with ``pad``; a key that is not a str raises
+    TypeError. With an indent json encodes in pure Python; here its C
+    encoder writes only non-finite floats and unknown types.
+
+    Dispatch is on the exact type: a ``dict``, ``list`` or ``tuple`` is
+    written by a loop that writes its finite ``float`` and ``str`` members
+    itself (``float.__repr__`` and json's C ``encode_basestring_ascii``)
+    and recurses for the rest. Every other value takes the ``isinstance``
+    chain that json's own encoder takes: str, None, bool, int (an IntEnum
+    as its int), finite float, dict, list or tuple, subclasses included;
+    non-finite floats and unknown types go to ``json.dumps`` without an
+    indent, which writes NaN or Infinity or raises TypeError.
+    """
+    kind = type(obj)
+    if kind is not dict and kind is not list and kind is not tuple:
+        if isinstance(obj, float) and math.isfinite(obj):
+            out.append(float.__repr__(obj))
+            return
+        if isinstance(obj, str):
+            out.append(_string(obj))
+            return
+        if obj is None or isinstance(obj, bool):
+            out.append("null" if obj is None else "true" if obj else "false")
+            return
+        if isinstance(obj, int):
+            out.append(int.__repr__(obj))
+            return
+        if not isinstance(obj, (dict, list, tuple)):
+            out.append(json.dumps(obj))
+            return
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        out.append("{}" if is_dict else "[]")
+        return
     inner = pad + "  "
-    if isinstance(obj, dict):
-        items, ends = [_string(k) + ": " + _json(v, inner) for k, v in obj.items()], "{}"
-    elif isinstance(obj, (list, tuple)):
-        items, ends = [_json(x, inner) for x in obj], "[]"
+    comma = "," + inner
+    if is_dict:
+        sep = "{" + inner
+        for k, v in obj.items():
+            key = sep + _string(k) + ": "
+            kind = type(v)
+            if kind is float and v - v == 0.0:      # finite: inf - inf and nan are nan
+                out.append(key + float.__repr__(v))
+            elif kind is str:
+                out.append(key + _string(v))
+            else:
+                out.append(key)
+                _json(v, inner, out)
+            sep = comma
+        out.append(pad + "}")
     else:
-        return json.dumps(obj)
-    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
+        sep = "[" + inner
+        for v in obj:
+            kind = type(v)
+            if kind is float and v - v == 0.0:
+                out.append(sep + float.__repr__(v))
+            elif kind is str:
+                out.append(sep + _string(v))
+            else:
+                out.append(sep)
+                _json(v, inner, out)
+            sep = comma
+        out.append(pad + "]")
 
 
 def render(payload: dict, fmt: str) -> str:
     """The payload as text: JSON is byte-identical to ``json.dumps(payload,
     indent=2)`` and a newline; csv and table list its flattened keys."""
     if fmt == "json":
-        return _json(payload, "\n") + "\n"
+        out: list = []
+        _json(payload, "\n", out)
+        out.append("\n")
+        return "".join(out)
     rows: list = []
     _flatten("", payload, rows)
     if fmt == "csv":

@@ -200,6 +200,12 @@ def _coerce_component(x):
     return float(x)
 
 
+def _to_float(x) -> float:
+    """float(x); a Fraction as the correctly rounded int / int that
+    float(Fraction) computes, without its property lookups and int() calls."""
+    return x.numerator / x.denominator if type(x) is Fraction else float(x)
+
+
 def _coerce_pair(p):
     """Accept real, complex, or (re, im) and return a (re, im) pair."""
     if isinstance(p, complex):
@@ -235,7 +241,7 @@ class EfficiencyVector:
         return self.gammas[i]
 
     def as_floats(self) -> tuple[float, float, float]:
-        return tuple(float(g) for g in self.gammas)
+        return tuple(map(_to_float, self.gammas))
 
 
 @dataclass(frozen=True)
@@ -337,15 +343,15 @@ class FeasibilityPoint:
         minors = self.leading_minors()    # the last is det M
         out = {
             "gram": self.gram.to_lists(),
-            "gammas": [float(g) for g in self.eff],
-            "P12": [float(self.flags.p12[0]), float(self.flags.p12[1])],
-            "P13": [float(self.flags.p13[0]), float(self.flags.p13[1])],
-            "P23": [float(self.flags.p23[0]), float(self.flags.p23[1])],
+            "gammas": list(map(_to_float, self.eff.gammas)),
+            "P12": list(map(_to_float, self.flags.p12)),
+            "P13": list(map(_to_float, self.flags.p13)),
+            "P23": list(map(_to_float, self.flags.p23)),
             "psd": is_psd(self),
-            "minors": [float(x) for x in minors],
+            "minors": list(map(_to_float, minors)),
             "min_eigenvalue": self.min_eigenvalue(),
             "M": [[[z.real, z.imag] for z in row] for row in self.matrix],
-            "det": float(minors[2]),
+            "det": _to_float(minors[2]),
             "exact": self.is_exact,
         }
         if self.is_exact:
@@ -767,10 +773,10 @@ class ReducedCoordinates:
         return cls(case, q, s, x, y, v, w)
 
     def to_json(self) -> dict:
-        out = {"case": self.case, "q": float(self.q), "s": float(self.s),
-               "x": float(self.x), "y": float(self.y)}
-        out["v"] = None if self.v is None else float(self.v)
-        out["w"] = None if self.w is None else float(self.w)
+        out = {"case": self.case, "q": _to_float(self.q), "s": _to_float(self.s),
+               "x": _to_float(self.x), "y": _to_float(self.y)}
+        out["v"] = None if self.v is None else _to_float(self.v)
+        out["w"] = None if self.w is None else _to_float(self.w)
         return out
 
 

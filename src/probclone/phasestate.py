@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Sequence
 
 from .funcspace import BooleanFunction, family
@@ -105,8 +105,14 @@ class GramMatrix:
         return all(e == (1 if i == j else 0)
                    for i, row in enumerate(self.entries) for j, e in enumerate(row))
 
+    @cached_property
+    def _float_rows(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(float(e) for e in row) for row in self.entries)
+
     def to_lists(self) -> list[list[float]]:
-        return [[float(e) for e in row] for row in self.entries]
+        """The entries as floats, in fresh lists on every call; the floats
+        are computed once per Gram (``case_gram``'s is reused by every point)."""
+        return [list(row) for row in self._float_rows]
 
 
 def gram(states: Sequence[StateVector]) -> GramMatrix:

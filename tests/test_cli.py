@@ -1,4 +1,7 @@
+import argparse
+import collections
 import dataclasses
+import enum
 import json
 import os
 import subprocess
@@ -12,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import probclone
-from probclone import cli, optimize
+from probclone import cli, feasibility, optimize
 from probclone._exact import parse_rational
+from probclone.phasestate import case_gram
 from probclone.cli import main, render
 
 
@@ -44,6 +48,27 @@ def test_states_two_bit_gram(capsys):
     data = run_json(capsys, "states", "--case", "2bit")
     g = data["candidate_gram"]
     assert g[0][1] == -0.5 and g[0][2] == -0.5 and g[1][2] == 0.0
+
+
+@pytest.mark.parametrize("case", ["3bit", "2bit"])
+def test_gram_payloads_stay_private(case):
+    # the case Gram's float rows are computed once; every payload gets
+    # fresh lists, so mutating one changes no later payload
+    want = [[float(e) for e in row] for row in case_gram(case).entries]
+    point = feasibility.build_matrix(case, feasibility.EfficiencyVector((0, 0, 0)),
+                                     feasibility.FlagOverlaps())
+
+    def states():
+        return cli.cmd_states(argparse.Namespace(case=case, basis="candidates"))[0]
+    for gram in (case_gram(case).to_lists(), point.to_json()["gram"],
+                 states()["candidate_gram"]):
+        assert gram == want
+        gram[0][0] = 2.0
+        gram[1].append(3.0)
+        gram.pop()
+        assert point.to_json()["gram"] == want
+        assert states()["candidate_gram"] == want
+        assert case_gram(case).to_lists() == want
 
 
 def test_python_dash_m_runs_the_cli(capsys):
@@ -492,19 +517,50 @@ def test_usage_error_exit_code(capsys):
 # ---------------------------------------------------------------------------
 
 _TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600')
+
+
+# subclasses leave the writer's exact-type loops for json's isinstance chain;
+# json writes their values, never their own repr or str
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2 ** 70
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not json"
+
+
+class _Str(str):
+    def __str__(self):
+        return "not json"
+
+
+class _List(list):
+    pass
+
+
 _LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
            | st.floats() | st.sampled_from([-0.0, 5e-324, -2.2e-308, float("nan"),
                                             float("inf"), -float("inf")])
-           | _TEXT)
+           | _TEXT | st.sampled_from(_Level) | _TEXT.map(_Str)
+           | (st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"),
+                                             -float("inf")])).map(_Float))
 _TREES = st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=4)
                       | st.lists(kids, max_size=4).map(tuple)
-                      | st.dictionaries(_TEXT, kids, max_size=4), max_leaves=40)
+                      | st.lists(kids, max_size=4).map(_List)
+                      | st.dictionaries(_TEXT, kids, max_size=4)
+                      | st.dictionaries(_TEXT, kids, max_size=4).map(collections.OrderedDict),
+                      max_leaves=40)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.dictionaries(_TEXT, _TREES, max_size=5))
 @example({})
 @example({"a": [], "b": {}, "c": (), "d": [[], {}, [[1.5]]]})
+@example({"a": [_Level.LOW, _Float(0.5), _Float("nan"), _Str("x"), _List([_Float("-inf")])],
+          _Str("b"): collections.OrderedDict(c=_List(), d=collections.OrderedDict()),
+          "e": {"f": _Level.HIGH, "g": _Float(-0.0), "h": _Str('"')}})
 def test_render_json_matches_json_dumps(payload):
     # render's own writer, byte for byte what json.dumps(indent=2) writes
     assert render(payload, "json") == json.dumps(payload, indent=2) + "\n"
@@ -669,6 +725,9 @@ def test_out_of_range_counts_are_rejected(capsys):
 @pytest.mark.parametrize("option, value, message", [
     ("--resolution", "7", "--resolution must be at least 8"),
     ("--resolution", "-2", "--resolution must be at least 8"),
+    ("--resolution", str(optimize.MAX_RESOLUTION + 1),
+     f"--resolution must be at most {optimize.MAX_RESOLUTION}"),
+    ("--resolution", "1000000", f"--resolution must be at most {optimize.MAX_RESOLUTION}"),
     ("--iterations", "-3", "--iterations must be non-negative"),
 ])
 def test_optimize_counts_are_checked_in_every_mode(capsys, mode, objective,

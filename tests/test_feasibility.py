@@ -445,10 +445,14 @@ _TINY = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310)
 #: float flag components just past 1 that ``FlagOverlaps`` still accepts
 #: (|P|^2 within its relative 1e-9), and one it rejects
 _PAST_ONE = (1.0000000004, -1.0000000004, 1.0000000005, -1.0000000006)
+#: Fractions in [0.1, 1] with 300-digit numerators and denominators
+_LONG = st.integers(10**299, 10**300 - 1).flatmap(
+    lambda d: st.integers(10**299, d).map(lambda n: F(n, d)))
 _UNIT = st.one_of(st.sampled_from(_TINY + _PAST_ONE + (1.0, -1.0, 0.5, -0.5)),
-                  st.floats(-1.0, 1.0), st.fractions(-1, 1, max_denominator=10**6))
+                  st.floats(-1.0, 1.0), st.fractions(-1, 1, max_denominator=10**6),
+                  _LONG, _LONG.map(lambda x: -x))
 _GAMMA = st.one_of(st.sampled_from((0, 0.0, -0.0, 1, 1.0, 0.5, F(1, 4))), st.floats(0.0, 1.0),
-                   st.fractions(0, 1, max_denominator=10**6))
+                   st.fractions(0, 1, max_denominator=10**6), _LONG)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -492,6 +496,17 @@ def test_reduce_and_s_cap_keep_every_digit(case, parts, tie, gammas, ratio):
     assert all(map(same_digits, (got.q, got.s, got.x, got.y, got.v, got.w), want))
     if q < 0:
         assert same_digits(stationary_x1(q, s, case), want[4])
+    # every float field of both payloads is float() of its exact value
+    exact = (got.q, got.s, got.x, got.y, got.v, got.w)
+    data = got.to_json()
+    assert all(same_digits(data[k], None if x is None else float(x))
+               for k, x in zip("qsxyvw", exact))
+    point = build_matrix(case, eff, flags)
+    data = point.to_json()
+    minors = point.leading_minors()
+    exact = (*eff, *flags.p12, *flags.p13, *flags.p23, *minors, minors[2])
+    floats = data["gammas"] + data["P12"] + data["P13"] + data["P23"] + data["minors"] + [data["det"]]
+    assert all(map(same_digits, floats, map(float, exact)))
 
 
 @settings(max_examples=1000, deadline=None)
