@@ -35,8 +35,10 @@ OBJECTIVES = ("gamma23", "gamma1")
 #: sweeps after which a pattern-search walk stops, whatever its shrinks
 MAX_SWEEPS = 20000
 
-#: the largest grid resolution: the grid scan sorts resolution**2 blocks in
-#: each of resolution slabs, about 13 s at 200 (Python 3.11, 2 vCPUs)
+#: the largest grid resolution: each of resolution gamma1 slabs gets up to
+#: resolution**2 block verdicts and as many flag verdicts, so that
+#: ``optimize --mode numeric --resolution 200`` takes about 9 s (Python 3.11,
+#: 2 vCPUs)
 MAX_RESOLUTION = 200
 
 
@@ -119,10 +121,6 @@ def _objective_fn(objective: str):
     raise ValueError(f"objective must be one of {OBJECTIVES}")
 
 
-def _clamp(x, lo, hi):
-    return lo if x < lo else hi if x > hi else x
-
-
 def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
                    iterations: int = 40) -> OptimumReport:
     """Grid-plus-pattern-search maximisation over (Gamma, P) with real P.
@@ -130,16 +128,18 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     Deterministic for fixed arguments: ties are broken by lexicographic
     argmax over (objective, point). The flags are real (module docstring).
 
-    Every verdict, on the grid and in the refine, is one
-    ``feasibility.ArrowKernel.slack`` call: M is an arrow matrix
-    (G_23 = 0), so the PSD verdict is the sign of one determinant of
-    M + t*I, with t half of the fixed ``feasibility.DEFAULT_TOL``. The
+    Every verdict comes from one ``feasibility.ArrowKernel``: ``slack``
+    gives a grid point's and the refine's start point's, and ``sweep`` a
+    whole refine sweep's candidates theirs in one pass. M is an arrow
+    matrix (G_23 = 0), so the PSD verdict is the sign of one determinant
+    of M + t*I, with t half of the fixed ``feasibility.DEFAULT_TOL``. The
     reported optimum is certified with ``is_psd`` at the full margin, as
     every reported optimum is (``_certified``).
 
-    Only the verdicts that can change the result are computed. This rests
-    on one fact: the objective depends only on the point, and on the grid
-    only on the gammas. So the best point of a gamma1 slab lies in the
+    On the grid only the verdicts that can change the result are
+    computed. This rests on one fact: the objective depends only on the
+    point, and on the grid only on the gammas. So the best point of a
+    gamma1 slab lies in the
     first (g2, g3) block, in descending (objective, gammas) order, that
     has a feasible flag, paired with that block's largest feasible flag.
     By the sign-flag lemma, a block has a feasible flag iff it is
@@ -148,8 +148,10 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     descending lexicographic order. Later blocks and flags get no
     verdict. The lemma holds for the computed determinant too, since the
     computed |M_1j| is smallest at sign(G_1j) and rounding is monotone.
-    Refine candidates whose objective is below the current point's are
-    never accepted and get no verdict either (see ``_compass_refine``).
+    The (g2, g3) block order is sorted once: it is the same in every
+    slab. A refine sweep gives every candidate a verdict, since each
+    shares most of its terms with the point; those whose objective is
+    below the current point's are never accepted (``_compass_refine``).
     Each call keeps one memo, and nothing is kept between calls: the
     refine's sweeps by state (point, shrinks), since refines started in
     different slabs join the same trajectories (``_compass_refine``).
@@ -183,26 +185,29 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     corner_flags = tuple(float(x) for x in fz.case_params(case).signs)
     flag_pairs = list(product(flag_axis[::-1], repeat=2))    # descending
 
+    # the (g2, g3) blocks of a gamma1 slab in descending (obj(gammas),
+    # gammas) order, the same in every slab: the objective is g2 + g3,
+    # which gamma1 does not change, or gamma1, constant in a slab
+    blocks = sorted(product(gamma_axis, repeat=2),
+                    key=lambda block: (obj((0.0,) + block), block), reverse=True)
     slab_best = []
     for g1 in gamma_axis:
         # best feasible point in this gamma1 slab, by (objective, point):
-        # the first block in descending (obj(gammas), gammas) order that
-        # is feasible at the corner flags, paired with its largest flags
-        blocks = sorted(((g1, g2, g3) for g2 in gamma_axis for g3 in gamma_axis),
-                        key=lambda gammas: (obj(gammas), gammas), reverse=True)
-        gammas = next((b for b in blocks if kernel.slack(b + corner_flags) is not None), None)
-        if gammas is not None:
+        # the first block that is feasible at the corner flags, paired
+        # with its largest feasible flags
+        block = next((b for b in blocks if kernel.slack((g1,) + b + corner_flags) is not None),
+                     None)
+        if block is not None:
+            gammas = (g1,) + block
             top = next(f for f in flag_pairs if kernel.slack(gammas + f) is not None)
             slab_best.append((obj(gammas), gammas + top))
     if not slab_best:
         raise AssertionError("grid found no feasible point (gamma = 0 is always feasible)")
 
-    lo = [0.0] * 3 + [-1.0] * 2
-    hi = [1.0] * 5
     cell = [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * 2
 
     sweeps = {}
-    ends = [_compass_refine(start, obj, kernel.slack, lo, hi, cell, iterations, sweeps)
+    ends = [_compass_refine(start, obj, kernel, cell, iterations, sweeps)
             for _, start in sorted(slab_best, reverse=True)]
     evaluations += sum(n_ev for _, _, n_ev in ends)
     best_val, best_point = max(slab_best + [end[:2] for end in ends])
@@ -213,39 +218,37 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
                       meta={"resolution": resolution, "iterations": iterations})
 
 
-def _compass_refine(start, obj, slack, lo, hi, cell, iterations, sweeps=None):
+def _compass_refine(start, obj, kernel, cell, iterations, sweeps=None):
     """Coordinate-wise pattern search, step halving on stall.
 
-    ``slack(point)`` gives ``ArrowKernel.slack``: the Schur complement of
-    M + t*I at a feasible point, else None. A move is accepted when it
+    ``kernel`` is the search's ``ArrowKernel``: ``kernel.slack(point)`` is
+    the Schur complement of M + t*I at a feasible point, else None, and
+    ``kernel.sweep(point, steps)`` gives one sweep's compass candidates in
+    the kernel's box, each with its slack. A move is accepted when it
     improves the objective, or keeps it equal while strictly improving
     the PSD slack (flat coordinates would be frozen otherwise). Both
     orders strictly increase, so no cycling. The chosen move is the
     feasible candidate with the largest (objective, slack, point), a
     running max over one pass of the candidates; candidates with a lower
-    objective than the current point can never be accepted, so they get
-    no verdict.
+    objective than the current point can never be accepted, so they are
+    skipped.
 
     ``sweeps`` memoises single sweeps: it maps the state (point, shrinks)
     at the start of a sweep to the walk's whole state after it, (point,
     shrinks, steps, value, slack, candidates considered), the steps
     halved only after a stall. A sweep is a pure function of its state,
     since the steps are ``cell`` halved ``shrinks`` times, so one dict
-    may be shared by any calls with the same ``obj``, ``slack`` and box
-    (``lo``, ``hi``, ``cell``); unlike the rest of a walk, a sweep
-    depends on neither ``iterations`` nor ``MAX_SWEEPS``. A sweep found
-    in the dict is replayed: it adds its candidates to the count and
-    counts against ``MAX_SWEEPS`` as a computed one does, so every walk
-    returns what it would without the dict. Without ``sweeps`` the call
-    keeps its own.
+    may be shared by any calls with the same ``obj``, ``kernel`` and
+    ``cell``; unlike the rest of a walk, a sweep depends on neither
+    ``iterations`` nor ``MAX_SWEEPS``. A sweep found in the dict is
+    replayed: it adds its candidates to the count and counts against
+    ``MAX_SWEEPS`` as a computed one does, so every walk returns what it
+    would without the dict. Without ``sweeps`` the call keeps its own.
     """
     point = tuple(start)
     value = obj(point)
-    point_slack = slack(point)
+    point_slack = kernel.slack(point)
     steps = list(cell)
-    moves = [((d, sgn),) for d in range(len(point)) for sgn in (1.0, -1.0)]
-    # paired gamma2/gamma3 moves walk the symmetric ridge directly
-    moves += [((1, s2), (2, s3)) for s2 in (1.0, -1.0) for s3 in (1.0, -1.0)]
     if sweeps is None:
         sweeps = {}
     shrinks = 0
@@ -258,24 +261,17 @@ def _compass_refine(start, obj, slack, lo, hi, cell, iterations, sweeps=None):
             # the largest feasible (objective, slack, cand) not below value;
             # () compares below every such triple
             best = ()
-            considered = 0
-            for move in moves:
-                cand = list(point)
-                for d, sgn in move:
-                    cand[d] = _clamp(cand[d] + sgn * steps[d], lo[d], hi[d])
-                cand = tuple(cand)
-                if cand == point:
-                    continue
-                considered += 1
+            candidates = kernel.sweep(point, steps)
+            for cand, e in candidates:
                 v = obj(cand)
-                if v >= value and (e := slack(cand)) is not None and (v, e, cand) > best:
+                if v >= value and e is not None and (v, e, cand) > best:
                     best = v, e, cand
             if best and (best[0] > value or best[1] > point_slack + 1e-15):
                 v, e, cand = best
-                after = (cand, shrinks, steps, v, e, considered)
+                after = (cand, shrinks, steps, v, e, len(candidates))
             else:           # a stall
                 after = (point, shrinks + 1, [s_ / 2.0 for s_ in steps],
-                         value, point_slack, considered)
+                         value, point_slack, len(candidates))
             sweeps[point, shrinks] = after
         point, shrinks, steps, value, point_slack, considered = after
         evals += considered

@@ -4,7 +4,8 @@ The reference is the per-point route the search used before the kernel:
 assemble M in complex arithmetic and test ``hermitian3_eigvals(M)[0]``
 against the kernel's margin -t, t = ``DEFAULT_TOL`` / 2. The kernel's
 determinant verdict must reproduce every one of its verdicts on the
-search grids, and its slack is the Schur complement of M + t*I.
+search grids, and its slack is the Schur complement of M + t*I. A
+refine sweep's candidates get the slack ``slack`` gives each of them.
 """
 import itertools
 import math
@@ -95,6 +96,31 @@ def corner_flags(case):
     return tuple(float(x) for x in case_params(case).signs)
 
 
+#: the search box: each gamma in [0, 1], both flags in [-1, 1]
+BOX_LO, BOX_HI = (0.0,) * 3 + (-1.0,) * 2, (1.0,) * 5
+
+
+def _clamp(x, lo, hi):
+    return lo if x < lo else hi if x > hi else x
+
+
+def compass_candidates(point, steps, lo, hi):
+    """A pattern-search sweep's candidates around ``point``: each coordinate
+    moved by +-its step, then gamma2 and gamma3 together by (+-, +-), each
+    coordinate clamped to [lo, hi]; those the clamp leaves at the point
+    are dropped."""
+    moves = [((d, sgn),) for d in range(len(point)) for sgn in (1.0, -1.0)]
+    moves += [((1, s2), (2, s3)) for s2 in (1.0, -1.0) for s3 in (1.0, -1.0)]
+    cands = []
+    for move in moves:
+        cand = list(point)
+        for d, sgn in move:
+            cand[d] = _clamp(cand[d] + sgn * steps[d], lo[d], hi[d])
+        if tuple(cand) != tuple(point):
+            cands.append(tuple(cand))
+    return cands
+
+
 @pytest.mark.parametrize("resolution", [8, 9, 10])
 @pytest.mark.parametrize("case", CASES)
 def test_real_grid_verdicts_match_closed_form(case, resolution):
@@ -157,23 +183,65 @@ def test_grid_phase_finds_the_exhaustive_grid_maximum(case, resolution):
 @pytest.mark.parametrize("case", CASES)
 def test_search_asks_only_about_points_in_the_box(case, monkeypatch):
     # the kernel does not check the flags' modulus: every point the search
-    # hands it, on the grid and in the refine, has each gamma in [0, 1]
-    # and both flags in [-1, 1]
-    slack = ArrowKernel.slack
-    asked = 0
+    # hands it, on the grid and in the refine, and every refine candidate
+    # its sweeps return has each gamma in [0, 1] and both flags in [-1, 1]
+    slack, sweep = ArrowKernel.slack, ArrowKernel.sweep
+    asked = swept = 0
 
-    def in_box(self, point):
+    def check(point):
         nonlocal asked
         asked += 1
         assert all(0.0 <= g <= 1.0 for g in point[:3]), point
         assert all(-1.0 <= f <= 1.0 for f in point[3:]), point
+
+    def slack_in_box(self, point):
+        check(point)
         return slack(self, point)
 
-    monkeypatch.setattr(ArrowKernel, "slack", in_box)
+    def sweep_in_box(self, point, steps):
+        nonlocal swept
+        swept += 1
+        check(point)
+        got = sweep(self, point, steps)
+        for cand, _ in got:
+            check(cand)
+        return got
+
+    monkeypatch.setattr(ArrowKernel, "slack", slack_in_box)
+    monkeypatch.setattr(ArrowKernel, "sweep", sweep_in_box)
     for objective in ("gamma23", "gamma1"):
         for resolution, iterations in ((8, 0), (9, 40), (12, 80)):
             numeric_search(case, objective, resolution=resolution, iterations=iterations)
-    assert asked > 0
+    assert asked > 0 and swept > 0
+
+
+@st.composite
+def sweep_setups(draw):
+    """A kernel, a point of the box and a refine sweep's steps: each
+    coordinate a grid value, a box edge or any value in the box, and the
+    steps ``cell`` at a resolution halved 0 to 40 times."""
+    kernel = ArrowKernel(draw(st.sampled_from(CASES)))
+    resolution = draw(st.integers(8, 12))
+    gamma_axis, flag_axis = axes(resolution)
+    point = tuple(draw(st.one_of(st.sampled_from(axis), st.sampled_from((lo, hi)),
+                                 st.floats(lo, hi)))
+                  for axis, lo, hi in zip([gamma_axis] * 3 + [flag_axis] * 2,
+                                          BOX_LO, BOX_HI))
+    cell = [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * 2
+    shrinks = draw(st.integers(0, 40))
+    return kernel, point, [s / 2.0 ** shrinks for s in cell]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(setup=sweep_setups())
+def test_sweep_gives_each_candidate_its_slack(setup):
+    # the sweep's candidates are the exhaustive refine's, in its order,
+    # and each slack is slack(cand) to the bit, None included (repr tells
+    # signed zeros apart)
+    kernel, point, steps = setup
+    want = [(cand, kernel.slack(cand))
+            for cand in compass_candidates(point, steps, BOX_LO, BOX_HI)]
+    assert repr(kernel.sweep(point, steps)) == repr(want)
 
 
 def boundary_points(case):

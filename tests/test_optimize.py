@@ -16,10 +16,10 @@ from probclone.feasibility import (ArrowKernel, EfficiencyVector, FlagOverlaps,
                                    intersection_x0, is_psd, reduce, s_cap,
                                    vw_boundary)
 from probclone._exact import surd_text
-from probclone.optimize import (_clamp, _compass_refine, _objective_fn,
-                                analytic_optimum, equal_gamma_optimum, numeric_search)
+from probclone.optimize import (_compass_refine, _objective_fn, analytic_optimum,
+                                equal_gamma_optimum, numeric_search)
 from probclone.phasestate import case_gram
-from test_kernel import check_slack
+from test_kernel import check_slack, compass_candidates
 
 
 def test_case_gram_matches_display():
@@ -262,26 +262,18 @@ def test_slack_is_the_schur_complement_of_the_point_api_matrix():
 
 def exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations):
     """Reference pattern search for ``_compass_refine``: every candidate
-    gets a kernel verdict, and nothing is memoised."""
+    gets a ``kernel.slack`` verdict, and nothing is memoised."""
     point = tuple(start)
     value = obj(point)
     slack = kernel.slack(point)
     steps = list(cell)
-    moves = [((d, sgn),) for d in range(len(point)) for sgn in (1.0, -1.0)]
-    moves += [((1, s2), (2, s3)) for s2 in (1.0, -1.0) for s3 in (1.0, -1.0)]
     shrinks = 0
     evals = 0
     sweeps = 0
     while shrinks < iterations and sweeps < optimize.MAX_SWEEPS:
         sweeps += 1
         best_move = None
-        for move in moves:
-            cand = list(point)
-            for d, sgn in move:
-                cand[d] = _clamp(cand[d] + sgn * steps[d], lo[d], hi[d])
-            cand = tuple(cand)
-            if cand == point:
-                continue
+        for cand in compass_candidates(point, steps, lo, hi):
             evals += 1
             eig = kernel.slack(cand)
             if eig is None:
@@ -351,7 +343,7 @@ def test_pruned_search_matches_exhaustive(setup):
     # the refine that skips verdicts finds what the exhaustive one does,
     # with the same evaluation count
     want = exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations)
-    assert _compass_refine(start, obj, kernel.slack, lo, hi, cell, iterations) == want
+    assert _compass_refine(start, obj, kernel, cell, iterations) == want
 
 
 def _walk_with_shared_sweeps(setup):
@@ -362,8 +354,7 @@ def _walk_with_shared_sweeps(setup):
     sweeps = {}
     for start in starts:
         want = exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations)
-        assert _compass_refine(start, obj, kernel.slack, lo, hi, cell, iterations,
-                               sweeps) == want
+        assert _compass_refine(start, obj, kernel, cell, iterations, sweeps) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -383,7 +374,7 @@ def test_shared_sweeps_keep_the_sweep_cap(setup, data):
     # later walk draws its own shrink budget: a sweep does not depend on it
     kernel, obj, start, (lo, hi, cell), iterations = setup
     trail = {}
-    _compass_refine(start, obj, kernel.slack, lo, hi, cell, iterations, trail)
+    _compass_refine(start, obj, kernel, cell, iterations, trail)
     total = len(trail)      # a walk never sweeps one state twice
     later = [point for point, shrinks in trail if shrinks == 0 and point != start]
     assume(later)
@@ -394,8 +385,7 @@ def test_shared_sweeps_keep_the_sweep_cap(setup, data):
         mp.setattr(optimize, "MAX_SWEEPS", data.draw(st.integers(1, total)))
         for point, budget in data.draw(st.permutations(walks)):
             want = exhaustive_refine(point, obj, kernel, lo, hi, cell, budget)
-            assert _compass_refine(point, obj, kernel.slack, lo, hi, cell, budget,
-                                   sweeps) == want
+            assert _compass_refine(point, obj, kernel, cell, budget, sweeps) == want
 
 
 @pytest.mark.parametrize("case", ("3bit", "2bit"))
@@ -414,8 +404,8 @@ def test_shared_sweeps_leave_the_search_report_unchanged(case, objective,
     refine = optimize._compass_refine
 
     def unshared(*args):
-        assert isinstance(args[7], dict)
-        return refine(*args[:7], None)
+        assert isinstance(args[5], dict)
+        return refine(*args[:5], None)
     monkeypatch.setattr(optimize, "_compass_refine", unshared)
     assert reports() == shared
 
