@@ -89,7 +89,8 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     p_sim.add_argument("--seed", type=int, default=0,
                        help="Monte Carlo seed (default: 0)")
     p_sim.add_argument("--trials", type=int, default=100_000,
-                       help="Monte Carlo trials, at least 1 (default: 100000)")
+                       help=f"Monte Carlo trials, 1 to {gamesim.MAX_TRIALS} "
+                            "(default: 100000)")
     p_sim.add_argument("--strategy", choices=("noclone", "clone"), required=True)
     p_sim.add_argument("--gammas", default=None,
                        help="efficiencies for the clone strategy (p/q,p/q,p/q)")
@@ -229,6 +230,8 @@ def cmd_optimize(args) -> tuple[dict, int]:
 
 
 def cmd_simulate(args) -> tuple[dict, int]:
+    if not 1 <= args.trials <= gamesim.MAX_TRIALS:
+        raise ValueError(f"--trials must be 1 to {gamesim.MAX_TRIALS}")
     if args.strategy == "noclone":
         if args.gammas is not None:
             raise ValueError("--gammas applies to the clone strategy only")

@@ -1,15 +1,10 @@
 """Scores for the guessing task: closed forms and Monte Carlo simulation.
 
-Every branch of both strategies assumes a secret k, queries both
-candidates, measures their phase states in the basis ``candidates(k)``
-and reads off the pair-set guesses. Without cloning, k is the
-S2-compatible secret named by one classical query at input 0. That query
-assumes the XOR oracle |x>|y> -> |x>|y ^ f(x)>: a pure phase oracle
-returns only a global phase on |0>, which reveals nothing. With cloning:
-probabilistically clone the secret's phase state (success probability
-gamma per secret). A success gives perfect copies, so k is the secret
-itself and no guess errs; a failure gives nothing, and k is the S1-side
-secret.
+A strategy is its branch rows (``_branches``): for each secret f0, a row
+((p, k), ...) assuming secret k with probability p. Every branch queries
+both candidates, measures their phase states in the basis
+``candidates(k)`` and reads off the pair-set guesses. One exact mean
+(``_mean``) and one trial loop (``_run``) serve every strategy.
 
 The published closed forms for both strategies rest on a claimed
 "both guesses right by chance" term for the branch where the secret
@@ -21,18 +16,21 @@ compared; reports flag simulations that land more than three binomial
 standard deviations from the claimed score. Both read one per-case slot
 table keyed by (assumed secret, secret, candidate), whose exact outcome
 rows come from ``phasestate.measure``: the enumeration sums those rows.
-Exactly one outcome of each slot guesses right, so the simulator tests
-one uniform against that outcome's hit window, its stretch of the slot's
-float CDF. That is the verdict a lookup in the whole CDF gives for the
-same uniform, so the random stream and every result are those of
-sampling the whole CDF.
+A trial draws a branch uniform only for a secret with two or more
+branches. Exactly one outcome of each slot guesses right, so the
+simulator tests one uniform against that outcome's hit window, its
+stretch of the slot's float CDF. That is the verdict a lookup in the
+whole CDF gives for the same uniform, so the random stream and every
+result are those of sampling the whole CDF.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import sqrt
 from typing import NamedTuple
 
@@ -46,6 +44,8 @@ CLAIMED_GUESS_CHANCE = {"3bit": Fraction(1, 64), "2bit": Fraction(1, 16)}
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 _SEED_MASK = (1 << 64) - 1
 _BLOCK = 10_000
+#: 6-7 s of ``simulate`` at 0.6-0.7 us per trial (Python 3.11, 2 vCPUs)
+MAX_TRIALS = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +62,8 @@ class Slot(NamedTuple):
     window: tuple[float, float]
 
 
-def _assumed(fam, f0) -> tuple[int, int, int]:
-    """The secret k each branch assumes for secret f0, as truth tables:
-    (no cloning: the one the query names, clone succeeded: f0 itself,
-    clone failed: the S1-side one)."""
-    return fam.s2_f0_by_query[f0.evaluate(0)].table, f0.table, fam.s1_f0.table
-
-
 class _SlotTable:
-    """The measurement model of both strategies, keyed by assumed secret.
+    """The measurement model of every strategy, keyed by assumed secret.
 
     ``slots[k, f0][f]`` (truth tables), for all nine (assumed secret k,
     secret f0) pairs, is candidate f's state measured in the basis
@@ -113,9 +106,7 @@ class _SlotTable:
                     sum((s.p_hit for s in by_f.values()), Fraction(0)) / len(by_f))
 
 
-@lru_cache(maxsize=None)
-def _slot_table(case: str) -> _SlotTable:
-    return _SlotTable(case)
+_slot_table = lru_cache(maxsize=None)(_SlotTable)
 
 
 # ---------------------------------------------------------------------------
@@ -164,22 +155,44 @@ def _as_eff(eff) -> EfficiencyVector:
 # exact expectations of the simulated strategies
 # ---------------------------------------------------------------------------
 
+def _branches(case: str, eff=None) -> tuple:
+    """A strategy's branch rows, one per secret f0 in ``fam.s_f0`` order:
+    ((p, k), ...) assumes secret k (a truth table) with probability p.
+
+    No cloning (``eff`` None): one branch, the S2-compatible secret named
+    by one classical query at input 0. That query assumes the XOR oracle
+    |x>|y> -> |x>|y ^ f(x)>: a pure phase oracle returns only a global
+    phase on |0>, which reveals nothing. Cloning at efficiencies ``eff``:
+    the secret's phase state is cloned with probability gamma. A success
+    gives perfect copies, so k is f0 itself and no guess errs; a failure
+    gives nothing, and k is the S1-side secret. Both branches stay at
+    gamma 0 or 1, so the cloning coin is still drawn.
+    """
+    fam = family(case)
+    if eff is None:
+        return tuple(((1, fam.s2_f0_by_query[f0.evaluate(0)].table),)
+                     for f0 in fam.s_f0)
+    return tuple(((g, f0.table), (1 - g, fam.s1_f0.table))
+                 for f0, g in zip(fam.s_f0, _as_eff(eff)))
+
+
+def _mean(case: str, branches):
+    """Exact mean of a strategy: the mean over secrets f0 of their row's
+    sum of p * hit[k, f0]^2. Each row is summed first, then the rows, so
+    float efficiencies give the digits of the per-secret formula."""
+    fam, hit = family(case), _slot_table(case).hit
+    return sum(sum(p * hit[k, f0.table] * hit[k, f0.table] for p, k in row)
+               for f0, row in zip(fam.s_f0, branches)) / len(fam.s_f0)
+
+
 def score_no_clone_enumerated(case: str) -> Fraction:
     """Exact mean of the simulated no-cloning strategy (enumeration)."""
-    fam, hit = family(case), _slot_table(case).hit
-    return sum((hit[_assumed(fam, f0)[0], f0.table] ** 2 for f0 in fam.s_f0),
-               Fraction(0)) / len(fam.s_f0)
+    return _mean(case, _branches(case))
 
 
 def score_clone_enumerated(eff, case: str):
     """Exact mean of the simulated cloning strategy for efficiencies ``eff``."""
-    fam, hit = family(case), _slot_table(case).hit
-    eff = _as_eff(eff)
-    total = 0
-    for i, f0 in enumerate(fam.s_f0):
-        _, cloned, failed = (hit[k, f0.table] for k in _assumed(fam, f0))
-        total += eff[i] * cloned * cloned + (1 - eff[i]) * failed * failed
-    return total / len(fam.s_f0)
+    return _mean(case, _branches(case, eff))
 
 
 # ---------------------------------------------------------------------------
@@ -255,49 +268,49 @@ class ScoreReport:
         return data
 
 
-def _run(case: str, gammas: dict[int, float] | None, trials: int,
-         seed: int) -> tuple[int, int, int]:
-    """(wins, clone successes, failure-branch trials with the S1-side secret).
+def _run(case: str, branches, trials: int, seed: int) -> tuple[int, list[list[int]]]:
+    """(wins, counts) of the strategy ``branches``: ``counts[i][b]`` is the
+    number of trials in which secret i took branch b.
 
-    ``gammas`` maps each secret's truth table to its cloning efficiency;
-    None runs the no-cloning strategy, which draws no cloning coin.
     Trials run in fixed-size blocks, block i seeded from
     seed + i * _SEED_STRIDE, so the result depends only on (seed, trials).
-    Each trial draws its instance, then the cloning coin, then reads the
-    slots of the secret its branch assumes (``_assumed``): it measures
-    f1's slot and, only if that guess was right, f2's: one uniform per
-    slot, right iff it falls in the slot's hit window. A uniform u draws
-    outcome k of a CDF iff cdf[k-1] <= u < cdf[k], so the window test is
-    the CDF lookup's verdict, and both draw the same uniforms.
+    Each trial draws its instance. A secret with two or more branches then
+    draws one uniform and takes the branch ``bisect_right`` finds for it in
+    the floats of its row's exact running sums, the last one left out; a
+    secret with one branch draws and counts nothing. The trial measures
+    f1's slot of the branch's assumed secret and, only if that guess was
+    right, f2's: one uniform per slot, right iff it falls in the slot's
+    hit window, which is the verdict of a lookup in the slot's CDF.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}")
     fam, slots = family(case), _slot_table(case).slots
     sample = fam.sample_instance
-    s1_f0 = fam.s1_f0.table
-    cloned, fallback = {}, {}
-    for f0 in fam.s_f0:
-        noclone, on_clone, failed = _assumed(fam, f0)
-        cloned[f0.table] = slots[on_clone, f0.table]
-        fallback[f0.table] = slots[noclone if gammas is None else failed, f0.table]
-    wins = clones = s1_failures = 0
+    counts, plans = [], {}
+    for f0, row in zip(fam.s_f0, branches):
+        counts.append([0] * len(row))
+        cum = [float(acc) for acc in accumulate(p for p, _ in row[:-1])]
+        plans[f0.table] = cum, counts[-1], tuple(
+            {f: s.window for f, s in slots[k, f0.table].items()} for _, k in row)
+    wins = 0
     for i, start in enumerate(range(0, trials, _BLOCK)):
         rng = random.Random((seed + i * _SEED_STRIDE) & _SEED_MASK)
         draw = rng.random
         for _ in range(min(_BLOCK, trials - start)):
             inst = sample(rng)
-            f0 = inst.f0.table
-            if gammas is not None and draw() < gammas[f0]:
-                slots = cloned[f0]
-                clones += 1
-            else:
-                slots = fallback[f0]
-                s1_failures += f0 == s1_f0
-            lo, hi = slots[inst.f1.table].window
+            cum, taken, windows = plans[inst.f0.table]
+            b = 0
+            if cum:
+                b = bisect_right(cum, draw())
+                taken[b] += 1
+            by_f = windows[b]
+            lo, hi = by_f[inst.f1.table]
             if lo <= draw() < hi:
-                lo, hi = slots[inst.f2.table].window
+                lo, hi = by_f[inst.f2.table]
                 wins += lo <= draw() < hi
-    return wins, clones, s1_failures
+    return wins, counts
 
 
 def _finish_report(strategy, case, exact, enumerated, wins, trials, seed,
@@ -313,7 +326,7 @@ def _finish_report(strategy, case, exact, enumerated, wins, trials, seed,
 
 def simulate_no_clone(case: str, trials: int = 100_000, seed: int = 0) -> ScoreReport:
     """Monte Carlo of the no-cloning strategy; depends only on (seed, trials)."""
-    wins, _, _ = _run(case, None, trials, seed)
+    wins, _ = _run(case, _branches(case), trials, seed)
     return _finish_report("noclone", case, score_no_clone_exact(case),
                           score_no_clone_enumerated(case), wins, trials, seed)
 
@@ -326,8 +339,9 @@ def simulate_clone(eff, case: str, trials: int = 100_000, seed: int = 0) -> Scor
     """
     eff = _as_eff(eff)
     fam = family(case)
-    gammas = {f0.table: g for f0, g in zip(fam.s_f0, eff.as_floats())}
-    wins, clones, s1_failures = _run(case, gammas, trials, seed)
+    wins, counts = _run(case, _branches(case, eff), trials, seed)
+    clones = sum(taken[0] for taken in counts)
+    s1_failures = counts[fam.s_f0.index(fam.s1_f0)][1]
     inter = clone_intermediates(eff)
     posterior = inter["posterior"]
     return _finish_report(

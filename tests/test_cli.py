@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import probclone
-from probclone import cli, feasibility, optimize
+from probclone import cli, feasibility, gamesim, optimize
 from probclone._exact import parse_rational
 from probclone.phasestate import case_gram
 from probclone.cli import main, render
@@ -677,6 +677,16 @@ def test_dispatch_rejects_unknown_options_with_the_command_usage(capsys):
 def test_run_config_invariants(capsys):
     code, _, err = run_cli(capsys, "simulate", "--strategy", "noclone", "--trials", "0")
     assert code == 2 and "trials" in err
+
+
+def test_trials_past_the_bound_exit_2_naming_the_option(capsys, monkeypatch):
+    # refused before a single trial runs
+    monkeypatch.setattr(gamesim, "_run", None)
+    for strategy in (("noclone",), ("clone", "--gammas", "1/2,1/2,1/2")):
+        code, out, err = run_cli(capsys, "simulate", "--strategy", *strategy,
+                                 "--trials", "10000000001")
+        assert code == 2 and out == ""
+        assert err == f"error: --trials must be 1 to {gamesim.MAX_TRIALS}\n"
 
 
 @pytest.mark.parametrize("case", ["3bit", "2bit"])

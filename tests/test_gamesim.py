@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from probclone import gamesim
 from probclone.feasibility import EfficiencyVector
-from probclone.funcspace import TaskInstance, family
+from probclone.funcspace import TaskFamily, TaskInstance, family
 from probclone.gamesim import (CLAIMED_GUESS_CHANCE, _slot_table,
                                clone_intermediates, score_clone_enumerated,
                                score_clone_exact, score_no_clone_enumerated,
@@ -136,6 +136,46 @@ def test_cloning_breaks_even_at_unit_gamma_sum(case, gammas, margins):
         assert (published, enumerated) == margins
 
 
+def literal_score_clone_enumerated(eff, case):
+    """The cloning mean as the per-secret formula eff*c*c + (1 - eff)*f*f,
+    c and f the hit chances after a successful and a failed clone."""
+    fam, hit = family(case), _slot_table(case).hit
+    total = 0
+    for i, f0 in enumerate(fam.s_f0):
+        cloned, failed = hit[f0.table, f0.table], hit[fam.s1_f0.table, f0.table]
+        total += eff[i] * cloned * cloned + (1 - eff[i]) * failed * failed
+    return total / len(fam.s_f0)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=st.sampled_from(("3bit", "2bit")), gammas=st.tuples(_GAMMA, _GAMMA, _GAMMA))
+def test_clone_enumerated_keeps_every_digit(case, gammas):
+    # the mean over branch rows equals the per-secret formula: the same
+    # Fraction, or a float with the same repr
+    eff = EfficiencyVector(gammas)
+    got, want = score_clone_enumerated(eff, case), literal_score_clone_enumerated(eff, case)
+    assert type(got) is type(want) and repr(got) == repr(want)
+
+
+_MEAN_ROW = st.lists(st.tuples(st.fractions(0, 1, max_denominator=1000), st.integers(0, 2)),
+                     min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(("3bit", "2bit")), rows=st.tuples(*[_MEAN_ROW] * 3))
+def test_mean_is_the_direct_sum(case, rows):
+    """``_mean`` of any rational rows is sum(p * hit^2) / 3, with each hit
+    chance averaged directly from the slots' p_hit."""
+    fam, slots = family(case), _slot_table(case).slots
+    branches = tuple(tuple((p, fam.s_f0[k].table) for p, k in row) for row in rows)
+    direct = F(0)
+    for f0, row in zip(fam.s_f0, branches):
+        for p, k in row:
+            by_f = slots[k, f0.table]
+            direct += p * (sum(s.p_hit for s in by_f.values()) / len(by_f)) ** 2
+    assert gamesim._mean(case, branches) == direct / 3
+
+
 def test_wrong_branch_chance_measured_not_claimed():
     """Direct exact computation of the wrong-branch both-right probability:
     equals the claim for 2-bit, is 1/256 (not 1/64) for 3-bit."""
@@ -256,6 +296,17 @@ def test_trials_validation():
         simulate_clone(EfficiencyVector((2, 0, 0)), "3bit")
 
 
+def test_trials_past_the_bound_refused_before_any_trial(monkeypatch):
+    def no_trial(self, rng):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(TaskFamily, "sample_instance", no_trial)
+    for trials in (gamesim.MAX_TRIALS + 1, 10 ** 10):
+        with pytest.raises(ValueError, match=f"at most {gamesim.MAX_TRIALS}"):
+            simulate_no_clone("3bit", trials=trials)
+        with pytest.raises(ValueError, match=f"at most {gamesim.MAX_TRIALS}"):
+            simulate_clone(OPT2, "2bit", trials=trials)
+
+
 def test_score_report_json():
     r = simulate_clone(OPT2, "2bit", trials=10_000, seed=0)
     data = r.to_json()
@@ -331,34 +382,55 @@ def _ref_hits(fam, f0, f, basis, offset):
             for m in members]
 
 
-def _ref_run(case, eff_floats, trials, seed):
-    """(wins, clone successes, failures with the S1-side secret) of the
-    strategy (no cloning when ``eff_floats`` is None)."""
+def _ref_generic_plan(fam, k):
+    """The plan of a branch assuming secret k: measure in the basis
+    candidates(k) and guess the pair set of k ^ outcome."""
+    return ("s1" if fam.candidates(k) is fam.s1 else "s2", 0, k.table)
+
+
+def _ref_rows(fam, gammas):
+    """A named strategy's rows of (p, plan): no cloning when ``gammas`` is
+    None, else the cloning strategy at those exact efficiencies."""
+    if gammas is None:
+        return [((1, _ref_plan(fam, f0, "noclone")),) for f0 in fam.s_f0]
+    return [((g, _ref_plan(fam, f0, "cloned")), (1 - g, _ref_plan(fam, f0, "failed")))
+            for f0, g in zip(fam.s_f0, gammas)]
+
+
+def _ref_run(case, rows, trials, seed):
+    """(wins, counts) of the strategy whose row for secret i lists its
+    branches (p, plan): counts[i][b] counts the trials in which secret i
+    drew branch b. A row of two or more branches draws one uniform and
+    looks it up in the floats of its exact running sums."""
     fam, cdfs = family(case), _ref_cdfs(case)
+    cums = []
+    for row in rows:
+        acc, cum = F(0), []
+        for p, _ in row[:-1]:
+            acc += F(p)
+            cum.append(float(acc))
+        cums.append(cum)
 
     def right(f0, f, basis, shift, offset, rng):
         cum, _ = cdfs[(basis, shift ^ f.table)]
         k = min(bisect_right(cum, rng.random()), len(cum) - 1)
         return _ref_hits(fam, f0, f, basis, offset)[k]
 
-    wins = clones = s1_failures = 0
+    wins, counts = 0, [[0] * len(row) for row in rows]
     for i, start in enumerate(range(0, trials, 10_000)):
         rng = random.Random((seed + i * 0x9E3779B97F4A7C15) & ((1 << 64) - 1))
         for _ in range(min(10_000, trials - start)):
-            f0 = fam.s_f0[rng.randrange(len(fam.s_f0))]
+            j = rng.randrange(len(fam.s_f0))
+            f0 = fam.s_f0[j]
             cand = fam.candidates(f0)
             f1, f2 = (cand[rng.randrange(len(cand))] for _ in range(2))
-            if eff_floats is None:
-                branch = "noclone"
-            elif rng.random() < eff_floats[fam.s_f0.index(f0)]:
-                branch = "cloned"
-                clones += 1
-            else:
-                branch = "failed"
-                s1_failures += f0 == fam.s1_f0
-            plan = _ref_plan(fam, f0, branch)
+            b = 0
+            if len(rows[j]) > 1:
+                b = bisect_right(cums[j], rng.random())
+                counts[j][b] += 1
+            plan = rows[j][b][1]
             wins += all(right(f0, f, *plan, rng) for f in (f1, f2))
-    return wins, clones, s1_failures
+    return wins, counts
 
 
 def _assert_window_is_lookup(window, cdf, hits):
@@ -376,11 +448,13 @@ def test_hit_window_is_the_cdf_lookup():
     """For every (k, f0) slot of both cases the row is the reference
     distribution of f's state in the basis candidates(k), and the hit
     window gives the verdict of looking a uniform up in its CDF. Each
-    branch's lookup gives, for every uniform, the verdict of that branch's
-    reference plan, as the three separate branches had it."""
+    strategy's branch row for f0 assumes the secret of its reference
+    plan, and each branch's lookup gives, for every uniform, the verdict
+    of that plan, as the three separate branches had it."""
     for case in ("2bit", "3bit"):
         fam, table = family(case), _slot_table(case)
-        for f0 in fam.s_f0:
+        noclone, clone = gamesim._branches(case), gamesim._branches(case, OPT2)
+        for i, f0 in enumerate(fam.s_f0):
             for k in fam.s_f0:
                 basis = "s1" if fam.candidates(k) is fam.s1 else "s2"
                 for f in fam.candidates(f0):
@@ -395,7 +469,13 @@ def test_hit_window_is_the_cdf_lookup():
                                              _ref_hits(fam, f0, f, basis, k.table))
             assumed = {"noclone": fam.s2_f0_by_query[f0.evaluate(0)].table,
                        "cloned": f0.table, "failed": fam.s1_f0.table}
-            assert gamesim._assumed(fam, f0) == tuple(assumed.values())
+            # the plan measures shift ^ f and guesses the pair set of
+            # offset ^ outcome, so it assumes the secret shift ^ offset
+            assert assumed == {branch: shift ^ offset for branch in assumed
+                               for _, shift, offset in [_ref_plan(fam, f0, branch)]}
+            assert noclone[i] == ((1, assumed["noclone"]),)
+            assert clone[i] == ((OPT2[i], assumed["cloned"]),
+                                (1 - OPT2[i], assumed["failed"]))
             for branch, k in assumed.items():
                 basis, shift, offset = _ref_plan(fam, f0, branch)
                 for f in fam.candidates(f0):
@@ -443,19 +523,50 @@ _gamma = st.fractions(min_value=0, max_value=1, max_denominator=200)
 @given(case=st.sampled_from(("2bit", "3bit")),
        gammas=st.none() | st.tuples(_gamma, _gamma, _gamma),
        seed=st.integers(-2 ** 63, 2 ** 64), trials=st.integers(1, 20_000))
+@example(case="3bit", gammas=(F(0),) * 3, seed=7, trials=5000)
+@example(case="2bit", gammas=(F(0),) * 3, seed=-7, trials=5000)
+@example(case="3bit", gammas=(F(1),) * 3, seed=8, trials=5000)
+@example(case="2bit", gammas=(F(1),) * 3, seed=2 ** 64, trials=5000)
 def test_simulation_matches_object_level_reference(case, gammas, seed, trials):
+    fam = family(case)
     if gammas is None:
         r = simulate_no_clone(case, trials=trials, seed=seed)
-        eff_floats = None
     else:
-        eff = EfficiencyVector(gammas)
-        r = simulate_clone(eff, case, trials=trials, seed=seed)
-        eff_floats = eff.as_floats()
-    wins, clones, s1_failures = _ref_run(case, eff_floats, trials, seed)
+        r = simulate_clone(EfficiencyVector(gammas), case, trials=trials, seed=seed)
+    wins, counts = _ref_run(case, _ref_rows(fam, gammas), trials, seed)
     assert r.simulated == wins / trials
     if gammas is not None:
-        assert r.p_success.count == clones
+        assert r.p_success.count == sum(c[0] for c in counts)
+        s1_failures = counts[fam.s_f0.index(fam.s1_f0)][1]
         assert (r.posterior.count if r.posterior else 0) == s1_failures
+
+
+#: a branch row as (weights, secret indices): 1 to 3 branches, the weights
+#: not all zero, so p = weight / sum(weights) is rational and sums to 1
+_ROW = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any),
+    st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(("2bit", "3bit")), rows=st.tuples(_ROW, _ROW, _ROW),
+       seed=st.integers(-2 ** 63, 2 ** 64), trials=st.integers(1, 12_000))
+@example(case="3bit", rows=(([1, 2, 3], [0, 1, 2]),) * 3, seed=0, trials=3000)
+@example(case="2bit", rows=(([0, 1, 0], [2, 0, 1]), ([5], [1]), ([1, 1], [0, 0])),
+         seed=1, trials=3000)
+def test_run_matches_reference_on_any_branch_rows(case, rows, seed, trials):
+    """``_run`` on rows of one, two and three branches, each assuming any
+    secret with a rational probability, gives the reference's wins and
+    per-branch counts, zero-probability branches included."""
+    fam = family(case)
+    branches, ref_rows = [], []
+    for weights, ks in rows:
+        ps = [F(w, sum(weights)) for w in weights]
+        branches.append(tuple((p, fam.s_f0[k].table) for p, k in zip(ps, ks)))
+        ref_rows.append(tuple((p, _ref_generic_plan(fam, fam.s_f0[k]))
+                              for p, k in zip(ps, ks)))
+    assert gamesim._run(case, tuple(branches), trials, seed) == _ref_run(
+        case, ref_rows, trials, seed)
 
 
 # ---------------------------------------------------------------------------
