@@ -53,19 +53,31 @@ def exact_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
+#: the largest trial divisor ``surd_text`` tries on its radicand
+SURD_TRIAL_BOUND = 1000
+
+
 def surd_text(p: Fraction, disc: Fraction, r: Fraction) -> str:
     """(p - sqrt(disc)) / r for rationals, as exact text.
 
     A fraction when disc is a perfect square, else "(A-B*sqrt(d))/C" with
-    integers A, B, C and d squarefree: disc = n/m in lowest terms gives
-    sqrt(disc) = k*sqrt(d)/m, where n*m = k^2 * d.
+    integers A, B, C and d: disc = n/m in lowest terms gives
+    sqrt(disc) = k*sqrt(d)/m, where n*m = k^2 * d. Trial division up to
+    ``SURD_TRIAL_BOUND`` moves square factors of n*m into k, and then the
+    cofactor, whose prime factors all exceed the bound, if it is a square.
+    The text is exact for every input; d is squarefree when that cofactor
+    has at most two prime factors, as it has whenever n*m < bound**3.
     """
-    root = exact_sqrt(disc)
-    if root is not None:
-        return str((p - root) / r)
-    nm = disc.numerator * disc.denominator
-    k = next(k for k in range(isqrt(nm), 0, -1) if nm % (k * k) == 0)
-    a, b = p / r, Fraction(k, disc.denominator) / r
+    k, d, rest = 1, 1, disc.numerator * disc.denominator
+    for f in range(2, min(SURD_TRIAL_BOUND, isqrt(rest)) + 1):
+        while rest % (f * f) == 0:
+            rest, k = rest // (f * f), k * f
+        if rest % f == 0:
+            rest, d = rest // f, d * f
+    if isqrt(rest) ** 2 == rest:
+        k, rest = k * isqrt(rest), 1
+    a, b = p / r, Fraction(k, disc.denominator) / r     # sqrt(disc) = k*sqrt(d*rest)/m
+    if d * rest == 1:
+        return str(a - b)
     den = lcm(a.denominator, b.denominator)
-    return f"({a * den}-{b * den}*sqrt({nm // (k * k)}))/{den}"
-
+    return f"({a * den}-{b * den}*sqrt({d * rest}))/{den}"

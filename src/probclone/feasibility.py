@@ -520,8 +520,8 @@ class ArrowKernel:
     as in ``_float_matrix``, the assembly of ``build_matrix``'s float
     route. Every point lies in the search box, each gamma in [0, 1] and
     both flags in [-1, 1]: the grid's flag axis ends at exactly -1 and 1
-    and the refine clamps every flag to that range, so the kernel does
-    not check the flags' modulus.
+    and the refine never moves a flag from the corner flags, so the kernel
+    does not check the flags' modulus.
 
     M is an arrow matrix (G_23 = 0). Let t = ``DEFAULT_TOL`` / 2, A = M + t*I
     and d_i = A_ii = 1 - gamma_i + t. Because d2, d3 > 0, Cauchy interlacing
@@ -575,35 +575,34 @@ class ArrowKernel:
         """One refine sweep's compass candidates around a point of the box,
         each with its ``slack``: a list of (candidate, slack or None).
 
-        The candidates are the moves of one coordinate by +-its step, then
-        the paired moves of gamma2 and gamma3 by (+-, +-), which walk the
-        symmetric ridge directly, in that order, each coordinate clamped to
-        the box; a candidate the clamp leaves at the point is left out. Each slack is the one ``slack(candidate)``
-        returns, to the bit: the point's diagonal d_i and M_1j are computed
-        once, a move recomputes only the terms it changes, and every term
-        and the determinant come from the float operations ``slack``
-        performs, in its order.
+        The candidates keep the point's flags. They are the moves of one
+        gamma by +-its step in ``steps``, then the paired moves of gamma2
+        and gamma3 by (+-, +-), which walk the symmetric ridge directly, in
+        that order, each gamma clamped to [0, 1]; a candidate the clamp
+        leaves at the point is left out. Each slack is the one
+        ``slack(candidate)`` returns, to the bit: the point's diagonal d_i
+        and M_1j are computed once, a move recomputes only the terms it
+        changes, and every term and the determinant come from the float
+        operations ``slack`` performs, in its order.
         """
         g1, g2, g3, a, c = point
-        h1, h2, h3, ha, hc = steps
+        h1, h2, h3 = steps
         t = DEFAULT_TOL / 2
         g12, g13, s12, s13 = self._g12, self._g13, self._s12, self._s13
-        t12 = math.sqrt(g1 * g2) * s12
-        t13 = math.sqrt(g1 * g3) * s13
-        u, w = g12 - t12 * a, g13 - t13 * c
+        u = g12 - math.sqrt(g1 * g2) * s12 * a
+        w = g13 - math.sqrt(g1 * g3) * s13 * c
         d1, d2, d3 = 1.0 - g1 + t, 1.0 - g2 + t, 1.0 - g3 + t
         uu, ww, d23 = u * u, w * w, d2 * d3
         d12 = d1 * d2
-        p, q, r = d12 * d3, uu * d3, ww * d2
         out = []
-        for x in _compass(g1, h1, 0.0, 1.0):     # d1, M_12 and M_13 move
+        for x in _compass(g1, h1):               # d1, M_12 and M_13 move
             if x != g1:
                 ux = g12 - math.sqrt(x * g2) * s12 * a
                 wx = g13 - math.sqrt(x * g3) * s13 * c
                 det = (1.0 - x + t) * d2 * d3 - ux * ux * d3 - wx * wx * d2
                 out.append(((x, g2, g3, a, c), None if det < 0 else det / d23))
         moved2 = []                              # d2 and M_12 move
-        for x in _compass(g2, h2, 0.0, 1.0):
+        for x in _compass(g2, h2):
             ux = g12 - math.sqrt(g1 * x) * s12 * a
             e, uux = 1.0 - x + t, ux * ux
             moved2.append((x, e, uux))
@@ -611,23 +610,13 @@ class ArrowKernel:
                 det = d1 * e * d3 - uux * d3 - ww * e
                 out.append(((g1, x, g3, a, c), None if det < 0 else det / (e * d3)))
         moved3 = []                              # d3 and M_13 move
-        for x in _compass(g3, h3, 0.0, 1.0):
+        for x in _compass(g3, h3):
             wx = g13 - math.sqrt(g1 * x) * s13 * c
             e, wwx = 1.0 - x + t, wx * wx
             moved3.append((x, e, wwx))
             if x != g3:
                 det = d12 * e - uu * e - wwx * d2
                 out.append(((g1, g2, x, a, c), None if det < 0 else det / (d2 * e)))
-        for x in _compass(a, ha, -1.0, 1.0):     # M_12 moves
-            if x != a:
-                ux = g12 - t12 * x
-                det = p - ux * ux * d3 - r
-                out.append(((g1, g2, g3, x, c), None if det < 0 else det / d23))
-        for x in _compass(c, hc, -1.0, 1.0):     # M_13 moves
-            if x != c:
-                wx = g13 - t13 * x
-                det = p - q - wx * wx * d2
-                out.append(((g1, g2, g3, a, x), None if det < 0 else det / d23))
         for x2, e2, uux in moved2:
             for x3, e3, wwx in moved3:
                 if x2 != g2 or x3 != g3:
@@ -636,11 +625,9 @@ class ArrowKernel:
         return out
 
 
-def _compass(x, step, lo, hi):
-    """x + step and x - step, each clamped to [lo, hi]."""
-    up, down = x + step, x - step
-    return (lo if up < lo else hi if up > hi else up,
-            lo if down < lo else hi if down > hi else down)
+def _compass(x, step):
+    """x + step and x - step, each clamped to [0, 1], for x in [0, 1], step >= 0."""
+    return min(x + step, 1.0), max(x - step, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -52,19 +52,12 @@ class BooleanFunction:
     @classmethod
     def from_bits(cls, bits: str) -> "BooleanFunction":
         """Build from a digit string, e.g. "01000000" (first digit = f(0))."""
-        if len(bits) == 4:
-            arity = 2
-        elif len(bits) == 8:
-            arity = 3
-        else:
+        arity = {4: 2, 8: 3}.get(len(bits))
+        if arity is None:
             raise ValueError(f"need 4 or 8 digits, got {bits!r}")
         if set(bits) - {"0", "1"}:
             raise ValueError(f"invalid digits in {bits!r}")
-        table = 0
-        for i, ch in enumerate(bits):
-            if ch == "1":
-                table |= 1 << i
-        return cls(arity, table)
+        return cls(arity, int(bits[::-1], 2))     # digit i is bit i
 
     @property
     def bits(self) -> str:
@@ -88,11 +81,7 @@ class BooleanFunction:
         return BooleanFunction(self.arity, self.table ^ other.table)
 
     def complement(self) -> "BooleanFunction":
-        return BooleanFunction(self.arity, self.table ^ (self.size_mask))
-
-    @property
-    def size_mask(self) -> int:
-        return (1 << self.size) - 1
+        return BooleanFunction(self.arity, self.table ^ ((1 << self.size) - 1))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ equal-efficiency optimum is the parabola-line intersection x0 at the same
 corner, a quadratic surd reported as exact text and certified in floats.
 The numeric route is an independent check: a coarse grid over
 (gamma1, gamma2, gamma3, P12, P13) with real flags, filtered by the PSD
-test, refined by coordinate-wise pattern search with shrinking steps.
+test, refined by pattern search with shrinking steps over Gamma alone.
 Both are reported side by side. The slice value is the optimum over all
 efficiencies and flags: by the sign-flag and symmetrisation lemmas in
 ``feasibility``, no flags beat the corner flags P_1j = sign(G_1j)
@@ -37,7 +37,7 @@ MAX_SWEEPS = 20000
 
 #: the largest grid resolution: each of resolution gamma1 slabs gets up to
 #: resolution**2 block verdicts and as many flag verdicts, so that
-#: ``optimize --mode numeric --resolution 200`` takes about 9 s (Python 3.11,
+#: ``optimize --mode numeric --resolution 200`` takes 4-5 s (Python 3.11.7,
 #: 2 vCPUs)
 MAX_RESOLUTION = 200
 
@@ -149,9 +149,14 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     verdict. The lemma holds for the computed determinant too, since the
     computed |M_1j| is smallest at sign(G_1j) and rounding is monotone.
     The (g2, g3) block order is sorted once: it is the same in every
-    slab. A refine sweep gives every candidate a verdict, since each
-    shares most of its terms with the point; those whose objective is
-    below the current point's are never accepted (``_compass_refine``).
+    slab. The grid and its resolution**5 count are unchanged by the
+    refine, which walks Gamma alone from each slab's best grid gammas at
+    the corner flags: there a flag move leaves the objective as it is
+    and, by the same monotone rounding, never raises the slack, so it
+    could never be accepted. A refine sweep gives every candidate a
+    verdict, since each shares most of its terms with the point; those
+    whose objective is below the current point's are never accepted
+    (``_compass_refine``).
     Each call keeps one memo, and nothing is kept between calls: the
     refine's sweeps by state (point, shrinks), since refines started in
     different slabs join the same trajectories (``_compass_refine``).
@@ -162,12 +167,11 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     not the kernel calls; a replayed sweep counts its candidates again,
     so the count is that of walking every slab in full.
 
-    The objective is flat in every coordinate except gamma2/gamma3 (or
-    gamma1), so the pattern search ranks moves by (objective, PSD slack)
+    The objective is flat in gamma1 (or gamma2 and gamma3), so the
+    pattern search ranks moves by (objective, PSD slack)
     lexicographically, the slack being the kernel's Schur complement:
     flat coordinates walk towards a larger one, away from the boundary
     where it is 0, which opens room for the next objective step.
-    Refinement starts from the best grid point at each gamma1 level.
     """
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
@@ -204,11 +208,11 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     if not slab_best:
         raise AssertionError("grid found no feasible point (gamma = 0 is always feasible)")
 
-    cell = [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * 2
+    cell = [1.0 / (resolution - 1)] * 3
 
     sweeps = {}
-    ends = [_compass_refine(start, obj, kernel, cell, iterations, sweeps)
-            for _, start in sorted(slab_best, reverse=True)]
+    ends = [_compass_refine(best[:3] + corner_flags, obj, kernel, cell, iterations, sweeps)
+            for _, best in sorted(slab_best, reverse=True)]
     evaluations += sum(n_ev for _, _, n_ev in ends)
     best_val, best_point = max(slab_best + [end[:2] for end in ends])
 
@@ -219,12 +223,12 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
 
 
 def _compass_refine(start, obj, kernel, cell, iterations, sweeps=None):
-    """Coordinate-wise pattern search, step halving on stall.
+    """Coordinate-wise pattern search over Gamma, step halving on stall.
 
     ``kernel`` is the search's ``ArrowKernel``: ``kernel.slack(point)`` is
     the Schur complement of M + t*I at a feasible point, else None, and
-    ``kernel.sweep(point, steps)`` gives one sweep's compass candidates in
-    the kernel's box, each with its slack. A move is accepted when it
+    ``kernel.sweep(point, steps)`` gives one sweep's compass candidates,
+    which keep ``start``'s flags, each with its slack. A move is accepted when it
     improves the objective, or keeps it equal while strictly improving
     the PSD slack (flat coordinates would be frozen otherwise). Both
     orders strictly increase, so no cycling. The chosen move is the
@@ -244,6 +248,9 @@ def _compass_refine(start, obj, kernel, cell, iterations, sweeps=None):
     replayed: it adds its candidates to the count and counts against
     ``MAX_SWEEPS`` as a computed one does, so every walk returns what it
     would without the dict. Without ``sweeps`` the call keeps its own.
+
+    A sweep with no candidate (every step below its gamma's ulp) ends
+    the walk unstored: steps only shrink, so every later one is empty too.
     """
     point = tuple(start)
     value = obj(point)
@@ -258,10 +265,12 @@ def _compass_refine(start, obj, kernel, cell, iterations, sweeps=None):
         walked += 1
         after = sweeps.get((point, shrinks))
         if after is None:
+            candidates = kernel.sweep(point, steps)
+            if not candidates:      # every step is below its gamma's ulp
+                break
             # the largest feasible (objective, slack, cand) not below value;
             # () compares below every such triple
             best = ()
-            candidates = kernel.sweep(point, steps)
             for cand, e in candidates:
                 v = obj(cand)
                 if v >= value and e is not None and (v, e, cand) > best:

@@ -370,8 +370,11 @@ def test_optimize_stdout_matches_golden(capsys, name, argv):
     # Linux, glibc libm), each with the numeric report's echoed "seed" and
     # meta "complex_flags" deleted since. Every numeric report was
     # regenerated when the kernel's margin became DEFAULT_TOL / 2 and its
-    # slack the Schur complement; the digits of the float fields depend on
-    # the platform's libm
+    # slack the Schur complement, and again when the refine began every
+    # walk at the corner flags and stopped moving a flag (the evaluation
+    # counts, and the last digits of the 3-bit r8 gamma23 and r10 values,
+    # gammas, flags and certificates); the digits of the float fields
+    # depend on the platform's libm
     code, out, err = run_cli(capsys, "optimize", *argv)
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.json").read_text()

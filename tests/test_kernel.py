@@ -98,6 +98,8 @@ def corner_flags(case):
 
 #: the search box: each gamma in [0, 1], both flags in [-1, 1]
 BOX_LO, BOX_HI = (0.0,) * 3 + (-1.0,) * 2, (1.0,) * 5
+#: the refine's box: it moves the gammas only, each in [0, 1]
+GAMMA_LO, GAMMA_HI = BOX_LO[:3], BOX_HI[:3]
 
 
 def _clamp(x, lo, hi):
@@ -105,11 +107,12 @@ def _clamp(x, lo, hi):
 
 
 def compass_candidates(point, steps, lo, hi):
-    """A pattern-search sweep's candidates around ``point``: each coordinate
-    moved by +-its step, then gamma2 and gamma3 together by (+-, +-), each
-    coordinate clamped to [lo, hi]; those the clamp leaves at the point
-    are dropped."""
-    moves = [((d, sgn),) for d in range(len(point)) for sgn in (1.0, -1.0)]
+    """A pattern-search sweep's candidates around ``point``: each of its
+    first len(steps) coordinates moved by +-its step, then gamma2 and
+    gamma3 together by (+-, +-), each moved coordinate clamped to
+    [lo, hi]; those the clamp leaves at the point are dropped. The other
+    coordinates are carried unchanged."""
+    moves = [((d, sgn),) for d in range(len(steps)) for sgn in (1.0, -1.0)]
     moves += [((1, s2), (2, s3)) for s2 in (1.0, -1.0) for s3 in (1.0, -1.0)]
     cands = []
     for move in moves:
@@ -184,7 +187,9 @@ def test_grid_phase_finds_the_exhaustive_grid_maximum(case, resolution):
 def test_search_asks_only_about_points_in_the_box(case, monkeypatch):
     # the kernel does not check the flags' modulus: every point the search
     # hands it, on the grid and in the refine, and every refine candidate
-    # its sweeps return has each gamma in [0, 1] and both flags in [-1, 1]
+    # its sweeps return has each gamma in [0, 1] and both flags in [-1, 1].
+    # Every walk starts at the corner flags and never moves a flag, so
+    # each swept point and candidate carries them
     slack, sweep = ArrowKernel.slack, ArrowKernel.sweep
     asked = swept = 0
 
@@ -202,9 +207,11 @@ def test_search_asks_only_about_points_in_the_box(case, monkeypatch):
         nonlocal swept
         swept += 1
         check(point)
+        assert point[3:] == corner_flags(case), point
         got = sweep(self, point, steps)
         for cand, _ in got:
             check(cand)
+            assert cand[3:] == point[3:], (point, cand)
         return got
 
     monkeypatch.setattr(ArrowKernel, "slack", slack_in_box)
@@ -217,9 +224,10 @@ def test_search_asks_only_about_points_in_the_box(case, monkeypatch):
 
 @st.composite
 def sweep_setups(draw):
-    """A kernel, a point of the box and a refine sweep's steps: each
-    coordinate a grid value, a box edge or any value in the box, and the
-    steps ``cell`` at a resolution halved 0 to 40 times."""
+    """A kernel, a point of the box and a refine sweep's three gamma
+    steps: each coordinate a grid value, a box edge or any value in the
+    box, the flags included, and the steps ``cell`` at a resolution halved
+    0 to 40 times."""
     kernel = ArrowKernel(draw(st.sampled_from(CASES)))
     resolution = draw(st.integers(8, 12))
     gamma_axis, flag_axis = axes(resolution)
@@ -227,7 +235,7 @@ def sweep_setups(draw):
                                  st.floats(lo, hi)))
                   for axis, lo, hi in zip([gamma_axis] * 3 + [flag_axis] * 2,
                                           BOX_LO, BOX_HI))
-    cell = [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * 2
+    cell = [1.0 / (resolution - 1)] * 3
     shrinks = draw(st.integers(0, 40))
     return kernel, point, [s / 2.0 ** shrinks for s in cell]
 
@@ -235,12 +243,12 @@ def sweep_setups(draw):
 @settings(max_examples=1500, deadline=None)
 @given(setup=sweep_setups())
 def test_sweep_gives_each_candidate_its_slack(setup):
-    # the sweep's candidates are the exhaustive refine's, in its order,
-    # and each slack is slack(cand) to the bit, None included (repr tells
-    # signed zeros apart)
+    # the sweep's candidates are the exhaustive refine's over the gammas,
+    # in its order, each carrying the point's flags, and each slack is
+    # slack(cand) to the bit, None included (repr tells signed zeros apart)
     kernel, point, steps = setup
     want = [(cand, kernel.slack(cand))
-            for cand in compass_candidates(point, steps, BOX_LO, BOX_HI)]
+            for cand in compass_candidates(point, steps, GAMMA_LO, GAMMA_HI)]
     assert repr(kernel.sweep(point, steps)) == repr(want)
 
 

@@ -6,20 +6,21 @@ import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from probclone import gamesim, optimize
 from probclone.feasibility import (ArrowKernel, EfficiencyVector, FlagOverlaps,
                                    build_matrix, case_params, corner,
-                                   intersection_x0, is_psd, reduce, s_cap,
-                                   vw_boundary)
-from probclone._exact import surd_text
+                                   intersection_x0, intersection_x0_text, is_psd,
+                                   reduce, s_cap, vw_boundary)
+from probclone._exact import SURD_TRIAL_BOUND, surd_text
 from probclone.optimize import (_compass_refine, _objective_fn, analytic_optimum,
                                 equal_gamma_optimum, numeric_search)
 from probclone.phasestate import case_gram
-from test_kernel import check_slack, compass_candidates
+from test_kernel import BOX_HI, BOX_LO, check_slack, compass_candidates
 
 
 def test_case_gram_matches_display():
@@ -261,8 +262,11 @@ def test_slack_is_the_schur_complement_of_the_point_api_matrix():
 
 
 def exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations):
-    """Reference pattern search for ``_compass_refine``: every candidate
-    gets a ``kernel.slack`` verdict, and nothing is memoised."""
+    """Reference pattern search for ``_compass_refine`` over the box
+    [lo, hi] of the first len(cell) coordinates: every candidate gets a
+    ``kernel.slack`` verdict, and nothing is memoised. With three steps
+    it walks the gammas as ``_compass_refine`` does; with five it also
+    moves both flags, 14 candidates a sweep."""
     point = tuple(start)
     value = obj(point)
     slack = kernel.slack(point)
@@ -294,27 +298,28 @@ def exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations):
 
 
 def _draw_refine_box(draw):
-    """A kernel, objective, grid axes and search box at a resolution, and a
-    shrink budget."""
+    """A kernel, objective, grid axes and the refine's gamma box at a
+    resolution, and a shrink budget. The flag axes are the grid's: a walk
+    carries its start's flags, whatever they are."""
     case = draw(st.sampled_from(("3bit", "2bit")))
     objective = draw(st.sampled_from(("gamma23", "gamma1")))
     resolution = draw(st.integers(8, 12))
     iterations = draw(st.integers(1, 40))
     gamma_axis = [i / (resolution - 1) for i in range(resolution)]
     flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]
-    box = ([0.0] * 3 + [-1.0] * 2, [1.0] * 5,
-           [1.0 / (resolution - 1)] * 3 + [2.0 / (resolution - 1)] * 2)
+    box = ([0.0] * 3, [1.0] * 3, [1.0 / (resolution - 1)] * 3)
     return (ArrowKernel(case), _objective_fn(objective),
             [gamma_axis] * 3 + [flag_axis] * 2, box, iterations)
 
 
 @st.composite
 def refine_setups(draw):
-    """A kernel, objective, search box at a resolution, shrink budget and
-    feasible start point in the box (grid values or arbitrary floats)."""
+    """A kernel, objective, gamma box at a resolution, shrink budget and
+    feasible start point: gammas in the box and flags in [-1, 1], each a
+    grid value or an arbitrary float."""
     kernel, obj, axes, box, iterations = _draw_refine_box(draw)
     start = tuple(draw(st.one_of(st.sampled_from(axis), st.floats(lo, hi)))
-                  for axis, lo, hi in zip(axes, *box[:2]))
+                  for axis, lo, hi in zip(axes, BOX_LO, BOX_HI))
     assume(kernel.slack(start) is not None)
     return kernel, obj, start, box, iterations
 
@@ -329,7 +334,7 @@ def shared_refine_setups(draw):
     centre = [draw(st.integers(0, len(axis) - 1)) for axis in axes]
     near = st.tuples(*(st.integers(max(i - 1, 0), min(i + 1, len(axis) - 1))
                        .map(axis.__getitem__) for i, axis in zip(centre, axes)))
-    anywhere = st.tuples(*(st.floats(lo, hi) for lo, hi in zip(*box[:2])))
+    anywhere = st.tuples(*(st.floats(lo, hi) for lo, hi in zip(BOX_LO, BOX_HI)))
     starts = draw(st.lists(st.one_of(near, anywhere), min_size=2, max_size=12))
     starts = [s for s in starts if kernel.slack(s) is not None][:6]
     assume(len(starts) >= 2)
@@ -388,6 +393,36 @@ def test_shared_sweeps_keep_the_sweep_cap(setup, data):
             assert _compass_refine(point, obj, kernel, cell, budget, sweeps) == want
 
 
+@st.composite
+def corner_refine_setups(draw):
+    """A kernel, objective, resolution, shrink budget and feasible start at
+    the corner flags, its gammas grid values or arbitrary floats in [0, 1]."""
+    case = draw(st.sampled_from(("3bit", "2bit")))
+    kernel, obj = ArrowKernel(case), _objective_fn(draw(st.sampled_from(optimize.OBJECTIVES)))
+    resolution = draw(st.integers(8, 13))
+    gamma_axis = [i / (resolution - 1) for i in range(resolution)]
+    gammas = tuple(draw(st.one_of(st.sampled_from(gamma_axis), st.floats(0.0, 1.0)))
+                   for _ in range(3))
+    start = gammas + tuple(float(x) for x in case_params(case).signs)
+    assume(kernel.slack(start) is not None)
+    return kernel, obj, resolution, draw(st.integers(1, 40)), start
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=corner_refine_setups())
+def test_flag_moves_change_no_walk_from_the_corner_flags(setup):
+    # the lemma the refine's gamma-only box rests on: a flag move leaves the
+    # objective as it is, and from the corner flags its computed slack is
+    # never above the point's, so it is never accepted. The 5-D walk that
+    # also moves both flags (14 candidates a sweep) ends where the gamma
+    # walk does; only its candidate count differs
+    kernel, obj, resolution, iterations, start = setup
+    cell = [1.0 / (resolution - 1)] * 3
+    flagged = exhaustive_refine(start, obj, kernel, BOX_LO, BOX_HI,
+                                cell + [2.0 / (resolution - 1)] * 2, iterations)
+    assert _compass_refine(start, obj, kernel, cell, iterations)[:2] == flagged[:2]
+
+
 @pytest.mark.parametrize("case", ("3bit", "2bit"))
 @pytest.mark.parametrize("objective", optimize.OBJECTIVES)
 def test_shared_sweeps_leave_the_search_report_unchanged(case, objective,
@@ -408,6 +443,31 @@ def test_shared_sweeps_leave_the_search_report_unchanged(case, objective,
         return refine(*args[:5], None)
     monkeypatch.setattr(optimize, "_compass_refine", unshared)
     assert reports() == shared
+
+
+@pytest.mark.parametrize("case", ("3bit", "2bit"))
+@pytest.mark.parametrize("objective", optimize.OBJECTIVES)
+def test_walks_end_once_every_step_is_below_its_ulp(case, objective, monkeypatch):
+    # a sweep with no candidate leaves every later sweep empty too, since
+    # steps only shrink: the walk ends there and stores no more sweeps. At
+    # 2,000 shrinks every step is already below its gamma's ulp, so a
+    # budget of 10**6 reports the same and memoises no more
+    refine = optimize._compass_refine
+    memos = []
+
+    def keep_memo(*args):
+        memos.append(args[5])
+        return refine(*args)
+    monkeypatch.setattr(optimize, "_compass_refine", keep_memo)
+    reports, sizes = [], []
+    for iterations in (2000, 10**6):
+        memos.clear()
+        report = numeric_search(case, objective, resolution=8, iterations=iterations).to_json()
+        assert report["meta"].pop("iterations") == iterations
+        reports.append(report)
+        sizes.append(max(len(memo) for memo in memos))
+    assert reports[0] == reports[1]
+    assert sizes[1] <= sizes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +516,51 @@ def test_surd_text_forms():
     # 288 = 12^2 * 2 and a perfect-square discriminant
     assert surd_text(F(1), F(288), F(1)) == "(1-12*sqrt(2))/1"
     assert surd_text(F(3), F(4), F(2)) == "1/2"
+
+
+SURD = re.compile(r"\((-?\d+)-(-?\d+)\*sqrt\((\d+)\)\)/(\d+)")
+
+
+def rationals(lo, hi):
+    """Fractions n/m with n in [lo, hi] and m in [1, hi], small or large."""
+    return st.builds(F, st.integers(lo, hi) | st.integers(max(lo, -30000), 30000),
+                     st.integers(1, hi) | st.integers(1, 30000))
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=rationals(-10**30, 10**30), r=rationals(-10**30, 10**30).filter(bool),
+       disc=rationals(1, 10**40))
+# a square of a prime above the trial bound, left for the cofactor test
+@example(p=F(0), disc=F(3 * 1009 ** 2), r=F(1))
+def test_surd_text_is_exact(p, disc, r):
+    # parsed back, (A - B*sqrt(d))/C is (p - sqrt(disc))/r: A/C = p/r and
+    # B/C = sqrt(disc)/r, so (B/C)^2 * d = disc/r^2 with B/C of r's sign
+    text = surd_text(p, disc, r)
+    parts = SURD.fullmatch(text)
+    if parts is None:
+        root = F(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+        assert root * root == disc and F(text) == (p - root) / r
+        return
+    a, b, d, c = map(int, parts.groups())
+    assert F(a, c) == p / r
+    assert F(b, c) ** 2 * d == disc / r ** 2 and (b > 0) == (r > 0)
+    if disc.numerator * disc.denominator < SURD_TRIAL_BOUND ** 3:
+        # the docstring's guarantee: d is squarefree
+        squares = np.arange(2, math.isqrt(d) + 1, dtype=np.int64) ** 2
+        assert not np.any(d % squares == 0), d
+
+
+def test_surd_text_of_a_large_radicand_returns_promptly():
+    # the square part of n*m = 55421888100506841682944 (76 bits) was once
+    # found by scanning k down from isqrt(n*m), about 2^38 steps
+    q, s = F(-469, 16032), F(1270509, 1280384)
+    start = time.perf_counter()
+    text = intersection_x0_text(q, s, "3bit")
+    assert time.perf_counter() - start < 1.0
+    assert text == "(632089570-14*sqrt(215628374381581))/636525009"
+    a, b, d, c = map(int, SURD.fullmatch(text).groups())
+    x0 = intersection_x0(q, s, "3bit")
+    assert abs((a - b * math.sqrt(d)) / c - x0) <= 1e-15
 
 
 def test_equal_gamma_corner_is_the_max():
