@@ -538,11 +538,16 @@ class ArrowKernel:
     closed-form lambda_min rounds by about 2.5e-16 near 0. t is read at
     call time, from the module's ``DEFAULT_TOL``.
 
-    ``slack`` is the verdict at one point. ``sweep`` gives the verdicts of
-    a refine sweep's compass candidates around a point, bit for bit those
-    of ``slack``, in one pass: a move of one or two coordinates changes
+    ``slack`` is the verdict at one point. Two more paths give verdicts
+    bit for bit those of ``slack``, each computing shared terms once.
+    ``sweep`` gives the verdicts of a refine sweep's compass candidates
+    around a point, in one pass: a move of one or two coordinates changes
     only the d_i and M_1j that depend on them, so the point's other
-    terms are computed once for all the candidates.
+    terms are computed once for all the candidates. ``first_block``
+    finds a grid slab's first feasible (gamma2, gamma3) block: in a slab
+    of fixed gamma1 and flags, d_i, M_12^2 and M_13^2 take one value per
+    grid gamma, so they are tabulated once and each block costs one
+    determinant.
     """
 
     def __init__(self, case: str):
@@ -623,6 +628,29 @@ class ArrowKernel:
                     det = d1 * e2 * e3 - uux * e3 - wwx * e2
                     out.append(((g1, x2, x3, a, c), None if det < 0 else det / (e2 * e3)))
         return out
+
+    def first_block(self, g1, axis, order, flags):
+        """The first block (axis[i2], axis[i3]), for (i2, i3) in ``order``,
+        at which ``slack((g1, axis[i2], axis[i3]) + flags)`` is not None, else
+        None. The point must lie in the search box (class docstring).
+
+        The d_i, M_12^2 and M_13^2 of every grid gamma are computed once
+        per call, from the float operations ``slack`` performs, in its
+        order; each block then costs one determinant, and its test
+        ``not det < 0`` is ``slack``'s verdict to the bit.
+        """
+        a, c = flags
+        t = DEFAULT_TOL / 2
+        g12, g13, s12, s13 = self._g12, self._g13, self._s12, self._s13
+        d1 = 1.0 - g1 + t
+        d = [1.0 - x + t for x in axis]
+        d1d = [d1 * e for e in d]
+        uu = [u * u for u in [g12 - math.sqrt(g1 * x) * s12 * a for x in axis]]
+        ww = [w * w for w in [g13 - math.sqrt(g1 * x) * s13 * c for x in axis]]
+        for i2, i3 in order:
+            if not d1d[i2] * d[i3] - uu[i2] * d[i3] - ww[i3] * d[i2] < 0:
+                return axis[i2], axis[i3]
+        return None
 
 
 def _compass(x, step):

@@ -6,9 +6,10 @@ real flags. The slice maximum of gamma2 there is exact rational and is
 certified by a feasibility matrix whose determinant is exactly zero. The
 equal-efficiency optimum is the parabola-line intersection x0 at the same
 corner, a quadratic surd reported as exact text and certified in floats.
-The numeric route is an independent check: a coarse grid over
-(gamma1, gamma2, gamma3, P12, P13) with real flags, filtered by the PSD
-test, refined by pattern search with shrinking steps over Gamma alone.
+The numeric route is an independent check: the best point of a coarse
+grid over (gamma1, gamma2, gamma3, P12, P13) with real flags, filtered
+by the PSD test, with only the verdicts computed that can decide it,
+refined by pattern search with shrinking steps over Gamma alone.
 Both are reported side by side. The slice value is the optimum over all
 efficiencies and flags: by the sign-flag and symmetrisation lemmas in
 ``feasibility``, no flags beat the corner flags P_1j = sign(G_1j)
@@ -36,9 +37,9 @@ OBJECTIVES = ("gamma23", "gamma1")
 MAX_SWEEPS = 20000
 
 #: the largest grid resolution: each of resolution gamma1 slabs gets up to
-#: resolution**2 block verdicts and as many flag verdicts, so that
-#: ``optimize --mode numeric --resolution 200`` takes 4-5 s (Python 3.11.7,
-#: 2 vCPUs)
+#: resolution**2 block verdicts, and a slab that ties the best walk end as
+#: many flag verdicts, so that ``optimize --mode numeric --resolution 200``
+#: takes 0.5-0.8 s (Python 3.11.7, 2 vCPUs)
 MAX_RESOLUTION = 200
 
 
@@ -128,35 +129,40 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     Deterministic for fixed arguments: ties are broken by lexicographic
     argmax over (objective, point). The flags are real (module docstring).
 
-    Every verdict comes from one ``feasibility.ArrowKernel``: ``slack``
-    gives a grid point's and the refine's start point's, and ``sweep`` a
-    whole refine sweep's candidates theirs in one pass. M is an arrow
-    matrix (G_23 = 0), so the PSD verdict is the sign of one determinant
-    of M + t*I, with t half of the fixed ``feasibility.DEFAULT_TOL``. The
-    reported optimum is certified with ``is_psd`` at the full margin, as
-    every reported optimum is (``_certified``).
+    Every verdict comes from one ``feasibility.ArrowKernel``:
+    ``first_block`` gives a grid slab's block verdicts from per-slab
+    tables, ``slack`` a flag walk's and the refine's start point's, and
+    ``sweep`` a whole refine sweep's candidates theirs in one pass, each
+    bit for bit what ``slack`` gives. M is an arrow matrix (G_23 = 0), so
+    the PSD verdict is the sign of one determinant of M + t*I, with t
+    half of the fixed ``feasibility.DEFAULT_TOL``. The reported optimum
+    is certified with ``is_psd`` at the full margin, as every reported
+    optimum is (``_certified``).
 
     On the grid only the verdicts that can change the result are
     computed. This rests on one fact: the objective depends only on the
     point, and on the grid only on the gammas. So the best point of a
-    gamma1 slab lies in the
-    first (g2, g3) block, in descending (objective, gammas) order, that
-    has a feasible flag, paired with that block's largest feasible flag.
-    By the sign-flag lemma, a block has a feasible flag iff it is
-    feasible at the corner flags sign(G_1j), so each block gets one
-    verdict there; the first feasible block's flags are then tried in
-    descending lexicographic order. Later blocks and flags get no
-    verdict. The lemma holds for the computed determinant too, since the
+    gamma1 slab lies in the first (g2, g3) block, in descending
+    (objective, gammas) order, that has a feasible flag, paired with
+    that block's largest feasible flag. By the sign-flag lemma, a block
+    has a feasible flag iff it is feasible at the corner flags
+    sign(G_1j), so each block gets one verdict there, and later blocks
+    none. The lemma holds for the computed determinant too, since the
     computed |M_1j| is smallest at sign(G_1j) and rounding is monotone.
     The (g2, g3) block order is sorted once: it is the same in every
-    slab. The grid and its resolution**5 count are unchanged by the
-    refine, which walks Gamma alone from each slab's best grid gammas at
-    the corner flags: there a flag move leaves the objective as it is
+    slab. The refine walks Gamma alone from each slab's best grid gammas
+    at the corner flags: there a flag move leaves the objective as it is
     and, by the same monotone rounding, never raises the slack, so it
-    could never be accepted. A refine sweep gives every candidate a
-    verdict, since each shares most of its terms with the point; those
-    whose objective is below the current point's are never accepted
-    (``_compass_refine``).
+    could never be accepted. A walk never ends below its start, so a
+    slab's grid point can win the final max over (value, point) only if
+    its value ties the best walk end; only such a slab's flags are then
+    tried, in descending lexicographic order, and the first feasible
+    pair is its largest. At the default settings no slab ties, and the
+    report carries the walk end's corner flags. The resolution**5 grid
+    count is that of the whole grid, whatever verdicts it skips. A
+    refine sweep gives every candidate a verdict, since each shares most
+    of its terms with the point; those whose objective is below the
+    current point's are never accepted (``_compass_refine``).
     Each call keeps one memo, and nothing is kept between calls: the
     refine's sweeps by state (point, shrinks), since refines started in
     different slabs join the same trajectories (``_compass_refine``).
@@ -183,38 +189,45 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     kernel = fz.ArrowKernel(case)
 
     gamma_axis = [i / (resolution - 1) for i in range(resolution)]
-    flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]
     evaluations = resolution ** 5
 
     corner_flags = tuple(float(x) for x in fz.case_params(case).signs)
-    flag_pairs = list(product(flag_axis[::-1], repeat=2))    # descending
 
-    # the (g2, g3) blocks of a gamma1 slab in descending (obj(gammas),
-    # gammas) order, the same in every slab: the objective is g2 + g3,
-    # which gamma1 does not change, or gamma1, constant in a slab
-    blocks = sorted(product(gamma_axis, repeat=2),
-                    key=lambda block: (obj((0.0,) + block), block), reverse=True)
+    # the (g2, g3) blocks of a gamma1 slab, as axis index pairs, in
+    # descending (obj(gammas), gammas) order, the same in every slab: the
+    # objective is g2 + g3, which gamma1 does not change, or gamma1,
+    # constant in a slab; the axis ascends, so index order is gamma order
+    order = sorted(product(range(resolution), repeat=2),
+                   key=lambda ij: (obj((0.0, gamma_axis[ij[0]], gamma_axis[ij[1]])), ij),
+                   reverse=True)
     slab_best = []
     for g1 in gamma_axis:
-        # best feasible point in this gamma1 slab, by (objective, point):
-        # the first block that is feasible at the corner flags, paired
-        # with its largest feasible flags
-        block = next((b for b in blocks if kernel.slack((g1,) + b + corner_flags) is not None),
-                     None)
+        # the gammas of this gamma1 slab's best feasible point: the first
+        # block that is feasible at the corner flags
+        block = kernel.first_block(g1, gamma_axis, order, corner_flags)
         if block is not None:
             gammas = (g1,) + block
-            top = next(f for f in flag_pairs if kernel.slack(gammas + f) is not None)
-            slab_best.append((obj(gammas), gammas + top))
+            slab_best.append((obj(gammas), gammas))
     if not slab_best:
         raise AssertionError("grid found no feasible point (gamma = 0 is always feasible)")
 
     cell = [1.0 / (resolution - 1)] * 3
 
     sweeps = {}
-    ends = [_compass_refine(best[:3] + corner_flags, obj, kernel, cell, iterations, sweeps)
-            for _, best in sorted(slab_best, reverse=True)]
+    ends = [_compass_refine(gammas + corner_flags, obj, kernel, cell, iterations, sweeps)
+            for _, gammas in sorted(slab_best, reverse=True)]
     evaluations += sum(n_ev for _, _, n_ev in ends)
-    best_val, best_point = max(slab_best + [end[:2] for end in ends])
+    best_val, best_point = max(end[:2] for end in ends)
+
+    # a walk never ends below its start, so only a slab whose grid value
+    # ties the best end can win the max over (value, point); its flags are
+    # the first feasible flag pair in descending order
+    for v, gammas in slab_best:
+        if v >= best_val:
+            flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in reversed(range(resolution))]
+            top = next(f for f in product(flag_axis, repeat=2)
+                       if kernel.slack(gammas + f) is not None)
+            best_val, best_point = max((best_val, best_point), (v, gammas + top))
 
     return _certified(case, objective, "numeric", best_point[:3],
                       FlagOverlaps(p12=best_point[3], p13=best_point[4]),

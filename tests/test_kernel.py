@@ -252,6 +252,81 @@ def test_sweep_gives_each_candidate_its_slack(setup):
     assert repr(kernel.sweep(point, steps)) == repr(want)
 
 
+def block_orders(resolution):
+    """The grid's (g2, g3) index pairs in each objective's block order:
+    descending g2 + g3 then (i2, i3) for gamma23, descending (i2, i3) for
+    gamma1, whose objective is constant in a slab."""
+    gamma_axis, _ = axes(resolution)
+    pairs = list(itertools.product(range(resolution), repeat=2))
+    return {"gamma23": sorted(pairs, key=lambda ij: (gamma_axis[ij[0]] + gamma_axis[ij[1]], ij),
+                              reverse=True),
+            "gamma1": sorted(pairs, reverse=True)}
+
+
+def check_first_block(kernel, g1, axis, order, flags):
+    """``first_block`` against ``slack`` block by block: it returns the
+    first block ``slack`` accepts, and None on the blocks before it."""
+    blocks = [(axis[i2], axis[i3]) for i2, i3 in order]
+    first = next((k for k, block in enumerate(blocks)
+                  if kernel.slack((g1,) + block + flags) is not None), None)
+    got = kernel.first_block(g1, axis, order, flags)
+    assert got == (None if first is None else blocks[first]), (g1, got)
+    if first is not None:
+        assert kernel.first_block(g1, axis, order[:first], flags) is None, g1
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_first_block_is_the_first_block_slack_accepts(case):
+    # every gamma1 slab of every grid from resolution 8 to 40, in both
+    # objectives' block orders, at the corner flags the search passes
+    kernel = ArrowKernel(case)
+    flags = corner_flags(case)
+    for resolution in range(8, 41):
+        gamma_axis, _ = axes(resolution)
+        for order in block_orders(resolution).values():
+            for g1 in gamma_axis:
+                check_first_block(kernel, g1, gamma_axis, order, flags)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_first_block_where_a_verdict_flips(case):
+    # gamma1 bisected to the two adjacent floats between which a block's
+    # slack verdict flips: there the determinant rounds to within a few
+    # ulps of 0, often to 0 itself, so a verdict from reassociated float
+    # operations or from det > 0 would differ from slack's on some block
+    kernel = ArrowKernel(case)
+    flags = corner_flags(case)
+    flips = 0
+    for resolution in (8, 9, 13, 20):
+        gamma_axis, _ = axes(resolution)
+        for i2, i3 in itertools.product(range(resolution), repeat=2):
+            def feasible(g1):
+                return kernel.slack((g1, gamma_axis[i2], gamma_axis[i3]) + flags) is not None
+            lo, hi = 0.0, 1.0
+            if not feasible(lo) or feasible(hi):
+                continue
+            while math.nextafter(lo, hi) < hi:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+            flips += 1
+            for g1 in (lo, hi):
+                check_first_block(kernel, g1, gamma_axis, [(i2, i3)], flags)
+    assert flips > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(CASES), resolution=st.integers(8, 40),
+       objective=st.sampled_from(("gamma23", "gamma1")), g1=st.floats(0.0, 1.0),
+       flags=st.one_of(st.none(), st.tuples(*[st.floats(-1.0, 1.0)] * 2)))
+def test_first_block_off_the_grid(case, resolution, objective, g1, flags):
+    # any float gamma1 in [0, 1], at the corner flags (None) or any flags
+    # of the box: the verdicts are slack's to the bit wherever they come from
+    kernel = ArrowKernel(case)
+    gamma_axis, _ = axes(resolution)
+    check_first_block(kernel, g1, gamma_axis, block_orders(resolution)[objective],
+                      corner_flags(case) if flags is None else flags)
+
+
 def boundary_points(case):
     """Points on and within 1e-9 of the analytic optimum's boundary."""
     gam = {"3bit": (F(7, 127), F(112, 127)), "2bit": (F(1, 7), F(4, 7))}[case]

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import re
 import time
@@ -171,6 +172,17 @@ def test_numeric_search_checks_its_certificate(monkeypatch):
     # a kernel that accepts every point leads the grid to Gamma = (1, 1, 1),
     # where M has a zero diagonal and nonzero M_12: the search must not report it
     monkeypatch.setattr(ArrowKernel, "slack", lambda self, point: 0.0)
+    with pytest.raises(AssertionError, match="numeric optimum failed"):
+        numeric_search("3bit", resolution=8, iterations=0)
+
+
+def test_numeric_search_checks_its_certificate_from_the_block_tables(monkeypatch):
+    # the grid's block verdicts come from first_block, not slack: when both
+    # accept every point, every slab's best block is (1, 1) and every slab
+    # ties, so the flag walk leads the grid to Gamma = (1, 1, 1) and flags (1, 1)
+    monkeypatch.setattr(ArrowKernel, "slack", lambda self, point: 0.0)
+    monkeypatch.setattr(ArrowKernel, "first_block",
+                        lambda self, g1, axis, order, flags: (axis[-1], axis[-1]))
     with pytest.raises(AssertionError, match="numeric optimum failed"):
         numeric_search("3bit", resolution=8, iterations=0)
 
@@ -468,6 +480,70 @@ def test_walks_end_once_every_step_is_below_its_ulp(case, objective, monkeypatch
         sizes.append(max(len(memo) for memo in memos))
     assert reports[0] == reports[1]
     assert sizes[1] <= sizes[0]
+
+
+def always_walk_search(case, objective, resolution, iterations):
+    """Reference for ``numeric_search``'s grid: every block and flag verdict
+    from ``slack``, and every feasible gamma1 slab's flag walk run, whether
+    or not its grid point can win the final max over (value, point)."""
+    obj = _objective_fn(objective)
+    kernel = ArrowKernel(case)
+    gamma_axis = [i / (resolution - 1) for i in range(resolution)]
+    flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]
+    corner_flags = tuple(float(x) for x in case_params(case).signs)
+    flag_pairs = list(itertools.product(flag_axis[::-1], repeat=2))
+    blocks = sorted(itertools.product(gamma_axis, repeat=2),
+                    key=lambda block: (obj((0.0,) + block), block), reverse=True)
+    slab_best = []
+    for g1 in gamma_axis:
+        block = next((b for b in blocks if kernel.slack((g1,) + b + corner_flags) is not None),
+                     None)
+        if block is not None:
+            gammas = (g1,) + block
+            top = next(f for f in flag_pairs if kernel.slack(gammas + f) is not None)
+            slab_best.append((obj(gammas), gammas + top))
+    cell = [1.0 / (resolution - 1)] * 3
+    sweeps = {}
+    ends = [_compass_refine(best[:3] + corner_flags, obj, kernel, cell, iterations, sweeps)
+            for _, best in sorted(slab_best, reverse=True)]
+    value, point = max(slab_best + [end[:2] for end in ends])
+    return optimize._certified(
+        case, objective, "numeric", point[:3], FlagOverlaps(p12=point[3], p13=point[4]),
+        value=float(value),
+        evaluations=resolution ** 5 + sum(n_ev for _, _, n_ev in ends),
+        meta={"resolution": resolution, "iterations": iterations})
+
+
+@pytest.mark.parametrize("case", ("3bit", "2bit"))
+@pytest.mark.parametrize("objective", optimize.OBJECTIVES)
+def test_grid_skips_only_verdicts_that_cannot_change_the_report(case, objective):
+    # the search's grid takes its block verdicts from per-slab tables and
+    # walks the flags only of slabs whose grid value ties the best walk
+    # end; it reports the JSON of the grid that asks slack about every
+    # block and walks every slab's flags. At 0 iterations no walk moves,
+    # so the best slab ties and its flag walk decides the reported flags
+    for resolution in range(8, 14):
+        for iterations in (0, 1, 40):
+            assert (numeric_search(case, objective, resolution, iterations).to_json()
+                    == always_walk_search(case, objective, resolution, iterations).to_json())
+
+
+def test_default_search_asks_slack_only_at_the_corner_flags(monkeypatch):
+    # at the default resolution and shrink budget every best walk end lies
+    # above every grid value, so no slab's flag walk runs
+    slack = ArrowKernel.slack
+    asked = []
+
+    def record(self, point):
+        asked.append(point)
+        return slack(self, point)
+    monkeypatch.setattr(ArrowKernel, "slack", record)
+    for case in ("3bit", "2bit"):
+        corner_flags = tuple(float(x) for x in case_params(case).signs)
+        for objective in optimize.OBJECTIVES:
+            asked.clear()
+            numeric_search(case, objective, resolution=9, iterations=40)
+            assert asked and all(point[3:] == corner_flags for point in asked), (case, objective)
 
 
 # ---------------------------------------------------------------------------
