@@ -540,14 +540,15 @@ class ArrowKernel:
 
     ``slack`` is the verdict at one point. Two more paths give verdicts
     bit for bit those of ``slack``, each computing shared terms once.
-    ``sweep`` gives the verdicts of a refine sweep's compass candidates
-    around a point, in one pass: a move of one or two coordinates changes
-    only the d_i and M_1j that depend on them, so the point's other
-    terms are computed once for all the candidates. ``first_block``
-    finds a grid slab's first feasible (gamma2, gamma3) block: in a slab
-    of fixed gamma1 and flags, d_i, M_12^2 and M_13^2 take one value per
-    grid gamma, so they are tabulated once and each block costs one
-    determinant.
+    ``move`` gives the move a refine sweep takes around a point, in one
+    pass over its compass candidates: a move of one or two coordinates
+    changes only the d_i and M_1j that depend on them, so the point's
+    other terms are computed once for all the candidates, and a
+    candidate whose objective is below the point's gets no determinant.
+    ``first_block`` finds a grid slab's first feasible (gamma2, gamma3)
+    block: in a slab of fixed gamma1 and flags, d_i, M_12^2 and M_13^2
+    take one value per grid gamma, so they are tabulated once and each
+    block costs one determinant.
     """
 
     def __init__(self, case: str):
@@ -576,22 +577,27 @@ class ArrowKernel:
             return None
         return det / (d2 * d3)
 
-    def sweep(self, point, steps) -> list:
-        """One refine sweep's compass candidates around a point of the box,
-        each with its ``slack``: a list of (candidate, slack or None).
+    def move(self, point, step, value, objective) -> tuple:
+        """The move of one refine sweep around a point of the box:
+        (n, best), with n the sweep's candidates and best the largest
+        (objective, slack, candidate) among those whose objective is not
+        below ``value`` and whose ``slack`` is not None, else ().
 
         The candidates keep the point's flags. They are the moves of one
-        gamma by +-its step in ``steps``, then the paired moves of gamma2
-        and gamma3 by (+-, +-), which walk the symmetric ridge directly, in
-        that order, each gamma clamped to [0, 1]; a candidate the clamp
-        leaves at the point is left out. Each slack is the one
-        ``slack(candidate)`` returns, to the bit: the point's diagonal d_i
-        and M_1j are computed once, a move recomputes only the terms it
-        changes, and every term and the determinant come from the float
-        operations ``slack`` performs, in its order.
+        gamma by +-``step``, then the paired moves of gamma2 and gamma3 by
+        (+-, +-), which walk the symmetric ridge directly, in that order,
+        each gamma clamped to [0, 1]; n counts those the clamp leaves
+        distinct from the point, and of equal triples the first is kept.
+        Each objective is ``objective``'s float operation, gamma2 + gamma3
+        or gamma1, and each slack is the one ``slack(candidate)`` returns,
+        to the bit: the point's diagonal d_i and M_1j are computed once, a
+        move recomputes only the terms it changes, and every term and the
+        determinant come from the float operations ``slack`` performs, in
+        its order. A candidate whose objective is below ``value`` can never
+        be the move, so it gets no determinant.
         """
         g1, g2, g3, a, c = point
-        h1, h2, h3 = steps
+        ridge = objective == "gamma23"
         t = DEFAULT_TOL / 2
         g12, g13, s12, s13 = self._g12, self._g13, self._s12, self._s13
         u = g12 - math.sqrt(g1 * g2) * s12 * a
@@ -599,35 +605,60 @@ class ArrowKernel:
         d1, d2, d3 = 1.0 - g1 + t, 1.0 - g2 + t, 1.0 - g3 + t
         uu, ww, d23 = u * u, w * w, d2 * d3
         d12 = d1 * d2
-        out = []
-        for x in _compass(g1, h1):               # d1, M_12 and M_13 move
+        n = 0
+        best = ()           # below every (objective, slack, candidate)
+        for x in (min(g1 + step, 1.0), max(g1 - step, 0.0)):  # d1, M_12, M_13 move
             if x != g1:
-                ux = g12 - math.sqrt(x * g2) * s12 * a
-                wx = g13 - math.sqrt(x * g3) * s13 * c
-                det = (1.0 - x + t) * d2 * d3 - ux * ux * d3 - wx * wx * d2
-                out.append(((x, g2, g3, a, c), None if det < 0 else det / d23))
-        moved2 = []                              # d2 and M_12 move
-        for x in _compass(g2, h2):
+                n += 1
+                v = g2 + g3 if ridge else x
+                if v >= value:
+                    ux = g12 - math.sqrt(x * g2) * s12 * a
+                    wx = g13 - math.sqrt(x * g3) * s13 * c
+                    det = (1.0 - x + t) * d2 * d3 - ux * ux * d3 - wx * wx * d2
+                    if not det < 0:
+                        key = v, det / d23, (x, g2, g3, a, c)
+                        if key > best:
+                            best = key
+        moved2 = []        # d2 and M_12 move
+        for x in (min(g2 + step, 1.0), max(g2 - step, 0.0)):
             ux = g12 - math.sqrt(g1 * x) * s12 * a
             e, uux = 1.0 - x + t, ux * ux
             moved2.append((x, e, uux))
             if x != g2:
-                det = d1 * e * d3 - uux * d3 - ww * e
-                out.append(((g1, x, g3, a, c), None if det < 0 else det / (e * d3)))
-        moved3 = []                              # d3 and M_13 move
-        for x in _compass(g3, h3):
+                n += 1
+                v = x + g3 if ridge else g1
+                if v >= value:
+                    det = d1 * e * d3 - uux * d3 - ww * e
+                    if not det < 0:
+                        key = v, det / (e * d3), (g1, x, g3, a, c)
+                        if key > best:
+                            best = key
+        moved3 = []        # d3 and M_13 move
+        for x in (min(g3 + step, 1.0), max(g3 - step, 0.0)):
             wx = g13 - math.sqrt(g1 * x) * s13 * c
             e, wwx = 1.0 - x + t, wx * wx
             moved3.append((x, e, wwx))
             if x != g3:
-                det = d12 * e - uu * e - wwx * d2
-                out.append(((g1, g2, x, a, c), None if det < 0 else det / (d2 * e)))
+                n += 1
+                v = g2 + x if ridge else g1
+                if v >= value:
+                    det = d12 * e - uu * e - wwx * d2
+                    if not det < 0:
+                        key = v, det / (d2 * e), (g1, g2, x, a, c)
+                        if key > best:
+                            best = key
         for x2, e2, uux in moved2:
             for x3, e3, wwx in moved3:
                 if x2 != g2 or x3 != g3:
-                    det = d1 * e2 * e3 - uux * e3 - wwx * e2
-                    out.append(((g1, x2, x3, a, c), None if det < 0 else det / (e2 * e3)))
-        return out
+                    n += 1
+                    v = x2 + x3 if ridge else g1
+                    if v >= value:
+                        det = d1 * e2 * e3 - uux * e3 - wwx * e2
+                        if not det < 0:
+                            key = v, det / (e2 * e3), (g1, x2, x3, a, c)
+                            if key > best:
+                                best = key
+        return n, best
 
     def first_block(self, g1, axis, order, flags):
         """The first block (axis[i2], axis[i3]), for (i2, i3) in ``order``,
@@ -651,11 +682,6 @@ class ArrowKernel:
             if not d1d[i2] * d[i3] - uu[i2] * d[i3] - ww[i3] * d[i2] < 0:
                 return axis[i2], axis[i3]
         return None
-
-
-def _compass(x, step):
-    """x + step and x - step, each clamped to [0, 1], for x in [0, 1], step >= 0."""
-    return min(x + step, 1.0), max(x - step, 0.0)
 
 
 # ---------------------------------------------------------------------------

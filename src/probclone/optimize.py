@@ -9,7 +9,9 @@ corner, a quadratic surd reported as exact text and certified in floats.
 The numeric route is an independent check: the best point of a coarse
 grid over (gamma1, gamma2, gamma3, P12, P13) with real flags, filtered
 by the PSD test, with only the verdicts computed that can decide it,
-refined by pattern search with shrinking steps over Gamma alone.
+refined by pattern search with shrinking steps over Gamma alone; one
+kernel pass gives each sweep its move, and a walk that joins an earlier
+walk takes that walk's end.
 Both are reported side by side. The slice value is the optimum over all
 efficiencies and flags: by the sign-flag and symmetrisation lemmas in
 ``feasibility``, no flags beat the corner flags P_1j = sign(G_1j)
@@ -132,10 +134,11 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     Every verdict comes from one ``feasibility.ArrowKernel``:
     ``first_block`` gives a grid slab's block verdicts from per-slab
     tables, ``slack`` a flag walk's and the refine's start point's, and
-    ``sweep`` a whole refine sweep's candidates theirs in one pass, each
-    bit for bit what ``slack`` gives. M is an arrow matrix (G_23 = 0), so
-    the PSD verdict is the sign of one determinant of M + t*I, with t
-    half of the fixed ``feasibility.DEFAULT_TOL``. The reported optimum
+    ``move`` the move of a whole refine sweep in one pass, from its
+    candidates' verdicts, each bit for bit what ``slack`` gives. M is an
+    arrow matrix (G_23 = 0), so the PSD verdict is the sign of one
+    determinant of M + t*I, with t half of the fixed
+    ``feasibility.DEFAULT_TOL``. The reported optimum
     is certified with ``is_psd`` at the full margin, as every reported
     optimum is (``_certified``).
 
@@ -160,18 +163,20 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     pair is its largest. At the default settings no slab ties, and the
     report carries the walk end's corner flags. The resolution**5 grid
     count is that of the whole grid, whatever verdicts it skips. A
-    refine sweep gives every candidate a verdict, since each shares most
-    of its terms with the point; those whose objective is below the
-    current point's are never accepted (``_compass_refine``).
-    Each call keeps one memo, and nothing is kept between calls: the
-    refine's sweeps by state (point, shrinks), since refines started in
-    different slabs join the same trajectories (``_compass_refine``).
+    refine sweep gives a verdict to every candidate whose objective is
+    not below the current point's, since each shares most of its terms
+    with the point; the others are never accepted (``_compass_refine``).
+    Each call keeps one memo, and nothing is kept between calls: the end
+    of the refine's walk from each state (point, shrinks) it swept, since
+    refines started in different slabs join the same trajectories, and a
+    walk that reaches a stored state takes its end (``_compass_refine``).
     Verdicts are recomputed: a memo of them by point would hit on 9-19%
     of its lookups, cost more than it saves, and grow as resolution**3.
     ``evaluations`` counts the points the search considers, each grid
     point and each refine candidate that differs from its current point,
-    not the kernel calls; a replayed sweep counts its candidates again,
-    so the count is that of walking every slab in full.
+    not the kernel calls; a walk that takes a stored end counts that
+    end's candidates again, so the count is that of walking every slab
+    in full.
 
     The objective is flat in gamma1 (or gamma2 and gamma3), so the
     pattern search ranks moves by (objective, PSD slack)
@@ -211,10 +216,9 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     if not slab_best:
         raise AssertionError("grid found no feasible point (gamma = 0 is always feasible)")
 
-    cell = [1.0 / (resolution - 1)] * 3
-
-    sweeps = {}
-    ends = [_compass_refine(gammas + corner_flags, obj, kernel, cell, iterations, sweeps)
+    tails = {}
+    ends = [_compass_refine(gammas + corner_flags, objective, kernel, 1.0 / (resolution - 1),
+                            iterations, tails)
             for _, gammas in sorted(slab_best, reverse=True)]
     evaluations += sum(n_ev for _, _, n_ev in ends)
     best_val, best_point = max(end[:2] for end in ends)
@@ -235,68 +239,68 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
                       meta={"resolution": resolution, "iterations": iterations})
 
 
-def _compass_refine(start, obj, kernel, cell, iterations, sweeps=None):
+def _compass_refine(start, objective, kernel, step, iterations, tails=None):
     """Coordinate-wise pattern search over Gamma, step halving on stall.
 
     ``kernel`` is the search's ``ArrowKernel``: ``kernel.slack(point)`` is
     the Schur complement of M + t*I at a feasible point, else None, and
-    ``kernel.sweep(point, steps)`` gives one sweep's compass candidates,
-    which keep ``start``'s flags, each with its slack. A move is accepted when it
-    improves the objective, or keeps it equal while strictly improving
-    the PSD slack (flat coordinates would be frozen otherwise). Both
-    orders strictly increase, so no cycling. The chosen move is the
-    feasible candidate with the largest (objective, slack, point), a
-    running max over one pass of the candidates; candidates with a lower
-    objective than the current point can never be accepted, so they are
-    skipped.
+    ``kernel.move(point, step, value, objective)`` gives one sweep's
+    candidate count and its best move, which keeps the point's flags. A
+    move is accepted when it improves the objective, or keeps it equal
+    while strictly improving the PSD slack (flat coordinates would be
+    frozen otherwise). Both orders strictly increase, so no cycling and
+    no state (point, shrinks) is swept twice. The chosen move is the
+    feasible candidate with the largest (objective, slack, point);
+    candidates with a lower objective than the current point can never
+    be accepted, so the kernel gives them no verdict.
 
-    ``sweeps`` memoises single sweeps: it maps the state (point, shrinks)
-    at the start of a sweep to the walk's whole state after it, (point,
-    shrinks, steps, value, slack, candidates considered), the steps
-    halved only after a stall. A sweep is a pure function of its state,
-    since the steps are ``cell`` halved ``shrinks`` times, so one dict
-    may be shared by any calls with the same ``obj``, ``kernel`` and
-    ``cell``; unlike the rest of a walk, a sweep depends on neither
-    ``iterations`` nor ``MAX_SWEEPS``. A sweep found in the dict is
-    replayed: it adds its candidates to the count and counts against
-    ``MAX_SWEEPS`` as a computed one does, so every walk returns what it
-    would without the dict. Without ``sweeps`` the call keeps its own.
+    ``tails`` maps a state (point, shrinks) at the start of a sweep to
+    the rest of a walk from it: (value, point, candidates, sweeps). The
+    rest of a walk is a pure function of its state, since the step is
+    ``step`` halved ``shrinks`` times, so one dict may be shared by calls
+    with the same ``objective``, ``kernel``, ``step`` and ``iterations``.
+    A walk that reaches a stored state takes its tail only if the tail's
+    sweeps fit in what is left of ``MAX_SWEEPS``, and else walks on; a
+    walk stopped by ``MAX_SWEEPS`` stores no tail, since the rest of a
+    walk from its states depends on the sweeps before them. So every walk
+    returns what it would without the dict. Without ``tails`` the call
+    keeps its own.
 
     A sweep with no candidate (every step below its gamma's ulp) ends
-    the walk unstored: steps only shrink, so every later one is empty too.
+    the walk: steps only shrink, so every later one is empty too.
     """
     point = tuple(start)
-    value = obj(point)
+    value = _objective_fn(objective)(point)
     point_slack = kernel.slack(point)
-    steps = list(cell)
-    if sweeps is None:
-        sweeps = {}
+    if tails is None:
+        tails = {}
+    swept = []          # (point, shrinks, evals, walked) at each computed sweep
     shrinks = 0
     evals = 0
     walked = 0
-    while shrinks < iterations and walked < MAX_SWEEPS:
+    while shrinks < iterations:
+        if walked >= MAX_SWEEPS:
+            return value, point, evals
+        tail = tails.get((point, shrinks))
+        if tail is not None and walked + tail[3] <= MAX_SWEEPS:
+            value, point, tail_evals, tail_sweeps = tail
+            evals += tail_evals
+            walked += tail_sweeps
+            break
+        swept.append((point, shrinks, evals, walked))
         walked += 1
-        after = sweeps.get((point, shrinks))
-        if after is None:
-            candidates = kernel.sweep(point, steps)
-            if not candidates:      # every step is below its gamma's ulp
-                break
-            # the largest feasible (objective, slack, cand) not below value;
-            # () compares below every such triple
-            best = ()
-            for cand, e in candidates:
-                v = obj(cand)
-                if v >= value and e is not None and (v, e, cand) > best:
-                    best = v, e, cand
-            if best and (best[0] > value or best[1] > point_slack + 1e-15):
-                v, e, cand = best
-                after = (cand, shrinks, steps, v, e, len(candidates))
-            else:           # a stall
-                after = (point, shrinks + 1, [s_ / 2.0 for s_ in steps],
-                         value, point_slack, len(candidates))
-            sweeps[point, shrinks] = after
-        point, shrinks, steps, value, point_slack, considered = after
-        evals += considered
+        n, best = kernel.move(point, step, value, objective)
+        if not n:       # every step is below its gamma's ulp
+            break
+        evals += n
+        if best and (best[0] > value or best[1] > point_slack + 1e-15):
+            value, point_slack, point = best
+        else:           # a stall
+            step /= 2.0
+            shrinks += 1
+    for state_point, state_shrinks, state_evals, state_walked in swept:
+        tails[state_point, state_shrinks] = (value, point, evals - state_evals,
+                                             walked - state_walked)
     return value, point, evals
 
 

@@ -5,7 +5,8 @@ assemble M in complex arithmetic and test ``hermitian3_eigvals(M)[0]``
 against the kernel's margin -t, t = ``DEFAULT_TOL`` / 2. The kernel's
 determinant verdict must reproduce every one of its verdicts on the
 search grids, and its slack is the Schur complement of M + t*I. A
-refine sweep's candidates get the slack ``slack`` gives each of them.
+refine sweep's move is the best of its candidates by the objective and
+the slack ``slack`` gives each of them.
 """
 import itertools
 import math
@@ -186,11 +187,11 @@ def test_grid_phase_finds_the_exhaustive_grid_maximum(case, resolution):
 @pytest.mark.parametrize("case", CASES)
 def test_search_asks_only_about_points_in_the_box(case, monkeypatch):
     # the kernel does not check the flags' modulus: every point the search
-    # hands it, on the grid and in the refine, and every refine candidate
-    # its sweeps return has each gamma in [0, 1] and both flags in [-1, 1].
+    # hands it, on the grid and in the refine, and every move its sweeps
+    # return has each gamma in [0, 1] and both flags in [-1, 1].
     # Every walk starts at the corner flags and never moves a flag, so
-    # each swept point and candidate carries them
-    slack, sweep = ArrowKernel.slack, ArrowKernel.sweep
+    # each swept point and move carries them
+    slack, move = ArrowKernel.slack, ArrowKernel.move
     asked = swept = 0
 
     def check(point):
@@ -203,31 +204,51 @@ def test_search_asks_only_about_points_in_the_box(case, monkeypatch):
         check(point)
         return slack(self, point)
 
-    def sweep_in_box(self, point, steps):
+    def move_in_box(self, point, step, value, objective):
         nonlocal swept
         swept += 1
         check(point)
         assert point[3:] == corner_flags(case), point
-        got = sweep(self, point, steps)
-        for cand, _ in got:
+        got = move(self, point, step, value, objective)
+        if got[1]:
+            cand = got[1][2]
             check(cand)
             assert cand[3:] == point[3:], (point, cand)
         return got
 
     monkeypatch.setattr(ArrowKernel, "slack", slack_in_box)
-    monkeypatch.setattr(ArrowKernel, "sweep", sweep_in_box)
+    monkeypatch.setattr(ArrowKernel, "move", move_in_box)
     for objective in ("gamma23", "gamma1"):
         for resolution, iterations in ((8, 0), (9, 40), (12, 80)):
             numeric_search(case, objective, resolution=resolution, iterations=iterations)
     assert asked > 0 and swept > 0
 
 
+def feasible_edge(kernel, point):
+    """``point`` with its gammas scaled towards 0 by the largest factor in
+    [0, 1], bisected to 60 bits, at which ``slack`` accepts: Gamma = 0 is
+    always feasible, and where a refine walk ends, its sweeps meet the
+    edge of the feasible set."""
+    gammas, flags = point[:3], point[3:]
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if kernel.slack(tuple(g * mid for g in gammas) + flags) is None:
+            hi = mid
+        else:
+            lo = mid
+    return tuple(g * lo for g in gammas) + flags
+
+
 @st.composite
-def sweep_setups(draw):
-    """A kernel, a point of the box and a refine sweep's three gamma
-    steps: each coordinate a grid value, a box edge or any value in the
-    box, the flags included, and the steps ``cell`` at a resolution halved
-    0 to 40 times."""
+def move_setups(draw):
+    """A kernel, a point of the box, a refine sweep's step, an objective
+    and the value a move must not fall below: each coordinate a grid
+    value, a box edge or any value in the box, the flags included, and
+    half the points moved to the edge of the feasible set; the
+    step ``cell`` at a resolution halved 0 to 40 times; the value the
+    point's objective, the adjacent floats, a step away or anywhere
+    within two steps."""
     kernel = ArrowKernel(draw(st.sampled_from(CASES)))
     resolution = draw(st.integers(8, 12))
     gamma_axis, flag_axis = axes(resolution)
@@ -235,21 +256,44 @@ def sweep_setups(draw):
                                  st.floats(lo, hi)))
                   for axis, lo, hi in zip([gamma_axis] * 3 + [flag_axis] * 2,
                                           BOX_LO, BOX_HI))
-    cell = [1.0 / (resolution - 1)] * 3
-    shrinks = draw(st.integers(0, 40))
-    return kernel, point, [s / 2.0 ** shrinks for s in cell]
+    if draw(st.booleans()):
+        point = feasible_edge(kernel, point)
+    step = 1.0 / (resolution - 1) / 2.0 ** draw(st.integers(0, 40))
+    objective = draw(st.sampled_from(("gamma23", "gamma1")))
+    at = _objective_fn(objective)(point)
+    value = draw(st.one_of(
+        st.just(at),
+        st.sampled_from((math.nextafter(at, -math.inf), math.nextafter(at, math.inf),
+                         at - step, at + step)),
+        st.floats(at - 2 * step, at + 2 * step)))
+    return kernel, point, step, value, objective
+
+
+def reference_move(kernel, point, step, value, objective):
+    """``ArrowKernel.move`` from the exhaustive refine's candidates over the
+    gammas: the count of all, and the largest (objective, slack,
+    candidate), first of equals, over those not below ``value`` with a
+    ``slack``."""
+    obj = _objective_fn(objective)
+    candidates = compass_candidates(point, [step] * 3, GAMMA_LO, GAMMA_HI)
+    best = ()
+    for cand in candidates:
+        v, e = obj(cand), kernel.slack(cand)
+        if v >= value and e is not None and (v, e, cand) > best:
+            best = v, e, cand
+    return len(candidates), best
 
 
 @settings(max_examples=1500, deadline=None)
-@given(setup=sweep_setups())
-def test_sweep_gives_each_candidate_its_slack(setup):
-    # the sweep's candidates are the exhaustive refine's over the gammas,
-    # in its order, each carrying the point's flags, and each slack is
-    # slack(cand) to the bit, None included (repr tells signed zeros apart)
-    kernel, point, steps = setup
-    want = [(cand, kernel.slack(cand))
-            for cand in compass_candidates(point, steps, GAMMA_LO, GAMMA_HI)]
-    assert repr(kernel.sweep(point, steps)) == repr(want)
+@given(setup=move_setups())
+def test_move_is_the_best_candidate_slack_accepts(setup):
+    # the move's candidates are the exhaustive refine's over the gammas,
+    # in its order, each carrying the point's flags; its objective and
+    # slack are obj(cand) and slack(cand) to the bit (repr tells signed
+    # zeros apart), and skipped candidates still count
+    kernel, point, step, value, objective = setup
+    assert (repr(kernel.move(point, step, value, objective))
+            == repr(reference_move(kernel, point, step, value, objective)))
 
 
 def block_orders(resolution):

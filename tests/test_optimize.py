@@ -169,8 +169,11 @@ def test_numeric_optimum_passes_its_certificate(resolution, iterations, case, ob
 
 
 def test_numeric_search_checks_its_certificate(monkeypatch):
-    # a kernel that accepts every point leads the grid to Gamma = (1, 1, 1),
-    # where M has a zero diagonal and nonzero M_12: the search must not report it
+    # a slack that accepts every point leaves the grid's block verdicts to
+    # first_block, but at 0 iterations no walk moves, so the best slab ties
+    # its walk end and its flag walk takes the first pair, (1, 1): the grid
+    # point first_block found feasible at the corner flags, (2/7, 6/7, 6/7)
+    # at resolution 8, is not feasible there, and the search must not report it
     monkeypatch.setattr(ArrowKernel, "slack", lambda self, point: 0.0)
     with pytest.raises(AssertionError, match="numeric optimum failed"):
         numeric_search("3bit", resolution=8, iterations=0)
@@ -273,12 +276,13 @@ def test_slack_is_the_schur_complement_of_the_point_api_matrix():
         assert checked == len(points)    # no point lies in the 1e-12 band
 
 
-def exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations):
+def exhaustive_refine(start, objective, kernel, lo, hi, cell, iterations):
     """Reference pattern search for ``_compass_refine`` over the box
     [lo, hi] of the first len(cell) coordinates: every candidate gets a
     ``kernel.slack`` verdict, and nothing is memoised. With three steps
     it walks the gammas as ``_compass_refine`` does; with five it also
     moves both flags, 14 candidates a sweep."""
+    obj = _objective_fn(objective)
     point = tuple(start)
     value = obj(point)
     slack = kernel.slack(point)
@@ -320,8 +324,8 @@ def _draw_refine_box(draw):
     gamma_axis = [i / (resolution - 1) for i in range(resolution)]
     flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]
     box = ([0.0] * 3, [1.0] * 3, [1.0 / (resolution - 1)] * 3)
-    return (ArrowKernel(case), _objective_fn(objective),
-            [gamma_axis] * 3 + [flag_axis] * 2, box, iterations)
+    return (ArrowKernel(case), objective, [gamma_axis] * 3 + [flag_axis] * 2, box,
+            iterations)
 
 
 @st.composite
@@ -329,11 +333,11 @@ def refine_setups(draw):
     """A kernel, objective, gamma box at a resolution, shrink budget and
     feasible start point: gammas in the box and flags in [-1, 1], each a
     grid value or an arbitrary float."""
-    kernel, obj, axes, box, iterations = _draw_refine_box(draw)
+    kernel, objective, axes, box, iterations = _draw_refine_box(draw)
     start = tuple(draw(st.one_of(st.sampled_from(axis), st.floats(lo, hi)))
                   for axis, lo, hi in zip(axes, BOX_LO, BOX_HI))
     assume(kernel.slack(start) is not None)
-    return kernel, obj, start, box, iterations
+    return kernel, objective, start, box, iterations
 
 
 @st.composite
@@ -342,7 +346,7 @@ def shared_refine_setups(draw):
     feasible start points. Each lies on the grid within one cell of a
     drawn grid point, so that walks meet as the neighbouring slabs' walks
     of ``numeric_search`` do, or anywhere in the box."""
-    kernel, obj, axes, box, iterations = _draw_refine_box(draw)
+    kernel, objective, axes, box, iterations = _draw_refine_box(draw)
     centre = [draw(st.integers(0, len(axis) - 1)) for axis in axes]
     near = st.tuples(*(st.integers(max(i - 1, 0), min(i + 1, len(axis) - 1))
                        .map(axis.__getitem__) for i, axis in zip(centre, axes)))
@@ -350,59 +354,71 @@ def shared_refine_setups(draw):
     starts = draw(st.lists(st.one_of(near, anywhere), min_size=2, max_size=12))
     starts = [s for s in starts if kernel.slack(s) is not None][:6]
     assume(len(starts) >= 2)
-    return kernel, obj, starts, box, iterations
+    return kernel, objective, starts, box, iterations
 
 
 @settings(max_examples=60, deadline=None)
 @given(setup=refine_setups())
 def test_pruned_search_matches_exhaustive(setup):
-    kernel, obj, start, (lo, hi, cell), iterations = setup
+    kernel, objective, start, (lo, hi, cell), iterations = setup
     # the refine that skips verdicts finds what the exhaustive one does,
     # with the same evaluation count
-    want = exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations)
-    assert _compass_refine(start, obj, kernel, cell, iterations) == want
+    want = exhaustive_refine(start, objective, kernel, lo, hi, cell, iterations)
+    assert _compass_refine(start, objective, kernel, cell[0], iterations) == want
 
 
-def _walk_with_shared_sweeps(setup):
-    # one sweep memo for every walk, as numeric_search shares it across its
+def _walk_with_shared_tails(setup):
+    # one tails dict for every walk, as numeric_search shares it across its
     # slabs; each walk must find what a lone exhaustive walk from its start
     # does, evaluation count included
-    kernel, obj, starts, (lo, hi, cell), iterations = setup
-    sweeps = {}
+    kernel, objective, starts, (lo, hi, cell), iterations = setup
+    tails = {}
     for start in starts:
-        want = exhaustive_refine(start, obj, kernel, lo, hi, cell, iterations)
-        assert _compass_refine(start, obj, kernel, cell, iterations, sweeps) == want
+        want = exhaustive_refine(start, objective, kernel, lo, hi, cell, iterations)
+        assert _compass_refine(start, objective, kernel, cell[0], iterations, tails) == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(setup=shared_refine_setups())
-def test_shared_sweeps_match_exhaustive(setup):
-    _walk_with_shared_sweeps(setup)
+def test_shared_tails_match_exhaustive(setup):
+    _walk_with_shared_tails(setup)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(setup=refine_setups(), data=st.data())
-def test_shared_sweeps_keep_the_sweep_cap(setup, data):
-    # one shared sweep memo must neither stretch a walk past MAX_SWEEPS nor
-    # stop it early. The walk from start takes `total` sweeps and passes a
-    # later state before its first shrink. Under a cap up to `total`, the
-    # walk that goes second replays sweeps the first one stored, and each
-    # must still find what a lone exhaustive walk does under that cap. The
-    # later walk draws its own shrink budget: a sweep does not depend on it
-    kernel, obj, start, (lo, hi, cell), iterations = setup
+def test_shared_tails_keep_the_sweep_cap(setup, data):
+    # the walk from start passes a later state before its first shrink and
+    # ends after `total` sweeps, each computed once. Under a cap below
+    # `total`, walking the later state first stores a tail that the walk
+    # from start reaches with too few sweeps left, so it must walk on to
+    # the cap; walking start first stops it on the cap, so it must store
+    # no tail for the later state's walk to reuse. Under a cap of `total`
+    # the walk that goes second takes the other's tail and still finds
+    # what a lone exhaustive walk does
+    kernel, objective, start, (lo, hi, cell), iterations = setup
+    move, moves = kernel.move, []
+    kernel.move = lambda *args: moves.append(args) or move(*args)
     trail = {}
-    _compass_refine(start, obj, kernel, cell, iterations, trail)
-    total = len(trail)      # a walk never sweeps one state twice
+    _compass_refine(start, objective, kernel, cell[0], iterations, trail)
+    del kernel.move
+    # a walk stopped by the cap stores no tail, so it has no `total`: from
+    # some off-grid starts the walk reaches the cap before the shrink budget
+    assume((start, 0) in trail)
+    total = trail[start, 0][3]
+    assert total == len(moves) == len(trail)
     later = [point for point, shrinks in trail if shrinks == 0 and point != start]
     assume(later)
-    walks = [(start, iterations),
-             (data.draw(st.sampled_from(later)), data.draw(st.integers(1, 40)))]
-    sweeps = {}
+    walks = data.draw(st.permutations([start, data.draw(st.sampled_from(later))]))
+    cap = data.draw(st.integers(1, total))
+    tails = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize, "MAX_SWEEPS", data.draw(st.integers(1, total)))
-        for point, budget in data.draw(st.permutations(walks)):
-            want = exhaustive_refine(point, obj, kernel, lo, hi, cell, budget)
-            assert _compass_refine(point, obj, kernel, cell, budget, sweeps) == want
+        mp.setattr(optimize, "MAX_SWEEPS", cap)
+        for point in walks:
+            stored = dict(tails)
+            want = exhaustive_refine(point, objective, kernel, lo, hi, cell, iterations)
+            assert _compass_refine(point, objective, kernel, cell[0], iterations, tails) == want
+            if cap < trail[point, 0][3]:
+                assert tails == stored
 
 
 @st.composite
@@ -410,14 +426,14 @@ def corner_refine_setups(draw):
     """A kernel, objective, resolution, shrink budget and feasible start at
     the corner flags, its gammas grid values or arbitrary floats in [0, 1]."""
     case = draw(st.sampled_from(("3bit", "2bit")))
-    kernel, obj = ArrowKernel(case), _objective_fn(draw(st.sampled_from(optimize.OBJECTIVES)))
+    kernel, objective = ArrowKernel(case), draw(st.sampled_from(optimize.OBJECTIVES))
     resolution = draw(st.integers(8, 13))
     gamma_axis = [i / (resolution - 1) for i in range(resolution)]
     gammas = tuple(draw(st.one_of(st.sampled_from(gamma_axis), st.floats(0.0, 1.0)))
                    for _ in range(3))
     start = gammas + tuple(float(x) for x in case_params(case).signs)
     assume(kernel.slack(start) is not None)
-    return kernel, obj, resolution, draw(st.integers(1, 40)), start
+    return kernel, objective, resolution, draw(st.integers(1, 40)), start
 
 
 @settings(max_examples=60, deadline=None)
@@ -428,18 +444,18 @@ def test_flag_moves_change_no_walk_from_the_corner_flags(setup):
     # never above the point's, so it is never accepted. The 5-D walk that
     # also moves both flags (14 candidates a sweep) ends where the gamma
     # walk does; only its candidate count differs
-    kernel, obj, resolution, iterations, start = setup
+    kernel, objective, resolution, iterations, start = setup
     cell = [1.0 / (resolution - 1)] * 3
-    flagged = exhaustive_refine(start, obj, kernel, BOX_LO, BOX_HI,
+    flagged = exhaustive_refine(start, objective, kernel, BOX_LO, BOX_HI,
                                 cell + [2.0 / (resolution - 1)] * 2, iterations)
-    assert _compass_refine(start, obj, kernel, cell, iterations)[:2] == flagged[:2]
+    assert _compass_refine(start, objective, kernel, cell[0], iterations)[:2] == flagged[:2]
 
 
 @pytest.mark.parametrize("case", ("3bit", "2bit"))
 @pytest.mark.parametrize("objective", optimize.OBJECTIVES)
-def test_shared_sweeps_leave_the_search_report_unchanged(case, objective,
-                                                          monkeypatch):
-    # numeric_search shares one sweep memo among its slabs' walks; searches
+def test_shared_tails_leave_the_search_report_unchanged(case, objective,
+                                                         monkeypatch):
+    # numeric_search shares one tails dict among its slabs' walks; searches
     # whose walks each keep their own memo report the same JSON, the
     # evaluation count included
     runs = [(r, i) for r in (8, 9, 10) for i in (0, 1, 40)]
@@ -461,9 +477,9 @@ def test_shared_sweeps_leave_the_search_report_unchanged(case, objective,
 @pytest.mark.parametrize("objective", optimize.OBJECTIVES)
 def test_walks_end_once_every_step_is_below_its_ulp(case, objective, monkeypatch):
     # a sweep with no candidate leaves every later sweep empty too, since
-    # steps only shrink: the walk ends there and stores no more sweeps. At
+    # steps only shrink: the walk ends there and sweeps no more states. At
     # 2,000 shrinks every step is already below its gamma's ulp, so a
-    # budget of 10**6 reports the same and memoises no more
+    # budget of 10**6 reports the same and stores no more tails
     refine = optimize._compass_refine
     memos = []
 
@@ -502,9 +518,9 @@ def always_walk_search(case, objective, resolution, iterations):
             gammas = (g1,) + block
             top = next(f for f in flag_pairs if kernel.slack(gammas + f) is not None)
             slab_best.append((obj(gammas), gammas + top))
-    cell = [1.0 / (resolution - 1)] * 3
-    sweeps = {}
-    ends = [_compass_refine(best[:3] + corner_flags, obj, kernel, cell, iterations, sweeps)
+    tails = {}
+    ends = [_compass_refine(best[:3] + corner_flags, objective, kernel, 1.0 / (resolution - 1),
+                            iterations, tails)
             for _, best in sorted(slab_best, reverse=True)]
     value, point = max(slab_best + [end[:2] for end in ends])
     return optimize._certified(
