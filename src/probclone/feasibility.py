@@ -511,23 +511,29 @@ def is_psd(point: FeasibilityPoint) -> bool:
 # ---------------------------------------------------------------------------
 
 class ArrowKernel:
-    """Float PSD verdicts of M at the numeric search's real points.
+    """Float PSD verdicts of M at the numeric search's points, at the corner flags.
 
-    A search point is (gamma1, gamma2, gamma3, a, c) with real flags
-    P12 = a, P13 = c, and ``case`` names the case Gram. By the
-    sign-flag lemma (module docstring) no complex flag can widen the
-    feasible set, so the kernel takes real flags only. M is assembled
-    as in ``_float_matrix``, the assembly of ``build_matrix``'s float
-    route. Every point lies in the search box, each gamma in [0, 1] and
-    both flags in [-1, 1]: the grid's flag axis ends at exactly -1 and 1
-    and the refine never moves a flag from the corner flags, so the kernel
-    does not check the flags' modulus.
+    A search point is Gamma = (gamma1, gamma2, gamma3), and ``case`` names
+    the case Gram. The flags are the corner flags P_1j = sigma_j =
+    sign(G_1j), which by the sign-flag lemma (module docstring) are
+    feasible wherever any flags are, for the computed verdict too
+    (below). There M_1j = sigma_j * m_j with the moduli
+
+        m_j = g - sqrt(gamma1 gammaj) * g^2,
+
+    so the kernel keeps g and g^2 as floats and reads no flag. Dropping
+    the product by sigma_j is bit-exact: a product by +-1 is exact and
+    rounding commutes with negation, so the computed M_1j is
+    +-(computed m_j), and m_j^2 and the determinant are those of M
+    assembled at the corner flags as in ``_float_matrix``, the assembly
+    of ``build_matrix``'s float route. Every point lies in the search box,
+    each gamma in [0, 1]; the kernel does not check it.
 
     M is an arrow matrix (G_23 = 0). Let t = ``DEFAULT_TOL`` / 2, A = M + t*I
     and d_i = A_ii = 1 - gamma_i + t. Because d2, d3 > 0, Cauchy interlacing
     puts lambda_2(A) in [min(d2, d3), max(d2, d3)], so
 
-        det A = d1*d2*d3 - M_12^2 * d3 - M_13^2 * d2
+        det A = d1*d2*d3 - m_2^2 * d3 - m_3^2 * d2
 
     has the sign of lambda_1(A) = lambda_min(M) + t: one Schur-complement
     test replaces the eigenvalues, and the computed determinant is the
@@ -542,86 +548,85 @@ class ArrowKernel:
     bit for bit those of ``slack``, each computing shared terms once.
     ``move`` gives the move a refine sweep takes around a point, in one
     pass over its compass candidates: a move of one or two coordinates
-    changes only the d_i and M_1j that depend on them, so the point's
+    changes only the d_i and m_j that depend on them, so the point's
     other terms are computed once for all the candidates, and a
     candidate whose objective is below the point's gets no determinant.
     ``first_block`` finds a grid slab's first feasible (gamma2, gamma3)
-    block: in a slab of fixed gamma1 and flags, d_i, M_12^2 and M_13^2
-    take one value per grid gamma, so they are tabulated once and each
-    block costs one determinant.
+    block: in a slab of fixed gamma1, d_i and m_j^2 take one value per
+    grid gamma, the same for j = 2 and 3, so they are tabulated once and
+    each block costs one determinant.
     """
 
     def __init__(self, case: str):
-        self._g12, self._g13 = (float(x) for x in case_gram(case).entries[0][1:])
-        self._s12, self._s13 = self._g12 * self._g12, self._g13 * self._g13
+        self._g = float(case_params(case).g)
+        self._gg = self._g * self._g
 
-    def slack(self, point) -> float | None:
-        """The Schur complement det(A) / (d2*d3) of A = M + t*I at a real
-        point where det A >= 0, else None.
+    def slack(self, gammas) -> float | None:
+        """The Schur complement det(A) / (d2*d3) of A = M + t*I at a point
+        Gamma where det A >= 0, else None.
 
         It is f(0) for the secular function
-        f(lam) = (d1 - lam) - M_12^2/(d2 - lam) - M_13^2/(d3 - lam), which
+        f(lam) = (d1 - lam) - m_2^2/(d2 - lam) - m_3^2/(d3 - lam), which
         is strictly decreasing below min(d2, d3) and vanishes at
         lambda_min(A), so it has the sign of lambda_min(M) + t; the search
         ranks moves by it. The point must lie in the search box (class
         docstring).
         """
-        g1, g2, g3, a, c = point
+        g1, g2, g3 = gammas
         t = DEFAULT_TOL / 2
-        t12 = math.sqrt(g1 * g2) * self._s12
-        t13 = math.sqrt(g1 * g3) * self._s13
-        u, w = self._g12 - t12 * a, self._g13 - t13 * c
+        u = self._g - math.sqrt(g1 * g2) * self._gg
+        w = self._g - math.sqrt(g1 * g3) * self._gg
         d2, d3 = 1.0 - g2 + t, 1.0 - g3 + t
         det = (1.0 - g1 + t) * d2 * d3 - u * u * d3 - w * w * d2
         if det < 0:
             return None
         return det / (d2 * d3)
 
-    def move(self, point, step, value, objective) -> tuple:
+    def move(self, gammas, step, value, objective) -> tuple:
         """The move of one refine sweep around a point of the box:
         (n, best), with n the sweep's candidates and best the largest
         (objective, slack, candidate) among those whose objective is not
         below ``value`` and whose ``slack`` is not None, else ().
 
-        The candidates keep the point's flags. They are the moves of one
-        gamma by +-``step``, then the paired moves of gamma2 and gamma3 by
-        (+-, +-), which walk the symmetric ridge directly, in that order,
-        each gamma clamped to [0, 1]; n counts those the clamp leaves
-        distinct from the point, and of equal triples the first is kept.
-        Each objective is ``objective``'s float operation, gamma2 + gamma3
-        or gamma1, and each slack is the one ``slack(candidate)`` returns,
-        to the bit: the point's diagonal d_i and M_1j are computed once, a
-        move recomputes only the terms it changes, and every term and the
-        determinant come from the float operations ``slack`` performs, in
-        its order. A candidate whose objective is below ``value`` can never
-        be the move, so it gets no determinant.
+        The candidates are the moves of one gamma by +-``step``, then the
+        paired moves of gamma2 and gamma3 by (+-, +-), which walk the
+        symmetric ridge directly, in that order, each gamma clamped to
+        [0, 1]; n counts those the clamp leaves distinct from the point,
+        and of equal triples the first is kept. Each objective is
+        ``objective``'s float operation, gamma2 + gamma3 or gamma1, and
+        each slack is the one ``slack(candidate)`` returns, to the bit: the
+        point's d_i and m_j are computed once, a move recomputes only the
+        terms it changes, and every term and the determinant come from the
+        float operations ``slack`` performs, in its order. A candidate
+        whose objective is below ``value`` can never be the move, so it
+        gets no determinant.
         """
-        g1, g2, g3, a, c = point
+        g1, g2, g3 = gammas
         ridge = objective == "gamma23"
         t = DEFAULT_TOL / 2
-        g12, g13, s12, s13 = self._g12, self._g13, self._s12, self._s13
-        u = g12 - math.sqrt(g1 * g2) * s12 * a
-        w = g13 - math.sqrt(g1 * g3) * s13 * c
+        g, gg = self._g, self._gg
+        u = g - math.sqrt(g1 * g2) * gg
+        w = g - math.sqrt(g1 * g3) * gg
         d1, d2, d3 = 1.0 - g1 + t, 1.0 - g2 + t, 1.0 - g3 + t
         uu, ww, d23 = u * u, w * w, d2 * d3
         d12 = d1 * d2
         n = 0
         best = ()           # below every (objective, slack, candidate)
-        for x in (min(g1 + step, 1.0), max(g1 - step, 0.0)):  # d1, M_12, M_13 move
+        for x in (min(g1 + step, 1.0), max(g1 - step, 0.0)):  # d1, m_2, m_3 move
             if x != g1:
                 n += 1
                 v = g2 + g3 if ridge else x
                 if v >= value:
-                    ux = g12 - math.sqrt(x * g2) * s12 * a
-                    wx = g13 - math.sqrt(x * g3) * s13 * c
+                    ux = g - math.sqrt(x * g2) * gg
+                    wx = g - math.sqrt(x * g3) * gg
                     det = (1.0 - x + t) * d2 * d3 - ux * ux * d3 - wx * wx * d2
                     if not det < 0:
-                        key = v, det / d23, (x, g2, g3, a, c)
+                        key = v, det / d23, (x, g2, g3)
                         if key > best:
                             best = key
-        moved2 = []        # d2 and M_12 move
+        moved2 = []        # d2 and m_2 move
         for x in (min(g2 + step, 1.0), max(g2 - step, 0.0)):
-            ux = g12 - math.sqrt(g1 * x) * s12 * a
+            ux = g - math.sqrt(g1 * x) * gg
             e, uux = 1.0 - x + t, ux * ux
             moved2.append((x, e, uux))
             if x != g2:
@@ -630,12 +635,12 @@ class ArrowKernel:
                 if v >= value:
                     det = d1 * e * d3 - uux * d3 - ww * e
                     if not det < 0:
-                        key = v, det / (e * d3), (g1, x, g3, a, c)
+                        key = v, det / (e * d3), (g1, x, g3)
                         if key > best:
                             best = key
-        moved3 = []        # d3 and M_13 move
+        moved3 = []        # d3 and m_3 move
         for x in (min(g3 + step, 1.0), max(g3 - step, 0.0)):
-            wx = g13 - math.sqrt(g1 * x) * s13 * c
+            wx = g - math.sqrt(g1 * x) * gg
             e, wwx = 1.0 - x + t, wx * wx
             moved3.append((x, e, wwx))
             if x != g3:
@@ -644,7 +649,7 @@ class ArrowKernel:
                 if v >= value:
                     det = d12 * e - uu * e - wwx * d2
                     if not det < 0:
-                        key = v, det / (d2 * e), (g1, g2, x, a, c)
+                        key = v, det / (d2 * e), (g1, g2, x)
                         if key > best:
                             best = key
         for x2, e2, uux in moved2:
@@ -655,31 +660,30 @@ class ArrowKernel:
                     if v >= value:
                         det = d1 * e2 * e3 - uux * e3 - wwx * e2
                         if not det < 0:
-                            key = v, det / (e2 * e3), (g1, x2, x3, a, c)
+                            key = v, det / (e2 * e3), (g1, x2, x3)
                             if key > best:
                                 best = key
         return n, best
 
-    def first_block(self, g1, axis, order, flags):
+    def first_block(self, g1, axis, order):
         """The first block (axis[i2], axis[i3]), for (i2, i3) in ``order``,
-        at which ``slack((g1, axis[i2], axis[i3]) + flags)`` is not None, else
+        at which ``slack((g1, axis[i2], axis[i3]))`` is not None, else
         None. The point must lie in the search box (class docstring).
 
-        The d_i, M_12^2 and M_13^2 of every grid gamma are computed once
-        per call, from the float operations ``slack`` performs, in its
-        order; each block then costs one determinant, and its test
+        The d_i and m_j^2 of every grid gamma are computed once per call,
+        from the float operations ``slack`` performs, in its order; m_2^2
+        at gamma2 = x is m_3^2 at gamma3 = x, so one table serves both.
+        Each block then costs one determinant, and its test
         ``not det < 0`` is ``slack``'s verdict to the bit.
         """
-        a, c = flags
         t = DEFAULT_TOL / 2
-        g12, g13, s12, s13 = self._g12, self._g13, self._s12, self._s13
+        g, gg = self._g, self._gg
         d1 = 1.0 - g1 + t
         d = [1.0 - x + t for x in axis]
         d1d = [d1 * e for e in d]
-        uu = [u * u for u in [g12 - math.sqrt(g1 * x) * s12 * a for x in axis]]
-        ww = [w * w for w in [g13 - math.sqrt(g1 * x) * s13 * c for x in axis]]
+        mm = [m * m for m in [g - math.sqrt(g1 * x) * gg for x in axis]]
         for i2, i3 in order:
-            if not d1d[i2] * d[i3] - uu[i2] * d[i3] - ww[i3] * d[i2] < 0:
+            if not d1d[i2] * d[i3] - mm[i2] * d[i3] - mm[i3] * d[i2] < 0:
                 return axis[i2], axis[i3]
         return None
 

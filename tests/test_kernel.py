@@ -7,7 +7,13 @@ determinant verdict must reproduce every one of its verdicts on the
 search grids, and its slack is the Schur complement of M + t*I. A
 refine sweep's move is the best of its candidates by the objective and
 the slack ``slack`` gives each of them.
+
+The kernel takes Gamma alone, at the corner flags. ``flag_slack`` is the
+same determinant test with real flags as arguments: the sign-flag lemma
+is checked in its computed form on it, and the kernel must give its
+slack at the corner flags to the bit.
 """
+import functools
 import itertools
 import math
 import random
@@ -39,13 +45,38 @@ def exact_schur(m, t):
     return (d1 * d2 * d3 - n12 * d3 - n13 * d2) / (d2 * d3)
 
 
-def check_slack(kernel, point, m):
-    """``kernel.slack(point)`` against the float M the reference assembles there:
+@functools.cache
+def _flag_terms(case):
+    g12, g13 = (float(x) for x in case_gram(case).entries[0][1:])
+    return g12, g13, g12 * g12, g13 * g13
+
+
+def flag_slack(case, point):
+    """``ArrowKernel.slack`` with the flags as arguments: the Schur
+    complement det(A) / (d2*d3) of A = M + t*I at a real point
+    (gamma1, gamma2, gamma3, a, c) with P12 = a, P13 = c, else None, M_1j
+    formed from the signed Gram entry G_1j and the flag. Its float
+    operations are the kernel's, with the products by the flags kept."""
+    g12, g13, s12, s13 = _flag_terms(case)
+    g1, g2, g3, a, c = point
+    t = feasibility.DEFAULT_TOL / 2
+    t12 = math.sqrt(g1 * g2) * s12
+    t13 = math.sqrt(g1 * g3) * s13
+    u, w = g12 - t12 * a, g13 - t13 * c
+    d2, d3 = 1.0 - g2 + t, 1.0 - g3 + t
+    det = (1.0 - g1 + t) * d2 * d3 - u * u * d3 - w * w * d2
+    if det < 0:
+        return None
+    return det / (d2 * d3)
+
+
+def check_slack(slack, point, m):
+    """``slack(point)`` against the float M the reference assembles there:
     the exact Schur complement to 1e-15, and None iff the closed-form
     lambda_min(M) < -t outside a 1e-12 band. Returns whether the verdict
     was checked."""
     t = kernel_margin()
-    got = kernel.slack(point)
+    got = slack(point)
     if got is not None:
         assert abs(got - exact_schur(m, t)) <= 1e-15, point
     lam = hermitian3_eigvals(m)[0]
@@ -93,13 +124,17 @@ def grid_points(resolution):
     return itertools.product(gamma_axis, gamma_axis, gamma_axis, flag_axis, flag_axis)
 
 
+def gamma_points(resolution):
+    return itertools.product(axes(resolution)[0], repeat=3)
+
+
 def corner_flags(case):
     return tuple(float(x) for x in case_params(case).signs)
 
 
-#: the search box: each gamma in [0, 1], both flags in [-1, 1]
+#: the box of real points (Gamma, a, c): each gamma in [0, 1], both flags in [-1, 1]
 BOX_LO, BOX_HI = (0.0,) * 3 + (-1.0,) * 2, (1.0,) * 5
-#: the refine's box: it moves the gammas only, each in [0, 1]
+#: the search box: each gamma in [0, 1]
 GAMMA_LO, GAMMA_HI = BOX_LO[:3], BOX_HI[:3]
 
 
@@ -128,30 +163,33 @@ def compass_candidates(point, steps, lo, hi):
 @pytest.mark.parametrize("resolution", [8, 9, 10])
 @pytest.mark.parametrize("case", CASES)
 def test_real_grid_verdicts_match_closed_form(case, resolution):
+    # flag_slack at every real flag pair of the grid, the kernel at the corner flags
     gf = float_gram(case)
     kernel = ArrowKernel(case)
     for p in grid_points(resolution):
-        assert (kernel.slack(p) is not None) == reference_ok(gf, p), p
+        assert (flag_slack(case, p) is not None) == reference_ok(gf, p), p
+    for gammas in gamma_points(resolution):
+        assert (kernel.slack(gammas) is not None) == reference_ok(
+            gf, gammas + corner_flags(case)), gammas
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
 @pytest.mark.parametrize("resolution", [8, 9, 10, 11, 12])
 @pytest.mark.parametrize("case", CASES)
 def test_sign_flag_lemma_on_the_grid(case, resolution, tol, monkeypatch):
-    # the float form of the lemma the numeric search's block verdict rests
-    # on: a grid block infeasible at the corner flags is infeasible at
+    # the float form of the lemma the numeric search's Gamma grid rests
+    # on: a grid Gamma infeasible at the corner flags is infeasible at
     # every grid flag pair. The monotonicity behind it does not depend on
     # the shift, so it is checked at a wider tolerance than the search's too
     monkeypatch.setattr(feasibility, "DEFAULT_TOL", tol)
-    kernel = ArrowKernel(case)
-    gamma_axis, flag_axis = axes(resolution)
+    _, flag_axis = axes(resolution)
     assert all(f in flag_axis for f in corner_flags(case))
     rejected = 0
-    for gammas in itertools.product(gamma_axis, repeat=3):
-        if kernel.slack(gammas + corner_flags(case)) is None:
+    for gammas in gamma_points(resolution):
+        if flag_slack(case, gammas + corner_flags(case)) is None:
             rejected += 1
             for flags in itertools.product(flag_axis, repeat=2):
-                assert kernel.slack(gammas + flags) is None, (gammas, flags)
+                assert flag_slack(case, gammas + flags) is None, (gammas, flags)
     assert rejected > 0
 
 
@@ -163,42 +201,38 @@ def test_sign_flag_lemma_off_the_grid(case, gammas, flags):
     # the computed determinant is monotone in |M_12| and |M_13|, whose
     # computed values are smallest at the corner flags, so the lemma
     # holds for the float verdict at every point, not only on the grid
-    kernel = ArrowKernel(case)
-    if kernel.slack(gammas + corner_flags(case)) is None:
-        assert kernel.slack(gammas + flags) is None
+    if flag_slack(case, gammas + corner_flags(case)) is None:
+        assert flag_slack(case, gammas + flags) is None
 
 
 @pytest.mark.parametrize("resolution", [8, 9, 10])
 @pytest.mark.parametrize("case", CASES)
 def test_grid_phase_finds_the_exhaustive_grid_maximum(case, resolution):
-    # with no refine, the search returns the largest (objective, point)
-    # over every grid point the kernel finds feasible
+    # with no refine, the search returns the largest (objective, Gamma)
+    # over every grid Gamma the kernel finds feasible, at the corner flags
     kernel = ArrowKernel(case)
-    feasible = [p for p in grid_points(resolution) if kernel.slack(p) is not None]
+    feasible = [p for p in gamma_points(resolution) if kernel.slack(p) is not None]
+    a, c = corner_flags(case)
     for objective in ("gamma23", "gamma1"):
         obj = _objective_fn(objective)
         value, best = max((obj(p), p) for p in feasible)
         r = numeric_search(case, objective, resolution=resolution, iterations=0)
-        assert (r.value, r.gammas, r.flags.p12, r.flags.p13) == (
-            value, best[:3], (best[3], 0.0), (best[4], 0.0))
+        assert (r.value, r.gammas, r.flags.p12, r.flags.p13) == (value, best, (a, 0), (c, 0))
         assert r.evaluations == resolution ** 5
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_search_asks_only_about_points_in_the_box(case, monkeypatch):
-    # the kernel does not check the flags' modulus: every point the search
-    # hands it, on the grid and in the refine, and every move its sweeps
-    # return has each gamma in [0, 1] and both flags in [-1, 1].
-    # Every walk starts at the corner flags and never moves a flag, so
-    # each swept point and move carries them
+    # the kernel does not check the box: every point the search hands
+    # it, on the grid and in the refine, and every move its sweeps return
+    # is a Gamma triple with each gamma in [0, 1]
     slack, move = ArrowKernel.slack, ArrowKernel.move
     asked = swept = 0
 
     def check(point):
         nonlocal asked
         asked += 1
-        assert all(0.0 <= g <= 1.0 for g in point[:3]), point
-        assert all(-1.0 <= f <= 1.0 for f in point[3:]), point
+        assert len(point) == 3 and all(0.0 <= g <= 1.0 for g in point), point
 
     def slack_in_box(self, point):
         check(point)
@@ -208,12 +242,9 @@ def test_search_asks_only_about_points_in_the_box(case, monkeypatch):
         nonlocal swept
         swept += 1
         check(point)
-        assert point[3:] == corner_flags(case), point
         got = move(self, point, step, value, objective)
         if got[1]:
-            cand = got[1][2]
-            check(cand)
-            assert cand[3:] == point[3:], (point, cand)
+            check(got[1][2])
         return got
 
     monkeypatch.setattr(ArrowKernel, "slack", slack_in_box)
@@ -224,40 +255,39 @@ def test_search_asks_only_about_points_in_the_box(case, monkeypatch):
     assert asked > 0 and swept > 0
 
 
-def feasible_edge(kernel, point):
-    """``point`` with its gammas scaled towards 0 by the largest factor in
-    [0, 1], bisected to 60 bits, at which ``slack`` accepts: Gamma = 0 is
-    always feasible, and where a refine walk ends, its sweeps meet the
+def edge_points(slack, gammas):
+    """``gammas`` scaled towards 0 by the largest factor lo in [0, 1],
+    bisected to 60 bits, at which ``slack`` accepts, and by hi, the
+    bisection's other end (1 if ``slack`` accepts ``gammas``): Gamma = 0
+    is always feasible, and where a refine walk ends, its sweeps meet the
     edge of the feasible set."""
-    gammas, flags = point[:3], point[3:]
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = (lo + hi) / 2
-        if kernel.slack(tuple(g * mid for g in gammas) + flags) is None:
+        if slack(tuple(g * mid for g in gammas)) is None:
             hi = mid
         else:
             lo = mid
-    return tuple(g * lo for g in gammas) + flags
+    return tuple(g * lo for g in gammas), tuple(g * hi for g in gammas)
 
 
 @st.composite
 def move_setups(draw):
     """A kernel, a point of the box, a refine sweep's step, an objective
-    and the value a move must not fall below: each coordinate a grid
-    value, a box edge or any value in the box, the flags included, and
-    half the points moved to the edge of the feasible set; the
+    and the value a move must not fall below: each gamma a grid value, a
+    box edge or any value in [0, 1], and half the points moved to the
+    edge of the feasible set; the
     step ``cell`` at a resolution halved 0 to 40 times; the value the
     point's objective, the adjacent floats, a step away or anywhere
     within two steps."""
     kernel = ArrowKernel(draw(st.sampled_from(CASES)))
     resolution = draw(st.integers(8, 12))
-    gamma_axis, flag_axis = axes(resolution)
-    point = tuple(draw(st.one_of(st.sampled_from(axis), st.sampled_from((lo, hi)),
-                                 st.floats(lo, hi)))
-                  for axis, lo, hi in zip([gamma_axis] * 3 + [flag_axis] * 2,
-                                          BOX_LO, BOX_HI))
+    gamma_axis, _ = axes(resolution)
+    point = tuple(draw(st.one_of(st.sampled_from(gamma_axis), st.sampled_from((0.0, 1.0)),
+                                 st.floats(0.0, 1.0)))
+                  for _ in range(3))
     if draw(st.booleans()):
-        point = feasible_edge(kernel, point)
+        point = edge_points(kernel.slack, point)[0]
     step = 1.0 / (resolution - 1) / 2.0 ** draw(st.integers(0, 40))
     objective = draw(st.sampled_from(("gamma23", "gamma1")))
     at = _objective_fn(objective)(point)
@@ -288,7 +318,7 @@ def reference_move(kernel, point, step, value, objective):
 @given(setup=move_setups())
 def test_move_is_the_best_candidate_slack_accepts(setup):
     # the move's candidates are the exhaustive refine's over the gammas,
-    # in its order, each carrying the point's flags; its objective and
+    # in its order; its objective and
     # slack are obj(cand) and slack(cand) to the bit (repr tells signed
     # zeros apart), and skipped candidates still count
     kernel, point, step, value, objective = setup
@@ -307,29 +337,28 @@ def block_orders(resolution):
             "gamma1": sorted(pairs, reverse=True)}
 
 
-def check_first_block(kernel, g1, axis, order, flags):
+def check_first_block(kernel, g1, axis, order):
     """``first_block`` against ``slack`` block by block: it returns the
     first block ``slack`` accepts, and None on the blocks before it."""
     blocks = [(axis[i2], axis[i3]) for i2, i3 in order]
     first = next((k for k, block in enumerate(blocks)
-                  if kernel.slack((g1,) + block + flags) is not None), None)
-    got = kernel.first_block(g1, axis, order, flags)
+                  if kernel.slack((g1,) + block) is not None), None)
+    got = kernel.first_block(g1, axis, order)
     assert got == (None if first is None else blocks[first]), (g1, got)
     if first is not None:
-        assert kernel.first_block(g1, axis, order[:first], flags) is None, g1
+        assert kernel.first_block(g1, axis, order[:first]) is None, g1
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_first_block_is_the_first_block_slack_accepts(case):
     # every gamma1 slab of every grid from resolution 8 to 40, in both
-    # objectives' block orders, at the corner flags the search passes
+    # objectives' block orders
     kernel = ArrowKernel(case)
-    flags = corner_flags(case)
     for resolution in range(8, 41):
         gamma_axis, _ = axes(resolution)
         for order in block_orders(resolution).values():
             for g1 in gamma_axis:
-                check_first_block(kernel, g1, gamma_axis, order, flags)
+                check_first_block(kernel, g1, gamma_axis, order)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -339,13 +368,12 @@ def test_first_block_where_a_verdict_flips(case):
     # ulps of 0, often to 0 itself, so a verdict from reassociated float
     # operations or from det > 0 would differ from slack's on some block
     kernel = ArrowKernel(case)
-    flags = corner_flags(case)
     flips = 0
     for resolution in (8, 9, 13, 20):
         gamma_axis, _ = axes(resolution)
         for i2, i3 in itertools.product(range(resolution), repeat=2):
             def feasible(g1):
-                return kernel.slack((g1, gamma_axis[i2], gamma_axis[i3]) + flags) is not None
+                return kernel.slack((g1, gamma_axis[i2], gamma_axis[i3])) is not None
             lo, hi = 0.0, 1.0
             if not feasible(lo) or feasible(hi):
                 continue
@@ -354,32 +382,29 @@ def test_first_block_where_a_verdict_flips(case):
                 lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
             flips += 1
             for g1 in (lo, hi):
-                check_first_block(kernel, g1, gamma_axis, [(i2, i3)], flags)
+                check_first_block(kernel, g1, gamma_axis, [(i2, i3)])
     assert flips > 0
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=st.sampled_from(CASES), resolution=st.integers(8, 40),
-       objective=st.sampled_from(("gamma23", "gamma1")), g1=st.floats(0.0, 1.0),
-       flags=st.one_of(st.none(), st.tuples(*[st.floats(-1.0, 1.0)] * 2)))
-def test_first_block_off_the_grid(case, resolution, objective, g1, flags):
-    # any float gamma1 in [0, 1], at the corner flags (None) or any flags
-    # of the box: the verdicts are slack's to the bit wherever they come from
+       objective=st.sampled_from(("gamma23", "gamma1")), g1=st.floats(0.0, 1.0))
+def test_first_block_off_the_grid(case, resolution, objective, g1):
+    # any float gamma1 in [0, 1]: the verdicts are slack's to the bit
+    # wherever they come from
     kernel = ArrowKernel(case)
     gamma_axis, _ = axes(resolution)
-    check_first_block(kernel, g1, gamma_axis, block_orders(resolution)[objective],
-                      corner_flags(case) if flags is None else flags)
+    check_first_block(kernel, g1, gamma_axis, block_orders(resolution)[objective])
 
 
 def boundary_points(case):
     """Points on and within 1e-9 of the analytic optimum's boundary."""
     gam = {"3bit": (F(7, 127), F(112, 127)), "2bit": (F(1, 7), F(4, 7))}[case]
-    a, c = corner_flags(case)
     pts = []
     for scale in (1 - 1e-9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-9):
         g1, g2 = float(gam[0]), min(1.0, float(gam[1]) * scale)
-        pts.append((g1, g2, g2, a, c))
-        pts.append((g2, g1, g1, a, c))
+        pts.append((g1, g2, g2))
+        pts.append((g2, g1, g1))
     return pts
 
 
@@ -388,7 +413,33 @@ def test_slack_on_the_boundary(case):
     gf = float_gram(case)
     kernel = ArrowKernel(case)
     # each point's lambda_min is at least 1.6e-10 from -t, so every verdict is checked
-    assert all(check_slack(kernel, p, reference_matrix(gf, p)) for p in boundary_points(case))
+    assert all(check_slack(kernel.slack, p, reference_matrix(gf, p + corner_flags(case)))
+               for p in boundary_points(case))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_slack_is_flag_slack_at_the_corner_flags(case):
+    # the kernel drops the products by the corner flags +-1, which are
+    # exact: its slack is flag_slack's at the corner flags to the bit (repr
+    # tells signed zeros apart), on the grids of resolution 8 to 13, at
+    # random points with gammas of 0 or 1 among them, and either side of
+    # where the verdict flips along rays from Gamma = 0
+    kernel = ArrowKernel(case)
+    corner = corner_flags(case)
+    rng = random.Random(f"corner-slack:{case}")
+    points = [p for resolution in range(8, 14) for p in gamma_points(resolution)]
+    points += [tuple(rng.random() for _ in range(3)) for _ in range(10000)]
+    points += [tuple(rng.choice((0.0, 1.0, rng.random())) for _ in range(3))
+               for _ in range(10000)]
+    for _ in range(1000):
+        points += edge_points(lambda p: flag_slack(case, p + corner),
+                              tuple(rng.random() for _ in range(3)))
+    rejected = 0
+    for p in points:
+        want = flag_slack(case, p + corner)
+        rejected += want is None
+        assert repr(kernel.slack(p)) == repr(want), p
+    assert 0 < rejected < len(points)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -1,5 +1,4 @@
 import functools
-import itertools
 import math
 import re
 import time
@@ -21,7 +20,8 @@ from probclone._exact import SURD_TRIAL_BOUND, surd_text
 from probclone.optimize import (_compass_refine, _objective_fn, analytic_optimum,
                                 equal_gamma_optimum, numeric_search)
 from probclone.phasestate import case_gram
-from test_kernel import BOX_HI, BOX_LO, check_slack, compass_candidates
+from test_kernel import (BOX_HI, BOX_LO, GAMMA_HI, GAMMA_LO, axes, check_slack,
+                         compass_candidates, corner_flags, flag_slack, grid_points)
 
 
 def test_case_gram_matches_display():
@@ -168,24 +168,13 @@ def test_numeric_optimum_passes_its_certificate(resolution, iterations, case, ob
     assert r.to_json()["certificate"]["psd"] is True
 
 
-def test_numeric_search_checks_its_certificate(monkeypatch):
-    # a slack that accepts every point leaves the grid's block verdicts to
-    # first_block, but at 0 iterations no walk moves, so the best slab ties
-    # its walk end and its flag walk takes the first pair, (1, 1): the grid
-    # point first_block found feasible at the corner flags, (2/7, 6/7, 6/7)
-    # at resolution 8, is not feasible there, and the search must not report it
-    monkeypatch.setattr(ArrowKernel, "slack", lambda self, point: 0.0)
-    with pytest.raises(AssertionError, match="numeric optimum failed"):
-        numeric_search("3bit", resolution=8, iterations=0)
-
-
 def test_numeric_search_checks_its_certificate_from_the_block_tables(monkeypatch):
     # the grid's block verdicts come from first_block, not slack: when both
-    # accept every point, every slab's best block is (1, 1) and every slab
-    # ties, so the flag walk leads the grid to Gamma = (1, 1, 1) and flags (1, 1)
+    # accept every point, every slab's best block is (1, 1), and at 0
+    # iterations no walk moves, so the search would report Gamma = (1, 1, 1)
     monkeypatch.setattr(ArrowKernel, "slack", lambda self, point: 0.0)
     monkeypatch.setattr(ArrowKernel, "first_block",
-                        lambda self, g1, axis, order, flags: (axis[-1], axis[-1]))
+                        lambda self, g1, axis, order: (axis[-1], axis[-1]))
     with pytest.raises(AssertionError, match="numeric optimum failed"):
         numeric_search("3bit", resolution=8, iterations=0)
 
@@ -245,15 +234,15 @@ def test_numeric_resolution_floor():
 
 
 def test_slack_is_the_schur_complement_of_the_point_api_matrix():
-    # the kernel's slack is the Schur complement of the point API's float M
-    # plus t*I and its verdict is the point API's closed form against -t, at
+    # the kernel's slack, with the flags as arguments (flag_slack), is the
+    # Schur complement of the point API's float M plus t*I and its verdict
+    # is the point API's closed form against -t, at
     # uniform points, at points with a zero flag component or an efficiency
     # of 0 or 1, and at refine-sized steps off the resolution-9 grid
     import random
     rng = random.Random(13)
     grid = [i / 8 for i in range(9)]
     for case in ("2bit", "3bit"):
-        kernel = ArrowKernel(case)
         points = [(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 1),
                    rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2000)]
         for _ in range(2000):
@@ -272,20 +261,21 @@ def test_slack_is_the_schur_complement_of_the_point_api_matrix():
         for p in points:
             point = build_matrix(case, EfficiencyVector(p[:3]),
                                  FlagOverlaps(p12=p[3], p13=p[4]))
-            checked += check_slack(kernel, p, point.matrix)
+            checked += check_slack(functools.partial(flag_slack, case), p, point.matrix)
         assert checked == len(points)    # no point lies in the 1e-12 band
 
 
-def exhaustive_refine(start, objective, kernel, lo, hi, cell, iterations):
+def exhaustive_refine(start, objective, slack_fn, lo, hi, cell, iterations):
     """Reference pattern search for ``_compass_refine`` over the box
     [lo, hi] of the first len(cell) coordinates: every candidate gets a
-    ``kernel.slack`` verdict, and nothing is memoised. With three steps
-    it walks the gammas as ``_compass_refine`` does; with five it also
-    moves both flags, 14 candidates a sweep."""
+    ``slack_fn`` verdict, and nothing is memoised. With three steps and
+    the kernel's ``slack`` it walks Gamma as ``_compass_refine`` does;
+    with five steps and ``flag_slack`` it also moves both flags, 14
+    candidates a sweep."""
     obj = _objective_fn(objective)
     point = tuple(start)
     value = obj(point)
-    slack = kernel.slack(point)
+    slack = slack_fn(point)
     steps = list(cell)
     shrinks = 0
     evals = 0
@@ -295,7 +285,7 @@ def exhaustive_refine(start, objective, kernel, lo, hi, cell, iterations):
         best_move = None
         for cand in compass_candidates(point, steps, lo, hi):
             evals += 1
-            eig = kernel.slack(cand)
+            eig = slack_fn(cand)
             if eig is None:
                 continue
             key = (obj(cand), eig, cand)
@@ -314,28 +304,25 @@ def exhaustive_refine(start, objective, kernel, lo, hi, cell, iterations):
 
 
 def _draw_refine_box(draw):
-    """A kernel, objective, grid axes and the refine's gamma box at a
-    resolution, and a shrink budget. The flag axes are the grid's: a walk
-    carries its start's flags, whatever they are."""
+    """A kernel, objective, grid axis and the refine's gamma box at a
+    resolution, and a shrink budget."""
     case = draw(st.sampled_from(("3bit", "2bit")))
     objective = draw(st.sampled_from(("gamma23", "gamma1")))
     resolution = draw(st.integers(8, 12))
     iterations = draw(st.integers(1, 40))
-    gamma_axis = [i / (resolution - 1) for i in range(resolution)]
-    flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]
-    box = ([0.0] * 3, [1.0] * 3, [1.0 / (resolution - 1)] * 3)
-    return (ArrowKernel(case), objective, [gamma_axis] * 3 + [flag_axis] * 2, box,
-            iterations)
+    gamma_axis, _ = axes(resolution)
+    box = (GAMMA_LO, GAMMA_HI, [1.0 / (resolution - 1)] * 3)
+    return ArrowKernel(case), objective, gamma_axis, box, iterations
 
 
 @st.composite
 def refine_setups(draw):
     """A kernel, objective, gamma box at a resolution, shrink budget and
-    feasible start point: gammas in the box and flags in [-1, 1], each a
-    grid value or an arbitrary float."""
-    kernel, objective, axes, box, iterations = _draw_refine_box(draw)
-    start = tuple(draw(st.one_of(st.sampled_from(axis), st.floats(lo, hi)))
-                  for axis, lo, hi in zip(axes, BOX_LO, BOX_HI))
+    feasible start Gamma, each gamma a grid value or an arbitrary float
+    in [0, 1]."""
+    kernel, objective, axis, box, iterations = _draw_refine_box(draw)
+    start = tuple(draw(st.one_of(st.sampled_from(axis), st.floats(0.0, 1.0)))
+                  for _ in range(3))
     assume(kernel.slack(start) is not None)
     return kernel, objective, start, box, iterations
 
@@ -346,11 +333,11 @@ def shared_refine_setups(draw):
     feasible start points. Each lies on the grid within one cell of a
     drawn grid point, so that walks meet as the neighbouring slabs' walks
     of ``numeric_search`` do, or anywhere in the box."""
-    kernel, objective, axes, box, iterations = _draw_refine_box(draw)
-    centre = [draw(st.integers(0, len(axis) - 1)) for axis in axes]
+    kernel, objective, axis, box, iterations = _draw_refine_box(draw)
+    centre = [draw(st.integers(0, len(axis) - 1)) for _ in range(3)]
     near = st.tuples(*(st.integers(max(i - 1, 0), min(i + 1, len(axis) - 1))
-                       .map(axis.__getitem__) for i, axis in zip(centre, axes)))
-    anywhere = st.tuples(*(st.floats(lo, hi) for lo, hi in zip(BOX_LO, BOX_HI)))
+                       .map(axis.__getitem__) for i in centre))
+    anywhere = st.tuples(*[st.floats(0.0, 1.0)] * 3)
     starts = draw(st.lists(st.one_of(near, anywhere), min_size=2, max_size=12))
     starts = [s for s in starts if kernel.slack(s) is not None][:6]
     assume(len(starts) >= 2)
@@ -363,7 +350,7 @@ def test_pruned_search_matches_exhaustive(setup):
     kernel, objective, start, (lo, hi, cell), iterations = setup
     # the refine that skips verdicts finds what the exhaustive one does,
     # with the same evaluation count
-    want = exhaustive_refine(start, objective, kernel, lo, hi, cell, iterations)
+    want = exhaustive_refine(start, objective, kernel.slack, lo, hi, cell, iterations)
     assert _compass_refine(start, objective, kernel, cell[0], iterations) == want
 
 
@@ -374,7 +361,7 @@ def _walk_with_shared_tails(setup):
     kernel, objective, starts, (lo, hi, cell), iterations = setup
     tails = {}
     for start in starts:
-        want = exhaustive_refine(start, objective, kernel, lo, hi, cell, iterations)
+        want = exhaustive_refine(start, objective, kernel.slack, lo, hi, cell, iterations)
         assert _compass_refine(start, objective, kernel, cell[0], iterations, tails) == want
 
 
@@ -415,7 +402,7 @@ def test_shared_tails_keep_the_sweep_cap(setup, data):
         mp.setattr(optimize, "MAX_SWEEPS", cap)
         for point in walks:
             stored = dict(tails)
-            want = exhaustive_refine(point, objective, kernel, lo, hi, cell, iterations)
+            want = exhaustive_refine(point, objective, kernel.slack, lo, hi, cell, iterations)
             assert _compass_refine(point, objective, kernel, cell[0], iterations, tails) == want
             if cap < trail[point, 0][3]:
                 assert tails == stored
@@ -423,17 +410,16 @@ def test_shared_tails_keep_the_sweep_cap(setup, data):
 
 @st.composite
 def corner_refine_setups(draw):
-    """A kernel, objective, resolution, shrink budget and feasible start at
-    the corner flags, its gammas grid values or arbitrary floats in [0, 1]."""
+    """A case, objective, resolution, shrink budget and feasible start
+    Gamma, its gammas grid values or arbitrary floats in [0, 1]."""
     case = draw(st.sampled_from(("3bit", "2bit")))
-    kernel, objective = ArrowKernel(case), draw(st.sampled_from(optimize.OBJECTIVES))
+    objective = draw(st.sampled_from(optimize.OBJECTIVES))
     resolution = draw(st.integers(8, 13))
-    gamma_axis = [i / (resolution - 1) for i in range(resolution)]
-    gammas = tuple(draw(st.one_of(st.sampled_from(gamma_axis), st.floats(0.0, 1.0)))
-                   for _ in range(3))
-    start = gammas + tuple(float(x) for x in case_params(case).signs)
-    assume(kernel.slack(start) is not None)
-    return kernel, objective, resolution, draw(st.integers(1, 40)), start
+    gamma_axis, _ = axes(resolution)
+    start = tuple(draw(st.one_of(st.sampled_from(gamma_axis), st.floats(0.0, 1.0)))
+                  for _ in range(3))
+    assume(ArrowKernel(case).slack(start) is not None)
+    return case, objective, resolution, draw(st.integers(1, 40)), start
 
 
 @settings(max_examples=60, deadline=None)
@@ -441,14 +427,18 @@ def corner_refine_setups(draw):
 def test_flag_moves_change_no_walk_from_the_corner_flags(setup):
     # the lemma the refine's gamma-only box rests on: a flag move leaves the
     # objective as it is, and from the corner flags its computed slack is
-    # never above the point's, so it is never accepted. The 5-D walk that
-    # also moves both flags (14 candidates a sweep) ends where the gamma
-    # walk does; only its candidate count differs
-    kernel, objective, resolution, iterations, start = setup
+    # never above the point's, so it is never accepted. The 5-D walk under
+    # flag_slack that also moves both flags (14 candidates a sweep) ends
+    # where the kernel's Gamma walk does, at the corner flags; only its
+    # candidate count differs
+    case, objective, resolution, iterations, start = setup
     cell = [1.0 / (resolution - 1)] * 3
-    flagged = exhaustive_refine(start, objective, kernel, BOX_LO, BOX_HI,
-                                cell + [2.0 / (resolution - 1)] * 2, iterations)
-    assert _compass_refine(start, objective, kernel, cell[0], iterations)[:2] == flagged[:2]
+    value, point, _ = exhaustive_refine(
+        start + corner_flags(case), objective, functools.partial(flag_slack, case),
+        BOX_LO, BOX_HI, cell + [2.0 / (resolution - 1)] * 2, iterations)
+    assert point[3:] == corner_flags(case)
+    got = _compass_refine(start, objective, ArrowKernel(case), cell[0], iterations)
+    assert got[:2] == (value, point[:3])
 
 
 @pytest.mark.parametrize("case", ("3bit", "2bit"))
@@ -498,68 +488,48 @@ def test_walks_end_once_every_step_is_below_its_ulp(case, objective, monkeypatch
     assert sizes[1] <= sizes[0]
 
 
-def always_walk_search(case, objective, resolution, iterations):
-    """Reference for ``numeric_search``'s grid: every block and flag verdict
-    from ``slack``, and every feasible gamma1 slab's flag walk run, whether
-    or not its grid point can win the final max over (value, point)."""
+@functools.cache
+def flag_grid_feasible(case, resolution):
+    """Each gamma1 slab's feasible grid Gammas, from a ``flag_slack``
+    verdict at every point of the (Gamma, P12, P13) grid: the Gammas
+    feasible at some grid flag pair, by gamma1."""
+    feasible = {}
+    for p in grid_points(resolution):
+        if p[:3] not in feasible.get(p[0], ()) and flag_slack(case, p) is not None:
+            feasible.setdefault(p[0], set()).add(p[:3])
+    return feasible
+
+
+def exhaustive_search(case, objective, resolution, iterations):
+    """Reference for ``numeric_search``: each gamma1 slab's best point,
+    the largest (objective, Gamma) feasible at some flag pair of the full
+    (Gamma, P12, P13) grid, walked on its own, with no shared tails.
+    Returns the largest (value, Gamma) walk end and the evaluation count."""
     obj = _objective_fn(objective)
     kernel = ArrowKernel(case)
-    gamma_axis = [i / (resolution - 1) for i in range(resolution)]
-    flag_axis = [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]
-    corner_flags = tuple(float(x) for x in case_params(case).signs)
-    flag_pairs = list(itertools.product(flag_axis[::-1], repeat=2))
-    blocks = sorted(itertools.product(gamma_axis, repeat=2),
-                    key=lambda block: (obj((0.0,) + block), block), reverse=True)
-    slab_best = []
-    for g1 in gamma_axis:
-        block = next((b for b in blocks if kernel.slack((g1,) + b + corner_flags) is not None),
-                     None)
-        if block is not None:
-            gammas = (g1,) + block
-            top = next(f for f in flag_pairs if kernel.slack(gammas + f) is not None)
-            slab_best.append((obj(gammas), gammas + top))
-    tails = {}
-    ends = [_compass_refine(best[:3] + corner_flags, objective, kernel, 1.0 / (resolution - 1),
-                            iterations, tails)
-            for _, best in sorted(slab_best, reverse=True)]
-    value, point = max(slab_best + [end[:2] for end in ends])
-    return optimize._certified(
-        case, objective, "numeric", point[:3], FlagOverlaps(p12=point[3], p13=point[4]),
-        value=float(value),
-        evaluations=resolution ** 5 + sum(n_ev for _, _, n_ev in ends),
-        meta={"resolution": resolution, "iterations": iterations})
+    step = 1.0 / (resolution - 1)
+    ends = [_compass_refine(max(gammas, key=lambda g: (obj(g), g)), objective, kernel, step,
+                            iterations)
+            for gammas in flag_grid_feasible(case, resolution).values()]
+    value, gammas = max(end[:2] for end in ends)
+    return value, gammas, resolution ** 5 + sum(n_ev for _, _, n_ev in ends)
 
 
 @pytest.mark.parametrize("case", ("3bit", "2bit"))
 @pytest.mark.parametrize("objective", optimize.OBJECTIVES)
-def test_grid_skips_only_verdicts_that_cannot_change_the_report(case, objective):
-    # the search's grid takes its block verdicts from per-slab tables and
-    # walks the flags only of slabs whose grid value ties the best walk
-    # end; it reports the JSON of the grid that asks slack about every
-    # block and walks every slab's flags. At 0 iterations no walk moves,
-    # so the best slab ties and its flag walk decides the reported flags
+def test_search_over_gamma_finds_what_the_flag_grid_does(case, objective):
+    # the search's grid gives each slab one block verdict per block, at
+    # the corner flags, from per-slab tables; it reports the value and
+    # evaluation count of a search whose grid asks flag_slack about every
+    # (Gamma, P12, P13) point and walks every slab on its own, at the
+    # largest (value, Gamma) walk end and the corner flags
+    a, c = corner_flags(case)
     for resolution in range(8, 14):
-        for iterations in (0, 1, 40):
-            assert (numeric_search(case, objective, resolution, iterations).to_json()
-                    == always_walk_search(case, objective, resolution, iterations).to_json())
-
-
-def test_default_search_asks_slack_only_at_the_corner_flags(monkeypatch):
-    # at the default resolution and shrink budget every best walk end lies
-    # above every grid value, so no slab's flag walk runs
-    slack = ArrowKernel.slack
-    asked = []
-
-    def record(self, point):
-        asked.append(point)
-        return slack(self, point)
-    monkeypatch.setattr(ArrowKernel, "slack", record)
-    for case in ("3bit", "2bit"):
-        corner_flags = tuple(float(x) for x in case_params(case).signs)
-        for objective in optimize.OBJECTIVES:
-            asked.clear()
-            numeric_search(case, objective, resolution=9, iterations=40)
-            assert asked and all(point[3:] == corner_flags for point in asked), (case, objective)
+        for iterations in (0, 1, 2, 5, 40):
+            r = numeric_search(case, objective, resolution, iterations)
+            assert (r.value, r.gammas, r.evaluations) == exhaustive_search(
+                case, objective, resolution, iterations)
+            assert (r.flags.p12, r.flags.p13) == ((a, 0), (c, 0))
 
 
 # ---------------------------------------------------------------------------
