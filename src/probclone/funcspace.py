@@ -25,7 +25,7 @@ by tests and reproduces the published scoring structure, including the
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 
@@ -89,6 +89,10 @@ class TaskInstance:
     f0: BooleanFunction
     f1: BooleanFunction
     f2: BooleanFunction
+    #: position of a shared instance in ``TaskFamily.instances`` (draw
+    #: order), set only by ``TaskFamily``; -1 for one a caller builds or
+    #: copies with ``dataclasses.replace``. Equality, hash and repr ignore it.
+    index: int = field(default=-1, init=False, compare=False, repr=False)
 
 
 _THREE_BIT = {
@@ -112,7 +116,13 @@ CASES = ("2bit", "3bit")
 
 
 class TaskFamily:
-    """All function sets for one case, plus task sampling and set lookups."""
+    """All function sets for one case, plus task sampling and set lookups.
+
+    ``instances`` holds every task instance once, in draw order, each with
+    its position as ``index``; ``sample_instance`` returns these shared
+    objects, so ``instances[inst.index] is inst`` and a per-instance table
+    is read with one list lookup per draw.
+    """
 
     def __init__(self, case: str):
         if case not in CASES:
@@ -158,19 +168,24 @@ class TaskFamily:
         if set(self.s2_f0_by_query) != {0, 1}:
             raise AssertionError("query input 0 does not distinguish the S2 secrets")
 
-        # every task instance, nested f0 -> f1 -> f2 in set order, so that
-        # sampling is three uniform picks and returns a shared object
-        grid = []
-        for f0 in self.s_f0:
-            cand = self._candidates[f0.table]
-            grid.append(tuple(tuple(TaskInstance(f0, f1, f2) for f2 in cand)
-                              for f1 in cand))
-        self._grid = tuple(grid)
-        # (size, bits) of each pick: S1 and S2 are bases of one register,
-        # so every secret has the same number of candidates
-        if len({len(row) for row in grid}) != 1:
+        # every task instance in draw order, f0 -> f1 -> f2 in set order,
+        # each carrying its position, and the same objects nested as
+        # _grid[f0][f1][f2], so that sampling is three uniform picks and
+        # returns a shared object. S1 and S2 are bases of one register, so
+        # every secret has the same number n of candidates and secret i's
+        # instances fill positions i * n * n to (i + 1) * n * n - 1.
+        if len(self.s1) != len(self.s2):
             raise AssertionError("candidate sets differ in size")
-        n0, n = len(grid), len(grid[0])
+        n0, n = len(self.s_f0), len(self.s1)
+        cells = [(f0, f1, f2) for f0 in self.s_f0
+                 for f1 in self._candidates[f0.table]
+                 for f2 in self._candidates[f0.table]]
+        self.instances = tuple(TaskInstance(*cell) for cell in cells)
+        for i, inst in enumerate(self.instances):
+            object.__setattr__(inst, "index", i)
+        self._grid = tuple(tuple(self.instances[(i * n + j) * n:(i * n + j + 1) * n]
+                                 for j in range(n)) for i in range(n0))
+        # (size, bits) of each pick
         self._draws = (n0, n0.bit_length(), n, n.bit_length())
 
     # -- set lookups -------------------------------------------------

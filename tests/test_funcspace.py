@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 from math import sqrt
@@ -188,11 +189,42 @@ def test_secret_split_matches_candidate_sets():
 # ---------------------------------------------------------------------------
 
 def test_sample_instance_always_valid():
+    """Every draw is a valid instance, and the shared object its index
+    names in ``fam.instances``."""
     for case in ("2bit", "3bit"):
         fam = family(case)
         rng = random.Random(42)
         for _ in range(5000):
-            assert fam.validate_instance(fam.sample_instance(rng))
+            inst = fam.sample_instance(rng)
+            assert fam.validate_instance(inst)
+            assert fam.instances[inst.index] is inst
+
+
+def test_instance_indices_run_in_draw_order():
+    """``fam.instances`` lists every instance once, f0 -> f1 -> f2 in set
+    order, and each carries its position."""
+    for case in ("2bit", "3bit"):
+        fam = family(case)
+        order = [(f0, f1, f2) for f0 in fam.s_f0 for f1 in fam.candidates(f0)
+                 for f2 in fam.candidates(f0)]
+        assert [(i.f0, i.f1, i.f2) for i in fam.instances] == order
+        assert [i.index for i in fam.instances] == list(range(len(order)))
+        assert len(set(fam.instances)) == len(order)
+
+
+def test_caller_built_instance_equals_the_shared_one():
+    """A caller-built instance keeps index -1 and is equal to, hashes as
+    and prints as the shared instance of its functions; a copy made with
+    ``dataclasses.replace`` also reads -1."""
+    for case in ("2bit", "3bit"):
+        for shared in family(case).instances:
+            built = TaskInstance(shared.f0, shared.f1, shared.f2)
+            assert built.index == -1 and shared.index >= 0
+            assert built == shared and hash(built) == hash(shared)
+            assert repr(built) == repr(shared)
+            copied = dataclasses.replace(shared, f2=shared.f1)
+            assert copied.index == -1 and copied == TaskInstance(shared.f0, shared.f1,
+                                                                 shared.f1)
 
 
 def test_sample_instance_deterministic():
@@ -213,7 +245,11 @@ def test_sample_instance_matches_randrange_formula():
             cand = fam.candidates(f0)
             f1 = cand[ref.randrange(len(cand))]
             f2 = cand[ref.randrange(len(cand))]
-            assert fam.sample_instance(rng) == TaskInstance(f0, f1, f2)
+            inst = fam.sample_instance(rng)
+            assert inst == TaskInstance(f0, f1, f2)
+            # draw order: f0's block of n * n, then f1's row of n
+            n = len(cand)
+            assert inst.index == (fam.s_f0.index(f0) * n + cand.index(f1)) * n + cand.index(f2)
         assert rng.getstate() == ref.getstate()
 
 

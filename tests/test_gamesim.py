@@ -307,6 +307,32 @@ def test_trials_past_the_bound_refused_before_any_trial(monkeypatch):
             simulate_clone(OPT2, "2bit", trials=trials)
 
 
+@pytest.mark.parametrize("trials", [1, 9_999, 10_000, 10_001, 23_456])
+def test_one_sample_per_trial(monkeypatch, trials):
+    """Each trial draws its instance with exactly one ``sample_instance``
+    call, across block edges: both strategies in both cases, and rows of
+    three branches each. The method is wrapped on the class, as the
+    benchmark's traced run wraps it."""
+    calls = 0
+    sample = TaskFamily.sample_instance
+
+    def counted(self, rng):
+        nonlocal calls
+        calls += 1
+        return sample(self, rng)
+
+    monkeypatch.setattr(TaskFamily, "sample_instance", counted)
+    for case, eff in (("3bit", OPT3), ("2bit", OPT2)):
+        secrets = [f.table for f in family(case).s_f0]
+        three = tuple(tuple((F(1, 3), k) for k in secrets) for _ in secrets)
+        for run in (lambda: simulate_no_clone(case, trials=trials, seed=5),
+                    lambda: simulate_clone(eff, case, trials=trials, seed=5),
+                    lambda: gamesim._run(case, three, trials, 5)):
+            calls = 0
+            run()
+            assert calls == trials
+
+
 def test_score_report_json():
     r = simulate_clone(OPT2, "2bit", trials=10_000, seed=0)
     data = r.to_json()
@@ -335,6 +361,16 @@ def test_slot_table_rows_and_cdfs():
                 assert slot.p_hit in [slot.row[i] for i in hit]
                 if k == f0:
                     assert slot.p_hit == 1
+        # the per-instance window tables a trial reads, one per assumed
+        # secret, list f1's and then f2's slot window at the instance's index
+        fam = family(case)
+        assert set(table.windows) == {f.table for f in fam.s_f0}
+        for k, by_index in table.windows.items():
+            assert len(by_index) == len(fam.instances)
+            for inst in fam.instances:
+                by_f = table.slots[k, inst.f0.table]
+                assert by_index[inst.index] == (by_f[inst.f1.table].window
+                                                + by_f[inst.f2.table].window)
 
 
 def test_slot_table_refuses_a_slot_without_one_right_outcome(monkeypatch):
@@ -554,6 +590,10 @@ _ROW = st.integers(1, 3).flatmap(lambda n: st.tuples(
 @example(case="3bit", rows=(([1, 2, 3], [0, 1, 2]),) * 3, seed=0, trials=3000)
 @example(case="2bit", rows=(([0, 1, 0], [2, 0, 1]), ([5], [1]), ([1, 1], [0, 0])),
          seed=1, trials=3000)
+@example(case="3bit", rows=(([1], [1]), ([3], [0]), ([2], [2])), seed=3, trials=10_001)
+@example(case="2bit", rows=(([1], [2]), ([1], [1]), ([1], [1])), seed=-4, trials=3000)
+@example(case="3bit", rows=(([4], [2]), ([1, 1], [0, 1]), ([1, 2, 3], [2, 1, 0])),
+         seed=5, trials=10_001)
 def test_run_matches_reference_on_any_branch_rows(case, rows, seed, trials):
     """``_run`` on rows of one, two and three branches, each assuming any
     secret with a rational probability, gives the reference's wins and
